@@ -10,6 +10,12 @@ class TorslatError(Exception):
     """Base class for all library errors."""
 
 
+class CertificationFailed(TorslatError):
+    """Two computations of one result disagree: a supplied cover list is
+    not the transitive reduction of the order, or a classification does
+    not match the independent construction that certifies it."""
+
+
 class ParseError(TorslatError):
     """Malformed input text (algebra file, spectrum file, complex literal,
     poset JSON).  Carries a line number when one is known."""

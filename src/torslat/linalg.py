@@ -5,8 +5,7 @@ Two families:
 * sparse rational (dict-of-columns rows over Fraction) -- used by the silting
   engine, whose chain-map and homotopy systems are large but very sparse
   (banded differentials couple only a handful of unknowns per equation);
-* small dense mod-p (bitmask rows for p = 2, coefficient lists otherwise) --
-  used by the brute-force oracle.
+* small dense mod-p (coefficient lists) -- used by the brute-force oracle.
 
 Everything is deterministic: rows are processed in the order given and pivots
 are always the lowest-index column available.
@@ -106,13 +105,6 @@ class Echelon:
 
     def contains(self, row):
         return not self.reduce(row)
-
-
-def rank(rows):
-    ech = Echelon()
-    for r in rows:
-        ech.insert(r)
-    return ech.rank
 
 
 def nullspace(rows, ncols):
@@ -310,15 +302,6 @@ def solve(rows, rhs):
     return sol
 
 
-def transpose(rows, ncols):
-    """Transpose a sparse row list (length ncols output)."""
-    out = [dict() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            out[c][i] = v
-    return out
-
-
 def express_in_span(columns, target, ncols_hint=None):
     """Write target as a combination of the given column vectors.
 
@@ -369,59 +352,6 @@ def det(rows):
                 for c in range(col, n):
                     m[r][c] -= factor * m[col][c]
     return result * sign
-
-
-# ---------------------------------------------------------------------------
-# GF(2): rows are int bitmasks, column i is bit i
-
-
-def gf2_echelon(rows):
-    """Echelonize bitmask rows; returns dict pivot_col -> row mask."""
-    pivots = {}
-    for row in rows:
-        row = _gf2_reduce(row, pivots)
-        if row:
-            p = (row & -row).bit_length() - 1
-            for q, other in pivots.items():
-                if other >> p & 1:
-                    pivots[q] = other ^ row
-            pivots[p] = row
-    return pivots
-
-
-def _gf2_reduce(row, pivots):
-    while row:
-        p = (row & -row).bit_length() - 1
-        piv = pivots.get(p)
-        if piv is None:
-            return row
-        row ^= piv
-    return row
-
-
-def gf2_rank(rows):
-    # forward elimination only; no need for the reduced form
-    pivots = {}
-    for row in rows:
-        row = _gf2_reduce(row, pivots)
-        if row:
-            pivots[(row & -row).bit_length() - 1] = row
-    return len(pivots)
-
-
-def gf2_nullspace(rows, ncols):
-    """Nullspace basis (list of masks) of {row . x = 0}."""
-    pivots = gf2_echelon(rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for p, prow in pivots.items():
-            if prow >> f & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ relation queries and closure checks are word operations.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .config import DEFAULTS
 from .errors import (
+    CertificationFailed,
     CycleDetected,
     DuplicateId,
     NotALattice,
@@ -69,8 +71,8 @@ class FinitePoset:
         if _validate:
             self._validate_order()
         self.covers = tuple(covers) if covers is not None else self._compute_covers()
-        if _validate and covers is not None:
-            assert self.covers == self._compute_covers(), "covers are not the transitive reduction"
+        if _validate and covers is not None and self.covers != self._compute_covers():
+            raise CertificationFailed("covers are not the transitive reduction")
 
     # -- construction helpers ------------------------------------------------
 
@@ -365,33 +367,59 @@ def opposite(poset):
     )
 
 
+class _TuplePoset(FinitePoset):
+    """A componentwise order that keeps each element's index tuple over its
+    coordinate posets, so two such orders can be matched element by
+    element without a search."""
+
+    __slots__ = ("coords", "tuples")
+
+
+def _componentwise(coords, tuples):
+    """The componentwise order on index tuples over the coordinate posets.
+
+    tuples[a][k] indexes coords[k]; element ids and labels are the
+    coordinates' ids and labels joined as "(a,b,...)", in the order given.
+    up[a] is the AND over k of the tuples whose k-th index lies above
+    tuples[a][k]: one mask per coordinate element, no pair of tuples is
+    compared.
+    """
+    n = len(tuples)
+    up = [(1 << n) - 1] * n
+    for k, c in enumerate(coords):
+        at = [0] * len(c)  # at[i]: the tuples whose k-th index is i
+        for a, t in enumerate(tuples):
+            at[t[k]] |= 1 << a
+        above = [0] * len(c)
+        for i in range(len(c)):
+            for j in _bits(c.up[i]):
+                above[i] |= at[j]
+        for a, t in enumerate(tuples):
+            up[a] &= above[t[k]]
+    elements = [
+        (
+            "(" + ",".join(c.ids[i] for c, i in zip(coords, t)) + ")",
+            "(" + ",".join(c.labels[i] for c, i in zip(coords, t)) + ")",
+        )
+        for t in tuples
+    ]
+    poset = _TuplePoset(elements, up, _validate=False)
+    poset.coords = tuple(coords)
+    poset.tuples = tuples
+    return poset
+
+
 def product(posets, config=DEFAULTS):
     """Cartesian product with componentwise order; empty input gives the
     one-point poset."""
     posets = list(posets)
-    if not posets:
-        return build_poset([("()", "()")], [])
     total = 1
     for p in posets:
         total *= len(p)
         if total > config.map_cap:
             raise SizeCapExceeded("product size exceeds the map cap")
-    tuples = [()]
-    for p in posets:
-        tuples = [t + (i,) for t in tuples for i in range(len(p))]
-    elements = []
-    for t in tuples:
-        ident = "(" + ",".join(posets[k].ids[i] for k, i in enumerate(t)) + ")"
-        label = "(" + ",".join(posets[k].labels[i] for k, i in enumerate(t)) + ")"
-        elements.append((ident, label))
-    up = []
-    for a, ta in enumerate(tuples):
-        mask = 0
-        for b, tb in enumerate(tuples):
-            if all(posets[k].leq_idx(ta[k], tb[k]) for k in range(len(posets))):
-                mask |= 1 << b
-        up.append(mask)
-    return FinitePoset(elements, up, _validate=False)
+    tuples = list(itertools.product(*(range(len(p)) for p in posets)))
+    return _componentwise(posets, tuples)
 
 
 def hom_poset(x, y, config=DEFAULTS):
@@ -401,8 +429,6 @@ def hom_poset(x, y, config=DEFAULTS):
     backtracks over a linear extension of x.
     """
     nx, ny = len(x), len(y)
-    if nx == 0:
-        return build_poset([("()", "()")], [])
     ext = sorted(range(nx), key=lambda i: (bin(x.down[i]).count("1"), i))
     pred = []  # for each position in ext: [(earlier position, needs f(e) <= f(this)) ...]
     for pos, i in enumerate(ext):
@@ -430,19 +456,7 @@ def hom_poset(x, y, config=DEFAULTS):
 
     rec(0)
     maps.sort()
-    elements = []
-    for f in maps:
-        ident = "(" + ",".join(y.ids[j] for j in f) + ")"
-        label = "(" + ",".join(y.labels[j] for j in f) + ")"
-        elements.append((ident, label))
-    up = []
-    for a, fa in enumerate(maps):
-        mask = 0
-        for b, fb in enumerate(maps):
-            if all(y.leq_idx(fa[k], fb[k]) for k in range(nx)):
-                mask |= 1 << b
-        up.append(mask)
-    return FinitePoset(elements, up, _validate=False)
+    return _componentwise([y] * nx, maps)
 
 
 def poset_isomorphism(p, q):
@@ -499,22 +513,27 @@ def poset_isomorphism(p, q):
                 return False
         return True
 
-    def rec(k):
-        if k == n:
-            return True
+    # depth-first over order[k] -> j, with an explicit stack: next_j[k] is
+    # the next candidate image of order[k]
+    next_j = [0] * (n + 1)
+    k = 0
+    while k < n:
         i = order[k]
-        for j in range(n):
-            if not used[j] and ok(i, j):
-                image[i] = j
-                used[j] = True
-                if rec(k + 1):
-                    return True
-                image[i] = None
-                used[j] = False
-        return False
-
-    if not rec(0):
-        return None
+        j = next_j[k]
+        while j < n and (used[j] or not ok(i, j)):
+            j += 1
+        if j < n:
+            image[i] = j
+            used[j] = True
+            next_j[k] = j + 1
+            k += 1
+            next_j[k] = 0
+            continue
+        k -= 1  # order[k] has no image left: undo the placement before it
+        if k < 0:
+            return None
+        used[image[order[k]]] = False
+        image[order[k]] = None
     return {p.ids[i]: q.ids[image[i]] for i in range(n)}
 
 

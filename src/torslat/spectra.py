@@ -9,10 +9,12 @@ Serre sides of the picture as FinitePosets.
 
 Two restriction modes exist.  Identity mode: every prime carries the same
 lattice and each map is the identity, so compatible tuples are exactly the
-monotone maps out of the prime poset.  Explicit mode: a table per
-comparable pair; composing tables along a chain is only required to bound
-the direct table from above, which is why compatibility is checked on all
-comparable pairs rather than on covers alone.
+monotone maps out of the prime poset.  Every identity-mode result is
+certified once, by matching its elements one for one with an independently
+built monotone-map poset (see _certify_monotone_maps).  Explicit mode: a
+table per comparable pair; composing tables along a chain is only required
+to bound the direct table from above, which is why compatibility is checked
+on all comparable pairs rather than on covers alone.
 """
 
 import os
@@ -20,9 +22,11 @@ import re
 from collections import namedtuple
 
 from .config import DEFAULTS
-from .errors import ModelInvalid, ParseError, SizeCapExceeded
+from .errors import CertificationFailed, ModelInvalid, ParseError, SizeCapExceeded
 from .posets import (
     FinitePoset,
+    _bits,
+    _componentwise,
     all_subsets,
     build_poset,
     chain,
@@ -290,7 +294,7 @@ def validate_sim(sim):
 def _require_valid(model):
     problems = validate(model)
     if problems:
-        raise ModelInvalid("; ".join(problems))
+        raise ModelInvalid(problems)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +328,6 @@ def enumerate_compatible(model, config=DEFAULTS):
     _require_valid(model)
     spec = model.spec
     n = len(spec)
-    if n == 0:
-        return build_poset([("()", "()")], [])
     tables = _tables(model)
     fib = [model.fibers[p] for p in spec.ids]
 
@@ -371,35 +373,45 @@ def enumerate_compatible(model, config=DEFAULTS):
             t[i] = res[pos]
         tuples.append(tuple(t))
     tuples.sort()
-
-    elements = []
-    for t in tuples:
-        ident = "(" + ",".join(fib[k].ids[x] for k, x in enumerate(t)) + ")"
-        label = "(" + ",".join(fib[k].labels[x] for k, x in enumerate(t)) + ")"
-        elements.append((ident, label))
-    up = []
-    for ta in tuples:
-        mask = 0
-        for b, tb in enumerate(tuples):
-            if all(fib[k].leq_idx(ta[k], tb[k]) for k in range(n)):
-                mask |= 1 << b
-        up.append(mask)
-    return FinitePoset(elements, up, _validate=False)
+    return _componentwise(fib, tuples)
 
 
-def identity_witness(model, config=DEFAULTS):
-    """Isomorphism from the compatible-tuple poset of an identity-mode
-    model onto the monotone-map poset of its shared fiber, as an id dict."""
-    if model.mode != "identity":
-        raise ValueError("witness construction needs an identity-mode model")
-    compat = enumerate_compatible(model, config)
-    fiber = model.fibers[model.spec.ids[0]]
-    target = hom_poset(model.spec, fiber, config)
-    witness = poset_isomorphism(compat, target)
-    assert witness is not None, (
-        "compatible tuples do not match the monotone-map poset"
-    )
-    return witness
+def _certify_monotone_maps(spec, lattice, compat, config):
+    """Certify that compat, the compatible tuples of an identity-mode model
+    over spec with fiber lattice, is Hom_poset(spec, lattice); return the
+    independently built monotone-map poset.
+
+    Elements are matched by their tuple of fiber labels, which identity-mode
+    validation makes unique per fiber and ordered alike at every prime.
+    The matching must be a bijection that carries every up-mask onto the
+    other side's, so the two orders are equal element for element.
+    Raises CertificationFailed otherwise.
+    """
+    hom = hom_poset(spec, lattice, config)
+
+    def label_tuples(poset):
+        return [
+            tuple(c.labels[i] for c, i in zip(poset.coords, t))
+            for t in poset.tuples
+        ]
+
+    where = {lt: b for b, lt in enumerate(label_tuples(hom))}
+    image = [where.get(lt) for lt in label_tuples(compat)]
+    if len(compat) != len(hom) or None in image or len(set(image)) != len(image):
+        raise CertificationFailed(
+            f"{len(compat)} compatible tuples do not match the "
+            f"{len(hom)} monotone maps"
+        )
+    for a, b in enumerate(image):
+        mapped = 0
+        for j in _bits(compat.up[a]):
+            mapped |= 1 << image[j]
+        if mapped != hom.up[b]:
+            raise CertificationFailed(
+                f"compatible tuple {compat.ids[a]!r} and monotone map "
+                f"{hom.ids[b]!r} have different up-sets"
+            )
+    return hom
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +421,15 @@ def identity_witness(model, config=DEFAULTS):
 def classify_tors(model, config=DEFAULTS):
     """The compatible-tuple poset read as the lattice of torsion classes.
 
-    Identity mode additionally certifies the monotone-map description by
-    constructing an explicit isomorphism witness.
+    Identity mode additionally certifies the monotone-map description: the
+    enumerated tuples are matched one for one, order included, with
+    Hom_poset(spec, fiber) built separately; CertificationFailed if they
+    differ.
     """
     poset = enumerate_compatible(model, config)
-    if model.mode == "identity":
-        identity_witness(model, config)
+    spec = model.spec
+    if model.mode == "identity" and len(spec):
+        _certify_monotone_maps(spec, model.fibers[spec.ids[0]], poset, config)
     labels = ["tors" + l for l in poset.labels]
     return FinitePoset(
         list(zip(poset.ids, labels)),
@@ -427,16 +442,13 @@ def classify_tors(model, config=DEFAULTS):
 def classify_tors_hom_form(spec, lattice, config=DEFAULTS):
     """Torsion classes in monotone-map form: Hom_poset(spec, lattice).
 
-    Cross-checked on the spot against the tuple enumeration of the
-    identity-mode model carrying the lattice at every prime.
+    Certified by the same element-for-element match as identity-mode
+    classify_tors, against the tuple enumeration of the identity-mode model
+    carrying the lattice at every prime; CertificationFailed if they differ.
     """
-    result = hom_poset(spec, lattice, config)
     model = SpecModel(spec, {p: lattice for p in spec.ids}, mode="identity")
-    check = enumerate_compatible(model, config)
-    assert poset_isomorphism(result, check) is not None, (
-        "monotone-map poset disagrees with the tuple enumeration"
-    )
-    return result
+    compat = enumerate_compatible(model, config)
+    return _certify_monotone_maps(spec, lattice, compat, config)
 
 
 def classify_torf(model, config=DEFAULTS):
@@ -450,68 +462,11 @@ def classify_torf(model, config=DEFAULTS):
     return product([opposite(model.fibers[p]) for p in model.spec.ids], config)
 
 
-def perp_tuple(model, tup):
-    """Image of a fiber-element tuple in the torsion-free product.
-
-    Accepts a mapping prime -> fiber element id or a sequence in spec
-    order; the tuple need not be compatible.  Componentwise the element is
-    unchanged, only read in the opposite lattice, so the map reverses
-    order and is inverted by perp_tuple_inverse.
-    """
-    spec = model.spec
-    if hasattr(tup, "keys"):
-        missing = [p for p in spec.ids if p not in tup]
-        if missing:
-            raise ValueError(f"tuple misses primes {missing}")
-        comps = [str(tup[p]) for p in spec.ids]
-    else:
-        comps = [str(x) for x in tup]
-        if len(comps) != len(spec):
-            raise ValueError(
-                f"expected {len(spec)} components, got {len(comps)}"
-            )
-    for p, x in zip(spec.ids, comps):
-        if x not in model.fibers[p].index:
-            raise ValueError(f"{x!r} is not an element of the fiber at {p!r}")
-    return "(" + ",".join(comps) + ")"
-
-
-def perp_tuple_inverse(model, ident):
-    """The fiber-element tuple (in spec order) behind a torsion-free id."""
-    spec = model.spec
-    if not (ident.startswith("(") and ident.endswith(")")):
-        raise ValueError(f"{ident!r} is not a tuple id")
-    body = ident[1:-1]
-    idsets = [sorted(model.fibers[p].ids) for p in spec.ids]
-
-    def rec(pos, start):
-        if pos == len(idsets):
-            return () if start == len(body) else None
-        last = pos == len(idsets) - 1
-        for cand in idsets[pos]:
-            end = start + len(cand)
-            if body[start:end] != cand:
-                continue
-            if last:
-                if end == len(body):
-                    return (cand,)
-            elif body[end : end + 1] == ",":
-                rest = rec(pos + 1, end + 1)
-                if rest is not None:
-                    return (cand,) + rest
-        return None
-
-    out = rec(0, 0)
-    if out is None:
-        raise ValueError(f"{ident!r} does not name a torsion-free tuple")
-    return out
-
-
 def classify_serre(sim, config=DEFAULTS):
     """The Serre lattice: down-closed subsets of the simple poset."""
     problems = validate_sim(sim)
     if problems:
-        raise ModelInvalid("; ".join(problems))
+        raise ModelInvalid(problems)
     return down_sets(sim.poset, config)
 
 
@@ -528,9 +483,10 @@ def classify_local_fibers(spec, config=DEFAULTS):
     two = chain(2, prefix="t")
     model = SpecModel(spec, {p: two for p in spec.ids}, mode="identity")
     compat = enumerate_compatible(model, config)
-    assert poset_isomorphism(spcl.poset(), compat) is not None, (
-        "two-element fibers disagree with the specialization-closed lattice"
-    )
+    if poset_isomorphism(spcl.poset(), compat) is None:
+        raise CertificationFailed(
+            "two-element fibers disagree with the specialization-closed lattice"
+        )
     return spcl, full
 
 
@@ -615,7 +571,7 @@ def _resolve(fiber, token, lineno):
     if len(hits) == 1:
         return hits[0]
     kind = "ambiguous label" if hits else "unknown element"
-    raise ParseError(f"line {lineno}: {kind} {token!r}")
+    raise ParseError(f"{kind} {token!r}", line=lineno)
 
 
 def parse_spectrum(text, base_dir="."):
@@ -644,102 +600,105 @@ def parse_spectrum(text, base_dir="."):
         if head == "primes":
             m = _PRIMES_RE.match(line)
             if not m:
-                raise ParseError(f"line {lineno}: bad primes declaration")
+                raise ParseError("bad primes declaration", line=lineno)
             if primes is not None:
-                raise ParseError(f"line {lineno}: primes declared twice")
+                raise ParseError("primes declared twice", line=lineno)
             primes = m.group(1).split()
             if len(set(primes)) != len(primes):
-                raise ParseError(f"line {lineno}: repeated prime name")
+                raise ParseError("repeated prime name", line=lineno)
             continue
         if primes is None:
             raise ParseError(
-                f"line {lineno}: primes must be declared before {head!r}"
+                f"primes must be declared before {head!r}",
+                line=lineno,
             )
         if head == "contains":
             parts = line.split()
             if len(parts) != 3:
-                raise ParseError(f"line {lineno}: contains takes two primes")
+                raise ParseError("contains takes two primes", line=lineno)
             big, small = parts[1], parts[2]
             for p in (big, small):
                 if p not in primes:
-                    raise ParseError(f"line {lineno}: unknown prime {p!r}")
+                    raise ParseError(f"unknown prime {p!r}", line=lineno)
             contains.append((big, small))
         elif head == "fiber":
             m = _FIBER_RE.match(line)
             if not m:
-                raise ParseError(f"line {lineno}: bad fiber declaration")
+                raise ParseError("bad fiber declaration", line=lineno)
             p, path = m.group(1), m.group(2).strip()
             if p not in primes:
-                raise ParseError(f"line {lineno}: unknown prime {p!r}")
+                raise ParseError(f"unknown prime {p!r}", line=lineno)
             if p in fibers:
-                raise ParseError(f"line {lineno}: fiber for {p!r} given twice")
+                raise ParseError(f"fiber for {p!r} given twice", line=lineno)
             full = os.path.join(base_dir, path)
             try:
                 with open(full, encoding="utf-8") as fh:
                     fibers[p] = FinitePoset.from_json(fh.read())
             except OSError as exc:
-                raise ParseError(f"line {lineno}: cannot read {path!r}: {exc}")
+                raise ParseError(f"cannot read {path!r}: {exc}", line=lineno)
         elif head == "mode":
             m = _MODE_RE.match(line)
             if not m or m.group(1) not in ("identity", "explicit"):
-                raise ParseError(f"line {lineno}: mode is identity or explicit")
+                raise ParseError("mode is identity or explicit", line=lineno)
             if mode is not None:
-                raise ParseError(f"line {lineno}: mode declared twice")
+                raise ParseError("mode declared twice", line=lineno)
             mode = m.group(1)
         elif head == "restrict":
             m = _RESTRICT_RE.match(line)
             if not m:
-                raise ParseError(f"line {lineno}: bad restrict line")
+                raise ParseError("bad restrict line", line=lineno)
             p, q = m.group(1), m.group(2)
             for name in (p, q):
                 if name not in primes:
-                    raise ParseError(f"line {lineno}: unknown prime {name!r}")
+                    raise ParseError(f"unknown prime {name!r}", line=lineno)
                 if name not in fibers:
                     raise ParseError(
-                        f"line {lineno}: fiber for {name!r} must come before "
-                        "its restrict lines"
+                        f"fiber for {name!r} must come before "
+                        "its restrict lines",
+                        line=lineno,
                     )
             table = restrict.setdefault((p, q), {})
             for part in m.group(3).split(","):
                 em = _ENTRY_RE.match(part.strip())
                 if not em:
                     raise ParseError(
-                        f"line {lineno}: bad table entry {part.strip()!r}"
+                        f"bad table entry {part.strip()!r}",
+                        line=lineno,
                     )
                 src = _resolve(fibers[p], em.group(1), lineno)
                 dst = _resolve(fibers[q], em.group(2), lineno)
                 if src in table:
                     raise ParseError(
-                        f"line {lineno}: {em.group(1)!r} mapped twice"
+                        f"{em.group(1)!r} mapped twice",
+                        line=lineno,
                     )
                 table[src] = dst
         elif head == "simple":
             m = _SIMPLE_RE.match(line)
             if not m:
-                raise ParseError(f"line {lineno}: bad simple declaration")
+                raise ParseError("bad simple declaration", line=lineno)
             p = m.group(1)
             if p not in primes:
-                raise ParseError(f"line {lineno}: unknown prime {p!r}")
+                raise ParseError(f"unknown prime {p!r}", line=lineno)
             for name in m.group(2).split():
                 if name in prime_of:
                     raise ParseError(
-                        f"line {lineno}: simple {name!r} declared twice"
+                        f"simple {name!r} declared twice",
+                        line=lineno,
                     )
                 simples.append(name)
                 prime_of[name] = p
         elif head == "simrel":
             m = _SIMREL_RE.match(line)
             if not m:
-                raise ParseError(f"line {lineno}: bad simrel line")
+                raise ParseError("bad simrel line", line=lineno)
             a, b = m.group(1), m.group(2)
             for name in (a, b):
                 if name not in prime_of:
-                    raise ParseError(
-                        f"line {lineno}: unknown simple {name!r}"
-                    )
+                    raise ParseError(f"unknown simple {name!r}", line=lineno)
             simrels.append((a, b))
         else:
-            raise ParseError(f"line {lineno}: unrecognized directive {head!r}")
+            raise ParseError(f"unrecognized directive {head!r}", line=lineno)
 
     if primes is None:
         raise ParseError("missing primes declaration")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from torslat.config import Config
 from torslat.errors import (
+    CertificationFailed,
     CycleDetected,
     DuplicateId,
     NotALattice,
@@ -97,6 +98,10 @@ class TestConstruction:
         p = build_poset([("n1", "first"), "n2"], [("n1", "n2")])
         assert p.label_of("n1") == "first"
         assert p.label_of("n2") == "n2"
+
+    def test_covers_must_be_the_transitive_reduction(self):
+        with pytest.raises(CertificationFailed):
+            FinitePoset(["a", "b", "c"], [0b111, 0b110, 0b100], covers=[("c", "a")])
 
     def test_antichain_has_no_top(self):
         a = antichain(2)
@@ -248,6 +253,27 @@ class TestConstructions:
         p = build_poset(["u", "v"], [("u", "v")])
         q = build_poset(["v", "u"], [("v", "u")])
         assert poset_isomorphism(p, q) == {"u": "v", "v": "u"}
+
+    def test_isomorphism_search_is_not_recursive(self):
+        # one search level per element: past the interpreter's recursion
+        # limit; masks are given directly, chain()'s closure is cubic
+        n = 1001
+        p_ids = [f"p{i}" for i in range(n)]
+        q_ids = [f"q{i}" for i in range(n)]  # listed top first
+        p = FinitePoset(
+            p_ids,
+            [(1 << n) - (1 << i) for i in range(n)],
+            covers=[(p_ids[i + 1], p_ids[i]) for i in range(n - 1)],
+            _validate=False,
+        )
+        q = FinitePoset(
+            q_ids,
+            [(1 << (i + 1)) - 1 for i in range(n)],
+            covers=[(q_ids[i], q_ids[i + 1]) for i in range(n - 1)],
+            _validate=False,
+        )
+        iso = poset_isomorphism(p, q)
+        assert iso["p0"] == "q1000" and iso["p1000"] == "q0"
 
     @given(small_posets())
     @settings(max_examples=30, deadline=None)

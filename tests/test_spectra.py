@@ -1,0 +1,167 @@
+"""Spectrum models: the paper36 goldens, identity-mode certification,
+Cambrian lattices, the componentwise orders and the spectrum parser."""
+
+import itertools
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from torslat import spectra
+from torslat.errors import CertificationFailed, ModelInvalid, ParseError
+from torslat.fixtures import algebra_a2, algebra_a3
+from torslat.posets import (
+    FinitePoset,
+    build_poset,
+    chain,
+    hom_poset,
+    opposite,
+    poset_isomorphism,
+    product,
+)
+from torslat.spectra import (
+    cambrian_classification,
+    classify_local_fibers,
+    classify_serre,
+    classify_tors,
+    classify_tors_hom_form,
+    classify_torf,
+    load_spectrum,
+    parse_spectrum,
+    validate,
+)
+
+TESTS = Path(__file__).resolve().parent
+DATA = TESTS / "data"
+GOLDEN = TESTS / "golden"
+
+V = build_poset(["g", "m1", "m2"], [("g", "m1"), ("g", "m2")])
+CROWN = build_poset(
+    ["g1", "g2", "m1", "m2"],
+    [("g1", "m1"), ("g1", "m2"), ("g2", "m1"), ("g2", "m2")],
+)
+
+
+def golden(name):
+    return FinitePoset.from_json((GOLDEN / f"paper36_{name}.json").read_text())
+
+
+def load(name):
+    return load_spectrum(str(DATA / f"{name}.spec"))
+
+
+def assert_matches_golden(poset, name):
+    expected = golden(name)
+    assert (len(poset), len(poset.covers)) == (len(expected), len(expected.covers))
+    assert poset_isomorphism(poset, expected) is not None
+
+
+class TestPaper36:
+    def test_tors_is_the_compatible_golden(self):
+        assert_matches_golden(classify_tors(load("paper36").model), "compatible")
+
+    def test_torf_is_the_torf_golden(self):
+        assert_matches_golden(classify_torf(load("paper36").model), "torf")
+
+    def test_serre_is_the_serre_golden(self):
+        assert_matches_golden(classify_serre(load("paper36").sim).poset(), "serre")
+
+
+class TestIdentityMode:
+    def test_ident_pair_counts(self):
+        model = load("ident_pair").model
+        assert len(classify_tors(model)) == 9
+        assert len(classify_torf(model)) == 16
+
+    def test_cambrian_a3_over_v(self):
+        assert len(cambrian_classification(algebra_a3(), V)) == 488
+
+    def test_cambrian_a3_over_the_crown(self):
+        assert len(cambrian_classification(algebra_a3(), CROWN)) == 1916
+
+    def test_certification_needs_no_isomorphism_search(self, monkeypatch):
+        def refuse(p, q):
+            raise AssertionError("identity mode searched for an isomorphism")
+
+        monkeypatch.setattr(spectra, "poset_isomorphism", refuse)
+        assert len(classify_tors(load("ident_pair").model)) == 9
+        # g goes anywhere in the pentagon, m1 and m2 anywhere above it
+        assert len(cambrian_classification(algebra_a2(), V)) == 5**2 + 3**2 + 2**2 + 2**2 + 1
+
+    def test_other_monotone_maps_are_refused(self, monkeypatch):
+        monkeypatch.setattr(
+            spectra, "hom_poset", lambda x, y, config: hom_poset(x, opposite(y), config)
+        )
+        # over a two-prime chain the maps into the opposite lattice differ
+        with pytest.raises(CertificationFailed, match="do not match"):
+            classify_tors(load("ident_pair").model)
+        # over two unrelated primes they are the same maps, ordered the
+        # other way round
+        with pytest.raises(CertificationFailed, match="different up-sets"):
+            classify_tors_hom_form(build_poset(["a", "b"], []), chain(3))
+
+    def test_local_fiber_mismatch_is_refused(self, monkeypatch):
+        monkeypatch.setattr(spectra, "poset_isomorphism", lambda p, q: None)
+        with pytest.raises(CertificationFailed):
+            classify_local_fibers(V)
+
+
+def test_broken_top_reports_its_two_violations():
+    model = load("broken_top").model
+    with pytest.raises(ModelInvalid) as info:
+        classify_tors(model)
+    assert info.value.violations == list(validate(model))
+    assert len(info.value.violations) == 2
+
+
+def test_parse_error_carries_the_line():
+    with pytest.raises(ParseError) as info:
+        parse_spectrum("primes = p q\n\nfrobnicate p\n")
+    assert info.value.line == 3
+    assert str(info.value) == "line 3: unrecognized directive 'frobnicate'"
+
+
+# ---------------------------------------------------------------------------
+# componentwise orders against the all-pairs construction
+
+
+def all_pairs_up(coords, tuples):
+    """Up-masks by comparing every pair of tuples coordinate by coordinate."""
+    up = []
+    for ta in tuples:
+        mask = 0
+        for b, tb in enumerate(tuples):
+            if all(c.leq_idx(i, j) for c, i, j in zip(coords, ta, tb)):
+                mask |= 1 << b
+        up.append(mask)
+    return up
+
+
+@st.composite
+def posets(draw, max_size=4):
+    n = draw(st.integers(0, max_size))
+    ids = [f"e{i}" for i in range(n)]
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    return build_poset(ids, pairs)
+
+
+@given(st.lists(posets(), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_product_matches_all_pairs(coords):
+    tuples = list(itertools.product(*(range(len(c)) for c in coords)))
+    p = product(coords)
+    assert p.tuples == tuples
+    assert list(p.up) == all_pairs_up(coords, tuples)
+
+
+@given(posets(), posets())
+@settings(max_examples=60, deadline=None)
+def test_hom_poset_matches_all_pairs(x, y):
+    maps = [
+        f for f in itertools.product(range(len(y)), repeat=len(x))
+        if all(y.leq_idx(f[a], f[b]) for a, b in itertools.product(range(len(x)), repeat=2)
+               if x.leq_idx(a, b))
+    ]
+    h = hom_poset(x, y)
+    assert h.tuples == maps
+    assert list(h.up) == all_pairs_up([y] * len(x), maps)
