@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .config import DEFAULTS
 from .errors import (
+    CertificationFailed,
     DuplicateId,
     NotAdmissible,
     NotFiniteDimensional,
@@ -481,13 +482,14 @@ class PathAlgebra:
     def _check_idempotents(self):
         for b in range(self.dim):
             t, s = self._targets[b], self._sources[b]
-            assert self.mul_basis(self._e_index[t], b) == {b: ONE}
-            assert self.mul_basis(b, self._e_index[s]) == {b: ONE}
             for v in range(len(self.quiver.vertices)):
-                if v != t:
-                    assert self.mul_basis(self._e_index[v], b) == {}
-                if v != s:
-                    assert self.mul_basis(b, self._e_index[v]) == {}
+                e = self._e_index[v]
+                if self.mul_basis(e, b) != ({b: ONE} if v == t else {}) or (
+                    self.mul_basis(b, e) != ({b: ONE} if v == s else {})
+                ):
+                    raise CertificationFailed(
+                        f"trivial path {v} does not act as an idempotent on {b}"
+                    )
 
     def _check_associativity(self):
         if self.dim <= 40:
@@ -502,7 +504,8 @@ class PathAlgebra:
                     jk = self.mul_basis(j, k)
                     left = self.mul_dicts(ij, {k: ONE})
                     right = self.mul_dicts({i: ONE}, jk)
-                    assert left == right, "associativity failure"
+                    if left != right:
+                        raise CertificationFailed("associativity failure")
 
 
 def build_algebra(quiver, relations, length_cap=None, config=DEFAULTS):

@@ -18,6 +18,7 @@ from itertools import combinations, product
 
 from .config import DEFAULTS
 from .errors import (
+    CertificationFailed,
     NotRepFiniteWithinBound,
     SearchSpaceExceeded,
     ShapeMismatch,
@@ -645,7 +646,7 @@ def _assert_indecomposable(algebra, rep, config):
             for v in range(nv)
         )
         if sq == f:
-            raise AssertionError(
+            raise CertificationFailed(
                 "decomposable representation slipped through the splitting sieve"
             )
 
@@ -932,7 +933,7 @@ def _brute_closed_subsets(algebra, field, dim_bound, config, with_subs):
         for b in masks:
             u = _closure_fixpoint(a | b, n, req_list)
             if u not in mask_set or ops.join(ident(a), ident(b)) != ident(u):
-                raise AssertionError(
+                raise CertificationFailed(
                     "lattice join disagrees with the closure fixpoint"
                 )
     return classes, masks, poset

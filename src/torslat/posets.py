@@ -498,20 +498,21 @@ def poset_isomorphism(p, q):
         return None
     order = sorted(range(n), key=lambda i: (cp[i], i))
     image = [None] * n
-    used = [False] * n
+    placed_p = placed_q = 0  # the elements of p mapped so far, and their images
+
+    def moved(mask):
+        out = 0
+        for i2 in _bits(mask):
+            out |= 1 << image[i2]
+        return out
 
     def ok(i, j):
-        if cp[i] != cq[j]:
-            return False
-        for i2 in range(n):
-            j2 = image[i2]
-            if j2 is None:
-                continue
-            if p.leq_idx(i, i2) != q.leq_idx(j, j2):
-                return False
-            if p.leq_idx(i2, i) != q.leq_idx(j2, j):
-                return False
-        return True
+        """Does i -> j keep every relation with the elements placed so far?"""
+        return (
+            cp[i] == cq[j]
+            and moved(p.up[i] & placed_p) == q.up[j] & placed_q
+            and moved(p.down[i] & placed_p) == q.down[j] & placed_q
+        )
 
     # depth-first over order[k] -> j, with an explicit stack: next_j[k] is
     # the next candidate image of order[k]
@@ -520,11 +521,12 @@ def poset_isomorphism(p, q):
     while k < n:
         i = order[k]
         j = next_j[k]
-        while j < n and (used[j] or not ok(i, j)):
+        while j < n and (placed_q >> j & 1 or not ok(i, j)):
             j += 1
         if j < n:
             image[i] = j
-            used[j] = True
+            placed_p |= 1 << i
+            placed_q |= 1 << j
             next_j[k] = j + 1
             k += 1
             next_j[k] = 0
@@ -532,8 +534,10 @@ def poset_isomorphism(p, q):
         k -= 1  # order[k] has no image left: undo the placement before it
         if k < 0:
             return None
-        used[image[order[k]]] = False
-        image[order[k]] = None
+        i = order[k]
+        placed_p &= ~(1 << i)
+        placed_q &= ~(1 << image[i])
+        image[i] = None
     return {p.ids[i]: q.ids[image[i]] for i in range(n)}
 
 

@@ -25,6 +25,7 @@ from .algebras import AlgebraElement
 from .config import DEFAULTS
 from .errors import (
     CapExceeded,
+    CertificationFailed,
     ConeNotTwoTerm,
     IndexOutOfRange,
     NotPresilting,
@@ -42,7 +43,7 @@ from .linalg import (
     nullspace,
     vec_add_scaled,
 )
-from .posets import FinitePoset
+from .posets import FinitePoset, build_poset
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -507,15 +508,21 @@ def _chain_equations(algebra, X, Y, var_idx):
     return [r for r in rows if r], all_int
 
 
-def chain_map_space(algebra, X, Y):
-    """Basis of chain maps X -> Y as (var_list, list of sparse vectors)."""
+def _chain_system(algebra, X, Y):
+    """(var_list, var_idx, rows): the graded map variables X -> Y, their
+    positions, and the chain-map condition as integer sparse rows."""
     var_list = _map_vars(algebra, X, Y)
     var_idx = {v: i for i, v in enumerate(var_list)}
     rows, all_int = _chain_equations(algebra, X, Y, var_idx)
     if not all_int:
         rows = int_rows(rows)
-    basis = int_nullspace(rows, len(var_list))
-    return var_list, basis
+    return var_list, var_idx, rows
+
+
+def chain_map_space(algebra, X, Y):
+    """Basis of chain maps X -> Y as (var_list, list of sparse vectors)."""
+    var_list, _, rows = _chain_system(algebra, X, Y)
+    return var_list, int_nullspace(rows, len(var_list))
 
 
 def homotopy_boundaries(algebra, X, Y, var_list, var_idx=None):
@@ -573,11 +580,7 @@ def homotopy_boundaries(algebra, X, Y, var_list, var_idx=None):
 
 def hom_k_basis(algebra, X, Y):
     """Basis of Hom in the homotopy category as (var_list, vectors)."""
-    var_list = _map_vars(algebra, X, Y)
-    var_idx = {v: i for i, v in enumerate(var_list)}
-    rows, all_int = _chain_equations(algebra, X, Y, var_idx)
-    if not all_int:
-        rows = int_rows(rows)
+    var_list, var_idx, rows = _chain_system(algebra, X, Y)
     chains = int_nullspace(rows, len(var_list))
     bound = homotopy_boundaries(algebra, X, Y, var_list, var_idx)
     ech = IntEchelon()
@@ -592,11 +595,7 @@ def hom_k_basis(algebra, X, Y):
 
 def hom_k_dim(algebra, X, Y):
     """dim Hom in the homotopy category; rank-only, no basis vectors."""
-    var_list = _map_vars(algebra, X, Y)
-    var_idx = {v: i for i, v in enumerate(var_list)}
-    rows, all_int = _chain_equations(algebra, X, Y, var_idx)
-    if not all_int:
-        rows = int_rows(rows)
+    var_list, var_idx, rows = _chain_system(algebra, X, Y)
     eq_ech = IntEchelon()
     for r in rows:
         eq_ech.insert(r)
@@ -624,125 +623,14 @@ def _euler_pairing(algebra, C, D):
     )
 
 
-def _two_term_back_dim(algebra, C, D):
-    """dim Hom_K(C, D[-1]) for two-term C, D.
-
-    Such a map is a single component C^0 -> D^{-1} killed by both
-    differentials, and no homotopies exist in this degree range, so the
-    dimension is the nullity of a small corner system."""
-    cz = C.summands_at(0)
-    dm = D.summands_at(-1)
-    if not cz or not dm:
-        return 0
-    var_idx = {}
-    for r, vr in enumerate(dm):
-        for c, vc in enumerate(cz):
-            for b in algebra.corner_indices(vc, vr):
-                var_idx[(r, c, b)] = len(var_idx)
-    if not var_idx:
-        return 0
-    cm = C.summands_at(-1)
-    dz = D.summands_at(0)
-    dC = C.diff_at(-1)
-    dD = D.diff_at(-1)
-    eqs = {}
-    for (r, c, b), i in var_idx.items():
-        # g then d_D lands in Hom(C^0, D^0)
-        for rp in range(len(dz)):
-            e = dD[rp][r]
-            if e:
-                prod = algebra.mul_dicts({b: ONE}, e)
-                for pb, x in prod.items():
-                    row = eqs.setdefault((0, rp, c, pb), {})
-                    row[i] = row.get(i, 0) + x
-        # d_C then g lands in Hom(C^{-1}, D^{-1})
-        for cp in range(len(cm)):
-            e = dC[c][cp]
-            if e:
-                prod = algebra.mul_dicts(e, {b: ONE})
-                for pb, x in prod.items():
-                    row = eqs.setdefault((1, r, cp, pb), {})
-                    row[i] = row.get(i, 0) + x
-    ech = IntEchelon()
-    for row in int_rows([v for v in eqs.values() if v]):
-        ech.insert(row)
-    return len(var_idx) - ech.rank
-
-
 def hom_shift1_dim(algebra, P, Q):
-    """dim Hom(P, Q[1]) for two-term P, Q: cokernel of
-    (f, g) -> (f then d_Q) + (d_P then g)."""
+    """dim Hom_K(P, Q[1]) for two-term P, Q."""
     P, Q = _as_complex(P), _as_complex(Q)
     if P.algebra is not algebra or Q.algebra is not algebra:
         raise ShapeMismatch("complexes over a different algebra")
     if not P.is_two_term() or not Q.is_two_term():
         raise ShapeMismatch("hom_shift1_dim needs two-term complexes")
-    pm = P.summands_at(-1)
-    qz = Q.summands_at(0)
-    if not pm or not qz:
-        return 0
-    target = []
-    tpos = {}
-    for r, vr in enumerate(qz):
-        for c, vc in enumerate(pm):
-            for b in algebra.corner_indices(vc, vr):
-                tpos[(r, c, b)] = len(target)
-                target.append((r, c, b))
-    cols = []
-    qm = Q.summands_at(-1)
-    dQ = Q.diff_at(-1)
-    by_vertex = {}
-    for vc in set(pm):
-        prods = []
-        for m, vm in enumerate(qm):
-            for b in algebra.corner_indices(vc, vm):
-                per_r = []
-                for r in range(len(qz)):
-                    e = dQ[r][m]
-                    if e:
-                        prod = algebra.mul_dicts({b: ONE}, e)
-                        if prod:
-                            per_r.append((r, _intify(prod)))
-                prods.append(per_r)
-        by_vertex[vc] = prods
-    for c, vc in enumerate(pm):
-        for per_r in by_vertex[vc]:
-            col = {}
-            for r, prod in per_r:
-                for pb, x in prod.items():
-                    k = tpos[(r, c, pb)]
-                    col[k] = col.get(k, 0) + x
-            if col:
-                cols.append(col)
-    pz = P.summands_at(0)
-    dP = P.diff_at(-1)
-    by_vertex = {}
-    for vr in set(qz):
-        prods = []
-        for m, vm in enumerate(pz):
-            for b in algebra.corner_indices(vm, vr):
-                per_c = []
-                for c in range(len(pm)):
-                    e = dP[m][c]
-                    if e:
-                        prod = algebra.mul_dicts(e, {b: ONE})
-                        if prod:
-                            per_c.append((c, _intify(prod)))
-                prods.append(per_c)
-        by_vertex[vr] = prods
-    for r, vr in enumerate(qz):
-        for per_c in by_vertex[vr]:
-            col = {}
-            for c, prod in per_c:
-                for pb, x in prod.items():
-                    k = tpos[(r, c, pb)]
-                    col[k] = col.get(k, 0) + x
-            if col:
-                cols.append(col)
-    ech = IntEchelon()
-    for col in int_rows(cols):
-        ech.insert(col)
-    return len(target) - ech.rank
+    return hom_k_dim(algebra, P, Q.shift(1))
 
 
 def is_presilting(algebra, P):
@@ -1085,7 +973,8 @@ class _QuotientAlgebra:
             if central:
                 # q = poly / (x - lam); e = q(s)/q(lam)
                 q, rem = _poly_divmod(poly, [-lam, ONE])
-                assert not rem
+                if rem:
+                    raise CertificationFailed("a rational root left a remainder")
                 qlam = sum(c * lam ** i for i, c in enumerate(q))
                 if not qlam:
                     continue
@@ -1189,7 +1078,8 @@ def decompose(algebra, P):
 
     def to_end_coords(vec):
         coeffs = express_in_span(span_cols, vec)
-        assert coeffs is not None, "endomorphism outside its own span"
+        if coeffs is None:
+            raise CertificationFailed("endomorphism outside its own span")
         off = len(bound_basis)
         return [coeffs.get(off + i, ZERO) for i in range(m)]
 
@@ -1227,13 +1117,15 @@ def decompose(algebra, P):
     for i in range(m):
         if ech_j.insert({i: ONE}) is not None:
             comp.append(i)
-    assert len(comp) == s_dim
+    if len(comp) != s_dim:
+        raise CertificationFailed("radical complement has the wrong dimension")
     jcols = list(jvecs) + [{i: ONE} for i in comp]
 
     def project(vec_coeffs):
         vec = {i: x for i, x in enumerate(vec_coeffs) if x}
         coeffs = express_in_span(jcols, vec)
-        assert coeffs is not None
+        if coeffs is None:
+            raise CertificationFailed("element outside the endomorphism ring")
         off = len(jvecs)
         return [coeffs.get(off + t, ZERO) for t in range(s_dim)]
 
@@ -1267,12 +1159,14 @@ def decompose(algebra, P):
         cube = _compose_graded(algebra, P, P, P, sq, e_mat)
         e_mat = _mats_combine(sq, cube)
     else:
-        raise AssertionError("idempotent lifting did not converge")
+        raise CertificationFailed("idempotent lifting did not converge")
     one_minus = _one_minus(algebra, P, e_mat)
     left = _split_part(algebra, P, e_mat)
     right = _split_part(algebra, P, one_minus)
-    assert left.size() + right.size() == P.size(), "split lost summands"
-    assert left.size() > 0 and right.size() > 0, "split is not proper"
+    if left.size() + right.size() != P.size():
+        raise CertificationFailed("split lost summands")
+    if not left.size() or not right.size():
+        raise CertificationFailed("split is not proper")
     return decompose(algebra, left) + decompose(algebra, right)
 
 
@@ -1431,7 +1325,8 @@ def _split_part(algebra, P, e_mat):
                     cols.append(_element_to_vec(moved, pos1))
                     meta.append((k, b))
             coeffs = express_in_span(cols, target_vec)
-            assert coeffs is not None, "image of generator left the subcomplex"
+            if coeffs is None:
+                raise CertificationFailed("image of generator left the subcomplex")
             for i, (k, b) in enumerate(meta):
                 x = coeffs.get(i, ZERO)
                 if x:
@@ -1561,9 +1456,12 @@ class SiltingObject:
         self._h0 = None
         if validate:
             n = len(algebra.quiver.vertices)
-            assert len(self.summands) == n, "summand count != vertex count"
-            assert len(set(self.key)) == n, "summand g-vectors not distinct"
-            assert is_presilting(algebra, self.total()), "object is not presilting"
+            if len(self.summands) != n:
+                raise NotSilting("summand count != vertex count")
+            if len(set(self.key)) != n:
+                raise NotSilting("summand g-vectors not distinct")
+            if not is_presilting(algebra, self.total()):
+                raise NotPresilting("object is not presilting")
 
     def total(self):
         return direct_sum(self.summands)
@@ -1637,11 +1535,12 @@ def _stacked_approximation(algebra, source, target_classes, reverse=False, memo=
     blocks = []
     for R in target_classes:
         A, B = (R, source) if reverse else (source, R)
-        pred = _euler_pairing(algebra, A, B) + _two_term_back_dim(algebra, A, B)
+        pred = _euler_pairing(algebra, A, B) + hom_k_dim(algebra, A, B.shift(-1))
         if pred == 0:
             continue
         var_list, basis = _memo_hom_k_basis(algebra, A, B, memo)
-        assert len(basis) == pred, "hom dimension disagrees with its prediction"
+        if len(basis) != pred:
+            raise CertificationFailed("hom dimension disagrees with its prediction")
         for vec in basis:
             if reverse:
                 blocks.append((R, _materialize(algebra, R, source, var_list, vec)))
@@ -1697,12 +1596,13 @@ def _stacked_approximation(algebra, source, target_classes, reverse=False, memo=
 
 def _new_class_from_cone(algebra, cone_red, keep_classes):
     """The one summand class of a reduced cone not already in keep_classes."""
-    assert not cone_red.is_zero(), "cone collapsed entirely"
+    if cone_red.is_zero():
+        raise CertificationFailed("cone collapsed entirely")
     # the cone sits inside the mutated object, so its self-homs into the
     # shift vanish and dim End is the euler pairing plus the backward maps;
     # dimension one certifies the cone indecomposable without a decompose
-    end = _euler_pairing(algebra, cone_red, cone_red) + _two_term_back_dim(
-        algebra, cone_red, cone_red
+    end = _euler_pairing(algebra, cone_red, cone_red) + hom_k_dim(
+        algebra, cone_red, cone_red.shift(-1)
     )
     if end == 1:
         return cone_red
@@ -1714,7 +1614,10 @@ def _new_class_from_cone(algebra, cone_red, keep_classes):
         if any(complexes_isomorphic(algebra, p, q) for q in fresh):
             continue
         fresh.append(p)
-    assert len(fresh) == 1, f"expected one new summand class, got {len(fresh)}"
+    if len(fresh) != 1:
+        raise CertificationFailed(
+            f"expected one new summand class, got {len(fresh)}"
+        )
     return fresh[0]
 
 
@@ -1752,12 +1655,12 @@ def mutate(algebra, P, k, direction, validate=True, memo=None):
         _require_two_term(C, "right mutation cocone")
     Y = _new_class_from_cone(algebra, C, rest)
     out = SiltingObject(algebra, rest + [Y], validate=validate)
-    assert out.key != P.key, "mutation returned the same object"
+    if out.key == P.key:
+        raise CertificationFailed("mutation returned the same object")
     if validate:
-        if direction == "left":
-            assert hom_shift1_dim(algebra, P.total(), out.total()) == 0
-        else:
-            assert hom_shift1_dim(algebra, out.total(), P.total()) == 0
+        upper, lower = (P, out) if direction == "left" else (out, P)
+        if hom_shift1_dim(algebra, upper.total(), lower.total()):
+            raise CertificationFailed("mutation did not move in its direction")
     return out
 
 
@@ -1799,9 +1702,10 @@ def bongartz_complete(algebra, P, validate=True):
     out = SiltingObject(algebra, all_parts, validate=validate)
     if validate:
         for c in classes:
-            assert any(
+            if not any(
                 complexes_isomorphic(algebra, c, s) for s in out.summands
-            ), "completion lost an input summand"
+            ):
+                raise CertificationFailed("completion lost an input summand")
     return out
 
 
@@ -1882,7 +1786,16 @@ class TauTiltingReport:
 
 def enumerate_2silt(algebra, cap=None, config=DEFAULTS):
     """All two-term silting objects, by mutation search from the free
-    module; order: Q <= P iff Hom(P, Q[1]) = 0."""
+    module; order: Q <= P iff Hom(P, Q[1]) = 0.
+
+    Every left mutation found is recorded as an edge pointing down.  For a
+    tau-tilting finite algebra these edges form the Hasse quiver of the
+    order (Adachi-Iyama-Reiten, tau-tilting theory, Cor. 2.34), so the
+    order is the reflexive-transitive closure of the edges and no Hom
+    between two silting objects is computed.  The result is certified by
+    checking that the edges are exactly the covers of that closure, with
+    the free module on top and its shift at the bottom.
+    """
     cap = cap if cap is not None else config.silting_cap
     start = silting_lambda(algebra, validate=True)
     objects = {start.key: start}
@@ -1918,32 +1831,20 @@ def enumerate_2silt(algebra, cap=None, config=DEFAULTS):
                         )
                     queue.append(nxt)
     keys = sorted(objects)
-    totals = {k: objects[k].total() for k in keys}
-    idx = {k: i for i, k in enumerate(keys)}
-    up = [0] * len(keys)
-    for kq in keys:  # q <= p iff hom(p, q[1]) = 0
-        for kp in keys:
-            if hom_shift1_dim(algebra, totals[kp], totals[kq]) == 0:
-                up[idx[kq]] |= 1 << idx[kp]
-    elements = [
-        (objects[k].id_string(), objects[k].label()) for k in keys
-    ]
-    poset = FinitePoset(elements, up)
-    top, bottom = poset.top(), poset.bottom()
-    assert top == start.id_string(), "free module is not the unique maximum"
+    ids = {k: objects[k].id_string() for k in keys}
+    elements = [(ids[k], objects[k].label()) for k in keys]
+    edge_ids = tuple(sorted((ids[a], ids[b]) for a, b in edges))
+    poset = build_poset(elements, [(lower, upper) for upper, lower in edge_ids])
+    if edge_ids != tuple(sorted(poset.covers)):
+        raise CertificationFailed("mutation edges are not the covers of their order")
+    if poset.top() != start.id_string():
+        raise CertificationFailed("free module is not the unique maximum")
     shifted_key = tuple(sorted(g_vector(s.shift(1)) for s in start.summands))
-    assert bottom == _fmt_vecs(shifted_key), (
-        "shifted free module is not the unique minimum"
-    )
-    edge_ids = tuple(
-        sorted(
-            (objects[a].id_string(), objects[b].id_string())
-            for a, b in edges
-        )
-    )
+    if poset.bottom() != _fmt_vecs(shifted_key):
+        raise CertificationFailed("shifted free module is not the unique minimum")
     return EnumerationResult(
         poset=poset,
-        objects={objects[k].id_string(): objects[k] for k in keys},
+        objects={ids[k]: objects[k] for k in keys},
         edges=edge_ids,
     )
 

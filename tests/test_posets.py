@@ -1,5 +1,7 @@
 """Poset construction, subset lattices, hom posets, serialization."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +64,24 @@ def small_posets(draw):
         if draw(st.booleans())
     ]
     return build_poset(ids, pairs)
+
+
+@st.composite
+def poset_pairs(draw):
+    """Two posets of one size: a random pair, or one relation listed twice
+    in different element orders."""
+    n = draw(st.integers(1, 6))
+
+    def relation():
+        return [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+
+    rel = relation()
+    p = build_poset([f"e{i}" for i in range(n)], [(f"e{i}", f"e{j}") for i, j in rel])
+    if draw(st.booleans()):
+        rel = relation()
+    listing = draw(st.permutations(range(n)))
+    q = build_poset([f"f{i}" for i in listing], [(f"f{i}", f"f{j}") for i, j in rel])
+    return p, q
 
 
 class TestConstruction:
@@ -287,6 +307,42 @@ class TestConstructions:
         for a in p.ids:
             for b in p.ids:
                 assert p.leq(a, b) == relabeled.leq(iso[a], iso[b])
+
+    def test_search_separates_what_colours_cannot(self):
+        # every element has two covers in both orders, so colour refinement
+        # sees no difference; the 8-crown is connected, two squares are not
+        ids = [f"a{i}" for i in range(4)] + [f"b{i}" for i in range(4)]
+        crown = build_poset(
+            ids, [(f"a{i}", f"b{j}") for i in range(4) for j in (i, (i + 1) % 4)]
+        )
+        squares = build_poset(
+            ids,
+            [(f"a{i}", f"b{j}") for i in range(4) for j in range(4) if i // 2 == j // 2],
+        )
+        for p, q in ((crown, squares), (squares, crown)):
+            assert poset_isomorphism(p, q) is None
+            assert poset_isomorphism(opposite(p), opposite(q)) is None
+        assert poset_isomorphism(crown, crown) is not None
+
+    @given(poset_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_isomorphism_agrees_with_brute_force(self, pair):
+        p, q = pair
+
+        def is_iso(perm):
+            return all(
+                p.leq_idx(a, b) == q.leq_idx(perm[a], perm[b])
+                for a in range(len(p))
+                for b in range(len(p))
+            )
+
+        exists = any(
+            is_iso(perm) for perm in itertools.permutations(range(len(q)))
+        )
+        iso = poset_isomorphism(p, q)
+        assert (iso is not None) == exists
+        if iso is not None:
+            assert is_iso([q.index[iso[a]] for a in p.ids])
 
 
 class TestLatticeOps:

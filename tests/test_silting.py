@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from torslat import silting as silting_module
 from torslat.algebras import Quiver, build_algebra
 from torslat.errors import (
     CapExceeded,
+    CertificationFailed,
     ConeNotTwoTerm,
     IndexOutOfRange,
     NotPresilting,
@@ -16,8 +18,10 @@ from torslat.errors import (
     ParseError,
     ShapeMismatch,
 )
+from torslat.fixtures import corpus
 from torslat.silting import (
     SiltingObject,
+    _euler_pairing,
     bongartz_complete,
     check_presilting_family,
     check_silting_module,
@@ -60,6 +64,14 @@ BG = build_algebra(
 )
 KRON = build_algebra(
     Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), []
+)
+# cyclic 1 -> 2 -> 3 -> 1 with every length-two path killed
+N3 = build_algebra(
+    Quiver(
+        ["1", "2", "3"],
+        [("a1", "1", "2"), ("a2", "2", "3"), ("a3", "3", "1")],
+    ),
+    [[(1, [f"a{i % 3 + 1}", f"a{i}"])] for i in range(1, 4)],
 )
 
 
@@ -243,6 +255,22 @@ class TestHomSpaces:
     def test_dim_invariant_under_shift(self, C, D):
         assert hom_k_dim(BG, C, D) == hom_k_dim(BG, C.shift(1), D.shift(1))
 
+    @pytest.mark.parametrize("A", [BG, A3], ids=["beta-gamma", "A3"])
+    def test_shift1_from_euler_pairing(self, A):
+        # the identity _stacked_approximation relies on:
+        # hom(P, Q[1]) = hom(P, Q) - hom(P, Q[-1]) - <g(P), g(Q)>
+        complexes = {}
+        for obj in enumerate_2silt(A).objects.values():
+            for C in (obj.total(), *obj.summands):
+                complexes.setdefault(C.key(), C)
+        for P in complexes.values():
+            for Q in complexes.values():
+                assert hom_shift1_dim(A, P, Q) == (
+                    hom_k_dim(A, P, Q)
+                    - hom_k_dim(A, P, Q.shift(-1))
+                    - _euler_pairing(A, P, Q)
+                )
+
 
 class TestReduce:
     def test_contractible_vanishes(self):
@@ -354,6 +382,19 @@ class TestSiltingObject:
     def test_summands_sorted_by_g_vector(self):
         L = silting_lambda(A2)
         assert [g_vector(s) for s in L.summands] == [(0, 1), (1, 0)]
+
+    def test_non_presilting_pair_rejected(self):
+        # distinct g-vectors (1,0) and (-1,0), yet P1 maps onto P1[-1][1]
+        with pytest.raises(NotPresilting):
+            SiltingObject(A2, [stalk(A2, [0], 0), stalk(A2, [0], -1)])
+
+    def test_wrong_summand_count_rejected(self):
+        with pytest.raises(NotSilting):
+            SiltingObject(A2, [stalk(A2, [0], 0)])
+
+    def test_repeated_g_vector_rejected(self):
+        with pytest.raises(NotSilting):
+            SiltingObject(A2, [stalk(A2, [0], 0), stalk(A2, [0], 0)])
 
     def test_g_matrix_det_unimodular(self, pentagon):
         for obj in pentagon.objects.values():
@@ -498,6 +539,38 @@ class TestEnumeration:
         for A in (A1, KK, DUAL, BG, A3):
             r = enumerate_2silt(A)
             assert sorted(r.edges) == sorted(r.poset.covers)
+
+    @pytest.mark.parametrize(
+        "A", [A for _, A in corpus()] + [N3], ids=[n for n, _ in corpus()] + ["N3"]
+    )
+    def test_order_is_the_hom_order(self, A):
+        # reference: Q <= P iff Hom(P, Q[1]) = 0, over all pairs
+        r = enumerate_2silt(A)
+        totals = [r.objects[i].total() for i in r.poset.ids]
+        up = [
+            sum(
+                1 << p
+                for p, P in enumerate(totals)
+                if hom_shift1_dim(A, P, Q) == 0
+            )
+            for Q in totals
+        ]
+        assert tuple(up) == r.poset.up
+
+    def test_missing_mutation_edge_detected(self, monkeypatch):
+        # drop the exchange between the top and M1: the order read off the
+        # remaining edges has two maxima, which the certification refuses
+        real = silting_module.mutate
+
+        def mutate(algebra, P, k, direction, **kw):
+            out = real(algebra, P, k, direction, **kw)
+            if {P.id_string(), out.id_string()} == {M_LAMBDA, M1}:
+                raise ConeNotTwoTerm("dropped for the test")
+            return out
+
+        monkeypatch.setattr(silting_module, "mutate", mutate)
+        with pytest.raises(CertificationFailed):
+            enumerate_2silt(A2)
 
     def test_pentagon_edges_match_covers(self, pentagon):
         assert sorted(pentagon.edges) == sorted(pentagon.poset.covers)
