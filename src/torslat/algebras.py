@@ -187,6 +187,7 @@ class PathAlgebra:
         )
         self._build(rel_rows, cap)
         self._mul_cache = {}
+        self._cartan = None
         self._check_idempotents()
         self._check_associativity()
 
@@ -465,12 +466,16 @@ class PathAlgebra:
     # -- derived data --------------------------------------------------------
 
     def cartan_matrix(self):
-        """C[i][j] = dim e_i A e_j, indices in vertex declaration order."""
-        nv = len(self.quiver.vertices)
-        return [
-            [len(self.corner_indices(i, j)) for j in range(nv)]
-            for i in range(nv)
-        ]
+        """C[i][j] = dim e_i A e_j, indices in vertex declaration order.
+
+        Computed once; every call returns a fresh list of lists."""
+        if self._cartan is None:
+            nv = len(self.quiver.vertices)
+            self._cartan = tuple(
+                tuple(len(self.corner_indices(i, j)) for j in range(nv))
+                for i in range(nv)
+            )
+        return [list(row) for row in self._cartan]
 
     def projective_dim_vector(self, j):
         """Dimension vector of the projective A e_j."""

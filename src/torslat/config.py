@@ -23,8 +23,9 @@ class Config:
     # algebra_core: raw path count guard per length level (protects against
     # free algebras on several arrows exhausting memory before length_cap)
     path_cap: int = 200_000
-    # oracle: raw representation tuples per dimension vector, and the
-    # largest extension-cocycle space enumerated exhaustively
+    # oracle: raw representation tuples summed over every dimension vector
+    # within the bound, counted before the sweep prunes arrow 0 by rank, and
+    # the largest extension-cocycle space enumerated exhaustively
     oracle_search_cap: int = 2 ** 21
     oracle_cocycle_cap: int = 2 ** 14
 

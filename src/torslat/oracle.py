@@ -562,16 +562,39 @@ def _all_matrices(p, rows, cols):
     return out
 
 
+def _first_of_each_rank(rows, cols):
+    """The first matrix of each rank r = 0..min(rows, cols) in
+    _all_matrices' order, for every p: ones at (rows - r + i, cols - 1 - i)
+    for i < r, zeros elsewhere.  Listed by rank, which is also that order."""
+    out = []
+    for r in range(min(rows, cols) + 1):
+        m = [[0] * cols for _ in range(rows)]
+        for i in range(r):
+            m[rows - r + i][cols - 1 - i] = 1
+        out.append(tuple(tuple(row) for row in m))
+    return out
+
+
 def enumerate_indecomposables(algebra, field=None, dim_bound=None, config=DEFAULTS):
     """One canonical representative per indecomposable class within the bound.
 
-    Every matrix assignment on every dimension vector is generated, filtered
-    by the relations, and sieved: a representation any known class splits off
+    Matrix assignments on every dimension vector are generated, filtered by
+    the relations, and sieved: a representation any known class splits off
     is decomposable or already seen, and the survivors are certified
     indecomposable by checking the endomorphism space for idempotents.
     Dimension vectors are visited sorted by total dimension then
-    lexicographically, assignments in base-p counter order, so the chosen
-    representatives are deterministic.
+    lexicographically, assignments in base-p counter order with arrow 0
+    varying slowest, so the chosen representative of each class is the
+    first member of the class in that order.
+
+    Unless arrow 0 is a loop, it only takes the first matrix of each rank.
+    GL(d_s) x GL(d_t) at its source and target carries any matrix of rank r
+    to any other, so every class has members whose arrow-0 matrix is the
+    first one of its rank, and its first member in the full sweep is among
+    them.  The pruned sweep therefore meets the same first members in the
+    same relative order and returns the same representatives.  A loop is
+    acted on by conjugation, and rank does not determine a conjugacy class,
+    so a loop keeps every matrix.
 
     Without dim_bound the bound comes from a short table of certified
     shapes; anything else raises NotRepFiniteWithinBound rather than guess.
@@ -597,11 +620,15 @@ def enumerate_indecomposables(algebra, field=None, dim_bound=None, config=DEFAUL
     )
     classes = []
     known_simple = [False] * n
+    prune_first = bool(q.arrows) and q.arrow_source(0) != q.arrow_target(0)
     for dims in dim_vectors:
-        per_arrow = [
-            _all_matrices(p, dims[q.arrow_target(a)], dims[q.arrow_source(a)])
-            for a in range(len(q.arrows))
-        ]
+        per_arrow = []
+        for a in range(len(q.arrows)):
+            rows, cols = dims[q.arrow_target(a)], dims[q.arrow_source(a)]
+            if a == 0 and prune_first:
+                per_arrow.append(_first_of_each_rank(rows, cols))
+            else:
+                per_arrow.append(_all_matrices(p, rows, cols))
         for mats in product(*per_arrow):
             rep = Representation(algebra, p, dims, mats, validate=False, copy=False)
             if not _relations_vanish(rep):
@@ -890,10 +917,16 @@ def _closure_fixpoint(mask, n, req_list):
 def _brute_closed_subsets(algebra, field, dim_bound, config, with_subs):
     classes = enumerate_indecomposables(algebra, field, dim_bound, config)
     n = len(classes)
-    if n >= 21 or 2 ** n > config.subset_cap:
+    if 2 ** n > config.subset_cap:
         raise SearchSpaceExceeded(f"2^{n} subsets of classes is too many to sweep")
-    memo = {}
-    quot_req, sub_req, ext_req = _closure_requirements(algebra, classes, config, memo)
+    # torsion classes and Serre subcategories share the requirements; the
+    # config is in the key because its cocycle cap can make them raise
+    p, bounds = _field_of(algebra, field), _resolve_bound(algebra, dim_bound)
+    key = ("closure", p, bounds, config)
+    cache = algebra._oracle_cache
+    if key not in cache:
+        cache[key] = _closure_requirements(algebra, classes, config, {})
+    quot_req, sub_req, ext_req = cache[key]
     req_list = [quot_req, ext_req] + ([sub_req] if with_subs else [])
 
     def closed(mask):

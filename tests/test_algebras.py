@@ -65,6 +65,14 @@ class TestBasis:
         assert A.projective_dim_vector(0) == (2, 1)
         assert A.projective_dim_vector(1) == (1, 1)
 
+    def test_cartan_matrix_is_a_fresh_copy(self):
+        A = beta_gamma()
+        C = A.cartan_matrix()
+        C[0][0] = 99
+        C.append([7, 7])
+        assert A.cartan_matrix() == [[2, 1], [1, 1]]
+        assert A.cartan_matrix() is not A.cartan_matrix()
+
     def test_loop_without_relation_is_infinite_dimensional(self):
         with pytest.raises(NotFiniteDimensional):
             build_algebra(Quiver(["1"], [("x", "1", "1")]), [])

@@ -1,12 +1,15 @@
 """Brute-force module oracle: representation handling, Ext dimensions, and
 subset-sweep torsion classes, cross-checked against the complex engine."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torslat.algebras import Quiver, build_algebra
-from torslat.config import Config
+from torslat import oracle
+from torslat.config import DEFAULTS, Config
 from torslat.errors import (
     NotRepFiniteWithinBound,
     SearchSpaceExceeded,
@@ -20,6 +23,7 @@ from torslat.fixtures import (
     algebra_kronecker,
     corpus,
 )
+from torslat.linalg import modp_rank
 from torslat.oracle import (
     Representation,
     brute_serre,
@@ -275,6 +279,154 @@ class TestEnumerate:
     def test_odd_characteristic(self):
         assert len(enumerate_indecomposables(A2, field=3, dim_bound=(1, 1))) == 3
         assert len(enumerate_indecomposables(DUAL, field=3)) == 2
+
+
+def _unpruned_keys(alg, p, bounds):
+    """The sweep without rank pruning: every matrix on every arrow."""
+    q = alg.quiver
+    n = len(q.vertices)
+    dim_vectors = sorted(
+        (dv for dv in product(*(range(b + 1) for b in bounds)) if any(dv)),
+        key=lambda dv: (sum(dv), dv),
+    )
+    classes = []
+    known_simple = [False] * n
+    for dims in dim_vectors:
+        per_arrow = []
+        for a in range(len(q.arrows)):
+            rows, cols = dims[q.arrow_target(a)], dims[q.arrow_source(a)]
+            per_arrow.append([
+                tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
+                for flat in product(range(p), repeat=rows * cols)
+            ])
+        for mats in product(*per_arrow):
+            rep = Representation(alg, p, dims, mats, validate=False, copy=False)
+            if not oracle._relations_vanish(rep):
+                continue
+            if any(
+                known_simple[v] and dims[v] and oracle._simple_splits(rep, v)
+                for v in range(n)
+            ):
+                continue
+            if any(
+                c.total_dim > 1
+                and all(cd <= rd for cd, rd in zip(c.dims, dims))
+                and oracle._splits_off(alg, c, rep)
+                for c in classes
+            ):
+                continue
+            oracle._assert_indecomposable(alg, rep, DEFAULTS)
+            classes.append(rep)
+            if rep.total_dim == 1:
+                known_simple[dims.index(1)] = True
+    return [c.key() for c in classes]
+
+
+def _loop_then_arrow():
+    # arrow 0 is a loop, so the sweep must not prune it by rank
+    return build_algebra(
+        Quiver(["1", "2"], [("e", "1", "1"), ("a", "1", "2")]),
+        [[(1, ["e", "e"])]],
+    )
+
+
+class TestPrunedSweep:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "make, bounds",
+        [
+            (algebra_a2, (2, 2)),
+            (algebra_a3, (1, 1, 1)),
+            (algebra_beta_gamma, (2, 2)),
+            (algebra_kronecker, (1, 1)),
+            (algebra_dual_numbers, (2,)),
+            (_loop_then_arrow, (2, 1)),
+        ],
+    )
+    def test_same_representatives_as_full_sweep(self, make, bounds, p):
+        pruned = enumerate_indecomposables(make(), field=p, dim_bound=bounds)
+        assert [c.key() for c in pruned] == _unpruned_keys(make(), p, bounds)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_closed_form_is_first_of_each_rank(self, p):
+        for rows in range(4):
+            for cols in range(4):
+                first = {}
+                for m in oracle._all_matrices(p, rows, cols):
+                    first.setdefault(modp_rank([list(r) for r in m], cols, p), m)
+                assert oracle._first_of_each_rank(rows, cols) == list(first.values())
+
+    def test_beta_gamma_relation_checks(self, monkeypatch):
+        calls = []
+        real = oracle._relations_vanish
+
+        def counted(rep):
+            calls.append(1)
+            return real(rep)
+
+        monkeypatch.setattr(oracle, "_relations_vanish", counted)
+        enumerate_indecomposables(algebra_beta_gamma())
+        # 270 767 without pruning
+        assert len(calls) < 3000
+
+
+class TestClosureRequirementsShared:
+    def test_computed_once_for_tors_and_serre(self, monkeypatch):
+        calls = []
+        real = oracle._closure_requirements
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_closure_requirements", counted)
+        alg = algebra_beta_gamma()
+        brute_torsion_classes(alg)
+        brute_serre(alg)
+        assert len(calls) == 1
+
+    def test_smaller_cocycle_cap_still_raises(self):
+        alg = algebra_a2()
+        assert len(brute_serre(alg)) == SERRE_COUNTS["a2"]
+        small = Config(oracle_cocycle_cap=1)
+        for _ in range(2):
+            with pytest.raises(SearchSpaceExceeded):
+                brute_serre(alg, config=small)
+        assert len(brute_torsion_classes(alg)) == TORS_COUNTS["a2"]
+
+
+def _nakayama(n):
+    # cyclic quiver with every length-two path killed
+    arrows = [(f"a{i}", str(i), str(i % n + 1)) for i in range(1, n + 1)]
+    relations = [[(1, [f"a{i % n + 1}", f"a{i}"])] for i in range(1, n + 1)]
+    return build_algebra(Quiver([str(i) for i in range(1, n + 1)], arrows), relations)
+
+
+def _no_relations(n, arrows):
+    return build_algebra(Quiver([str(i) for i in range(1, n + 1)], arrows), [])
+
+
+BEYOND_CORPUS = [
+    ("A4 linear", lambda: _no_relations(
+        4, [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")]), 1),
+    ("A4 zig-zag", lambda: _no_relations(
+        4, [("a", "1", "2"), ("b", "3", "2"), ("c", "3", "4")]), 1),
+    ("D4", lambda: _no_relations(
+        4, [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")]), (1, 1, 2, 1)),
+    ("N3", lambda: _nakayama(3), 1),
+    ("N4", lambda: _nakayama(4), 1),
+]
+
+
+class TestEngineBeyondCorpus:
+    @pytest.mark.parametrize(
+        "make, bound", [case[1:] for case in BEYOND_CORPUS],
+        ids=[case[0] for case in BEYOND_CORPUS],
+    )
+    def test_tors_matches_engine(self, make, bound):
+        alg = make()
+        brute = brute_torsion_classes(alg, dim_bound=bound)
+        assert poset_isomorphism(tors_lattice(alg), brute)
 
 
 class TestExtDim:
