@@ -366,9 +366,6 @@ class PathAlgebra:
         """Basis indices of the projective A e_v (paths with source v)."""
         return self._by_source[v]
 
-    def n_vertices(self):
-        return len(self.quiver.vertices)
-
     # -- elements ------------------------------------------------------------
 
     def zero(self, target, source):

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Config:
-    # poset_core: refuse subset lattices with more than this many subsets
+    # poset_core / oracle: refuse a family of closed sets (down-sets,
+    # up-sets, torsion classes, Serre subcategories) once more than this
+    # many are listed; all_subsets counts every subset
     subset_cap: int = 2 ** 20
     # poset_core / spectrum_classify: monotone maps and compatible tuples
     map_cap: int = 10 ** 6

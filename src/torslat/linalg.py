@@ -302,7 +302,7 @@ def solve(rows, rhs):
     return sol
 
 
-def express_in_span(columns, target, ncols_hint=None):
+def express_in_span(columns, target):
     """Write target as a combination of the given column vectors.
 
     columns and target are sparse dicts over the same coordinate set.

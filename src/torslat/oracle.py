@@ -3,10 +3,11 @@
 An independent check on the complex-based machinery: modules are stored as
 literal matrix representations over F_p, splitting and isomorphism are
 decided by searching for explicit intertwiners, and torsion classes are
-found by testing every subset of indecomposable classes against literal
-closure conditions.  Deliberately naive and capped everywhere; without an
-explicit dimension bound only a short table of certified algebra shapes is
-accepted, so the exhaustive searches stay honest.
+the subsets of indecomposable classes closed under literal closure
+conditions, listed by NextClosure.  Deliberately naive and capped
+everywhere; without an explicit dimension bound only a short table of
+certified algebra shapes is accepted, so the exhaustive searches stay
+honest.
 
 Matrices are tuples of row tuples with entries reduced mod p; the matrix of
 an arrow has one row per target-vertex dimension and one column per
@@ -22,9 +23,10 @@ from .errors import (
     NotRepFiniteWithinBound,
     SearchSpaceExceeded,
     ShapeMismatch,
+    SizeCapExceeded,
 )
 from .linalg import modp_echelon, modp_nullspace, modp_rank, modp_solve
-from .posets import build_poset, lattice_ops
+from .posets import build_poset, closed_sets
 
 
 def _zero_mat(rows, cols):
@@ -610,7 +612,9 @@ def enumerate_indecomposables(algebra, field=None, dim_bound=None, config=DEFAUL
     cache = getattr(algebra, "_oracle_cache", None)
     if cache is None:
         cache = algebra._oracle_cache = {}
-    cached = cache.get((p, bounds))
+    # the config is in the key because its cocycle cap can make this raise
+    key = (p, bounds, config)
+    cached = cache.get(key)
     if cached is not None:
         return list(cached)
     n = len(q.vertices)
@@ -649,7 +653,7 @@ def enumerate_indecomposables(algebra, field=None, dim_bound=None, config=DEFAUL
             classes.append(Representation(algebra, p, dims, mats))
             if rep.total_dim == 1:
                 known_simple[dims.index(1)] = True
-    cache[(p, bounds)] = tuple(classes)
+    cache[key] = tuple(classes)
     return classes
 
 
@@ -858,12 +862,12 @@ def _extensions(algebra, x, y, config):
 
 
 def _closure_requirements(algebra, classes, config, memo):
-    """Bit masks of the classes forced into any subset containing a pair:
-    via quotients and subobjects of the two-member sum, and via extensions."""
+    """Tables [i][j] of the classes forced into a closed subset holding
+    classes i and j: for torsion classes the quotients of their sum (at
+    i <= j) and the extensions of j by i; for Serre, the subobjects too."""
     n = len(classes)
-    quot_req = {}
-    sub_req = {}
-    ext_req = {}
+    tors = [[0] * n for _ in range(n)]
+    subs = [[0] * n for _ in range(n)]
 
     def parts_mask(rep):
         parts = _decompose(algebra, rep, classes, memo)
@@ -880,45 +884,20 @@ def _closure_requirements(algebra, classes, config, memo):
     for i in range(n):
         for j in range(i, n):
             two = direct_sum_rep(algebra, [classes[i], classes[j]])
-            qmask = 0
-            smask = 0
             for choice in _stable_tuples(algebra, two):
-                qmask |= parts_mask(_quotient_rep(algebra, two, choice))
-                smask |= parts_mask(_subrep_on_rows(algebra, two, choice))
-            quot_req[(i, j)] = qmask
-            sub_req[(i, j)] = smask
+                tors[i][j] |= parts_mask(_quotient_rep(algebra, two, choice))
+                subs[i][j] |= parts_mask(_subrep_on_rows(algebra, two, choice))
     for i in range(n):
         for j in range(n):
-            emask = 0
             for mid in _extensions(algebra, classes[i], classes[j], config):
-                emask |= parts_mask(mid)
-            ext_req[(i, j)] = emask
-    return quot_req, sub_req, ext_req
-
-
-def _closure_fixpoint(mask, n, req_list):
-    # quotient and subobject masks are keyed on sorted pairs, extensions on
-    # all ordered pairs; iterating every ordered pair covers both
-    while True:
-        grown = mask
-        for i in range(n):
-            if not mask >> i & 1:
-                continue
-            for j in range(n):
-                if not mask >> j & 1:
-                    continue
-                for req in req_list:
-                    grown |= req.get((i, j), 0)
-        if grown == mask:
-            return mask
-        mask = grown
+                tors[i][j] |= parts_mask(mid)
+    serre = [[t | s for t, s in zip(*rows)] for rows in zip(tors, subs)]
+    return tors, serre
 
 
 def _brute_closed_subsets(algebra, field, dim_bound, config, with_subs):
     classes = enumerate_indecomposables(algebra, field, dim_bound, config)
     n = len(classes)
-    if 2 ** n > config.subset_cap:
-        raise SearchSpaceExceeded(f"2^{n} subsets of classes is too many to sweep")
     # torsion classes and Serre subcategories share the requirements; the
     # config is in the key because its cocycle cap can make them raise
     p, bounds = _field_of(algebra, field), _resolve_bound(algebra, dim_bound)
@@ -926,64 +905,72 @@ def _brute_closed_subsets(algebra, field, dim_bound, config, with_subs):
     cache = algebra._oracle_cache
     if key not in cache:
         cache[key] = _closure_requirements(algebra, classes, config, {})
-    quot_req, sub_req, ext_req = cache[key]
-    req_list = [quot_req, ext_req] + ([sub_req] if with_subs else [])
+    req = cache[key][1 if with_subs else 0]
+
+    def closure(mask):
+        # a round applies only the pairs with a member added in the round
+        # before; the older pairs are already in
+        done = 0
+        while mask != done:
+            grown = mask
+            for i in range(n):
+                if mask >> i & 1 and not done >> i & 1:
+                    for j in range(n):
+                        if mask >> j & 1:
+                            grown |= req[i][j] | req[j][i]
+            done, mask = mask, grown
+        return mask
 
     def closed(mask):
-        for i in range(n):
-            if not mask >> i & 1:
-                continue
-            for j in range(i, n):
-                if not mask >> j & 1:
-                    continue
-                if quot_req[(i, j)] & ~mask:
-                    return False
-                if with_subs and sub_req[(i, j)] & ~mask:
-                    return False
-            for j in range(n):
-                if mask >> j & 1 and ext_req[(i, j)] & ~mask:
-                    return False
-        return True
+        members = [i for i in range(n) if mask >> i & 1]
+        return not any(req[i][j] & ~mask for i in members for j in members)
 
-    masks = [mask for mask in range(2 ** n) if closed(mask)]
-    names = [f"M{i}" for i in range(n)]
+    try:
+        masks = closed_sets(n, closure, config)
+    except SizeCapExceeded as exc:
+        raise SearchSpaceExceeded(f"{exc} of {n} classes") from exc
+    listed = set(masks)
+    if closure(0) not in listed:
+        raise CertificationFailed("the closure of the empty set is not listed")
 
     def ident(mask):
-        return "{" + ",".join(names[i] for i in range(n) if mask >> i & 1) + "}"
+        return "{" + ",".join(f"M{i}" for i in range(n) if mask >> i & 1) + "}"
 
-    elements = [(ident(mask), ident(mask)) for mask in masks]
-    pairs = [
-        (ident(a), ident(b))
-        for a in masks
-        for b in masks
-        if a != b and not a & ~b
-    ]
-    poset = build_poset(elements, pairs)
-    # joins must agree with the closure fixpoint on unions
-    ops = lattice_ops(poset)
-    mask_set = set(masks)
-    for a in masks:
-        for b in masks:
-            u = _closure_fixpoint(a | b, n, req_list)
-            if u not in mask_set or ops.join(ident(a), ident(b)) != ident(u):
-                raise CertificationFailed(
-                    "lattice join disagrees with the closure fixpoint"
-                )
-    return classes, masks, poset
+    ids = [ident(mask) for mask in masks]
+    covers = []  # (smaller, larger)
+    for t in masks:
+        if not closed(t):
+            raise CertificationFailed(f"listed set {ident(t)} is not closed")
+        steps = {closure(t | 1 << x) for x in range(n) if not t >> x & 1}
+        if not steps <= listed:
+            raise CertificationFailed("a closed set is missing from the listing")
+        covers.extend(
+            (ident(t), ident(s))
+            for s in sorted(steps)
+            if not any(u != s and not u & ~s for u in steps)
+        )
+    poset = build_poset(list(zip(ids, ids)), covers)
+    up = tuple(sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks)
+    if poset.up != up or sorted(poset.covers) != sorted((b, a) for a, b in covers):
+        raise CertificationFailed("the listed covers do not generate inclusion")
+    return poset
 
 
 def brute_torsion_classes(algebra, field=None, dim_bound=None, config=DEFAULTS):
     """Poset of subsets of indecomposable classes closed under quotients of
     two-member sums and under extensions, ordered by inclusion.
 
-    The two-member truncation is validated by the cross-check suite; joins
-    are verified internally against a closure fixpoint on unions.
+    The two-member truncation is validated by the cross-check suite.  The
+    subsets are listed by posets.closed_sets and each is checked against
+    the requirement tables.  The closures of each listed T plus one class
+    must be listed too, which makes the listing complete: every closed set
+    is reached from the closure of the empty set by such steps.  The
+    minimal steps are T's covers; the order built from them must be
+    inclusion.
     """
-    _, _, poset = _brute_closed_subsets(algebra, field, dim_bound, config, False)
-    return poset
+    return _brute_closed_subsets(algebra, field, dim_bound, config, False)
 
 
 def brute_serre(algebra, field=None, dim_bound=None, config=DEFAULTS):
     """Like brute_torsion_classes with subobject closure added."""
-    _, _, poset = _brute_closed_subsets(algebra, field, dim_bound, config, True)
-    return poset
+    return _brute_closed_subsets(algebra, field, dim_bound, config, True)

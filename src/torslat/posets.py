@@ -309,26 +309,44 @@ class SubsetLattice:
         return self._poset
 
 
-def _closed_subsets(poset, closed_up, config):
-    """All subsets closed upward (closed_up) or downward; masks sorted by
-    (popcount, value)."""
-    n = len(poset)
-    if 2 ** n > config.subset_cap:
-        raise SizeCapExceeded(f"2^{n} subsets exceed the subset cap")
-    closure = poset.up if closed_up else poset.down
-    masks = []
-    for m in range(2 ** n):
-        ok = True
-        mm = m
-        while mm:
-            low = mm & -mm
-            i = low.bit_length() - 1
-            if closure[i] & ~m:
-                ok = False
+def closed_sets(n, closure, config=DEFAULTS):
+    """The closed sets of a closure operator on n-bit masks, in ascending
+    integer order, by Ganter's NextClosure (*Two basic algorithms in concept
+    analysis*, 1984).  After a, the next is closure(bit i and a's bits above
+    i) for the lowest i outside a where that closure adds no bit above i:
+    at most n closure calls per set.  Raises SizeCapExceeded once more than
+    config.subset_cap sets are listed."""
+    full = (1 << n) - 1
+    a = closure(0)
+    out = [a]
+    while a != full:
+        for i in range(n):
+            bit = 1 << i
+            if a & bit:
+                continue
+            b = closure(a & ~(bit - 1) | bit)
+            if not (b & ~a) >> (i + 1):
                 break
-            mm ^= low
-        if ok:
-            masks.append(m)
+        a = b
+        out.append(a)
+        if len(out) > config.subset_cap:
+            raise SizeCapExceeded(f"more than {config.subset_cap} closed sets")
+    return out
+
+
+def _closed_subsets(poset, closed_up, config):
+    """The subsets closed upward (closed_up) or downward, listed by
+    closed_sets with the one-pass closure "OR of the cones of the members";
+    masks sorted by (popcount, value)."""
+    cones = poset.up if closed_up else poset.down
+
+    def closure(mask):
+        out = mask
+        for i in _bits(mask):
+            out |= cones[i]
+        return out
+
+    masks = closed_sets(len(poset), closure, config)
     masks.sort(key=lambda m: (bin(m).count("1"), m))
     return masks
 

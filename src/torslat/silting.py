@@ -152,14 +152,6 @@ class Complex:
             self.algebra, cols[c], tgts[r], dict(self.diff_at(n)[r][c])
         )
 
-    @property
-    def p_minus(self):
-        return _multiplicity(self.algebra, self.summands_at(-1))
-
-    @property
-    def p_zero(self):
-        return _multiplicity(self.algebra, self.summands_at(0))
-
     # -- constructions ------------------------------------------------------
 
     def shift(self, k):

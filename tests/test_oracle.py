@@ -11,6 +11,7 @@ from torslat.algebras import Quiver, build_algebra
 from torslat import oracle
 from torslat.config import DEFAULTS, Config
 from torslat.errors import (
+    CertificationFailed,
     NotRepFiniteWithinBound,
     SearchSpaceExceeded,
     ShapeMismatch,
@@ -36,7 +37,7 @@ from torslat.oracle import (
     projective_rep,
     simple_rep,
 )
-from torslat.posets import lattice_ops, poset_isomorphism
+from torslat.posets import build_poset, lattice_ops, poset_isomorphism
 from torslat.silting import tors_lattice
 
 A2 = algebra_a2()
@@ -276,6 +277,16 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_indecomposables(A2, dim_bound=(1, 1, 1))
 
+    def test_cache_keeps_the_config(self):
+        # a fresh algebra: the fixtures hand out cached singletons
+        alg = algebra_beta_gamma.__wrapped__()
+        small = Config(oracle_cocycle_cap=2)
+        with pytest.raises(SearchSpaceExceeded):
+            enumerate_indecomposables(alg, config=small)
+        assert len(enumerate_indecomposables(alg)) == 5
+        with pytest.raises(SearchSpaceExceeded):
+            enumerate_indecomposables(alg, config=small)
+
     def test_odd_characteristic(self):
         assert len(enumerate_indecomposables(A2, field=3, dim_bound=(1, 1))) == 3
         assert len(enumerate_indecomposables(DUAL, field=3)) == 2
@@ -416,6 +427,78 @@ BEYOND_CORPUS = [
     ("N3", lambda: _nakayama(3), 1),
     ("N4", lambda: _nakayama(4), 1),
 ]
+
+
+def _swept_closed_subsets(n, req):
+    """The listing by a sweep over all 2^n subsets of classes, the order
+    from every pair of them and no certification: the reference for the
+    NextClosure listing."""
+
+    def closed(mask):
+        members = [i for i in range(n) if mask >> i & 1]
+        return all(not req[i][j] & ~mask for i in members for j in members)
+
+    masks = [mask for mask in range(2 ** n) if closed(mask)]
+
+    def ident(mask):
+        return "{" + ",".join(f"M{i}" for i in range(n) if mask >> i & 1) + "}"
+
+    return build_poset(
+        [(ident(m), ident(m)) for m in masks],
+        [(ident(a), ident(b)) for a in masks for b in masks if a != b and not a & ~b],
+    )
+
+
+SWEEP_CASES = [(name, lambda alg=alg: alg, None) for name, alg in corpus()] + [
+    *BEYOND_CORPUS,
+    ("N5", lambda: _nakayama(5), 1),
+]
+
+
+def _linear(n):
+    return _no_relations(n, [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)])
+
+
+class TestNextClosureListing:
+    @pytest.mark.parametrize(
+        "make, bound", [case[1:] for case in SWEEP_CASES],
+        ids=[case[0] for case in SWEEP_CASES],
+    )
+    def test_same_posets_as_the_sweep(self, make, bound):
+        alg = make()
+        classes = enumerate_indecomposables(alg, dim_bound=bound)
+        tables = oracle._closure_requirements(alg, classes, DEFAULTS, {})
+        for brute, req in zip((brute_torsion_classes, brute_serre), tables):
+            listed = brute(alg, dim_bound=bound)
+            swept = _swept_closed_subsets(len(classes), req)
+            assert (listed.ids, listed.labels, listed.up, listed.covers) == (
+                swept.ids, swept.labels, swept.up, swept.covers
+            )
+
+    def test_linear_a6_beyond_a_sweep(self):
+        # 21 classes: the 2^21 sweep exceeds the subset cap
+        alg = _linear(6)
+        assert len(enumerate_indecomposables(alg, dim_bound=1)) == 21
+        assert 2 ** 21 > DEFAULTS.subset_cap
+        assert len(brute_torsion_classes(alg, dim_bound=1)) == 429
+        assert len(brute_serre(alg, dim_bound=1)) == 64
+
+    @pytest.mark.parametrize("fault", ["drop", "add"])
+    def test_faulty_listing_is_refused(self, monkeypatch, fault):
+        real = oracle.closed_sets
+
+        def faulty(n, closure, config):
+            masks = real(n, closure, config)
+            if fault == "drop":
+                del masks[len(masks) // 2]
+            else:  # the first subset the complete listing leaves out
+                masks.append(next(m for m in range(1 << n) if m not in masks))
+                masks.sort()
+            return masks
+
+        monkeypatch.setattr(oracle, "closed_sets", faulty)
+        with pytest.raises(CertificationFailed):
+            brute_torsion_classes(_linear(3), dim_bound=1)
 
 
 class TestEngineBeyondCorpus:

@@ -217,6 +217,23 @@ class TestSubsetLattices:
         with pytest.raises(SizeCapExceeded):
             down_sets(antichain(4), Config(subset_cap=8))
 
+    @given(small_posets())
+    @settings(max_examples=40, deadline=None)
+    def test_same_masks_as_a_sweep(self, p):
+        n = len(p)
+        for lattice, cones in ((down_sets(p), p.down), (specialization_closed(p), p.up)):
+            swept = [
+                m for m in range(2 ** n)
+                if all(not cones[i] & ~m for i in range(n) if m >> i & 1)
+            ]
+            assert lattice.masks == sorted(swept, key=lambda m: (bin(m).count("1"), m))
+
+    def test_long_chain_beyond_a_sweep(self):
+        # 2^25 subsets exceed the cap; the 26 down-sets do not
+        assert 2 ** 25 > Config().subset_cap
+        ds = down_sets(chain(25))
+        assert ds.masks == [(1 << k) - 1 for k in range(26)]
+
     def test_materialization_cap(self):
         big = all_subsets(antichain(13))
         assert len(big) == 8192
