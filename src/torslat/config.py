@@ -11,18 +11,18 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Config:
-    # poset_core / oracle: refuse a family of closed sets (down-sets,
+    # posets / oracle: refuse a family of closed sets (down-sets,
     # up-sets, torsion classes, Serre subcategories) once more than this
     # many are listed; all_subsets counts every subset
     subset_cap: int = 2 ** 20
-    # poset_core / spectrum_classify: monotone maps and compatible tuples
+    # posets / spectra: monotone maps and compatible tuples
     map_cap: int = 10 ** 6
-    # silting_engine: enumerate_2silt object count
+    # silting: enumerate_2silt object count
     silting_cap: int = 10 ** 4
-    # algebra_core: longest path length explored before declaring the
+    # algebras: longest path length explored before declaring the
     # quotient infinite-dimensional
     length_cap: int = 64
-    # algebra_core: raw path count guard per length level (protects against
+    # algebras: raw path count guard per length level (protects against
     # free algebras on several arrows exhausting memory before length_cap)
     path_cap: int = 200_000
     # oracle: raw representation tuples summed over every dimension vector

@@ -28,7 +28,7 @@ class ParseError(TorslatError):
 
 
 # ---------------------------------------------------------------------------
-# poset_core
+# posets
 
 class DuplicateId(TorslatError):
     """Two elements declared with the same id."""
@@ -48,7 +48,7 @@ class NotALattice(TorslatError):
 
 
 # ---------------------------------------------------------------------------
-# algebra_core
+# algebras
 
 class NotAdmissible(TorslatError):
     """A relation has a component of path length < 2, or is not
@@ -61,7 +61,7 @@ class NotFiniteDimensional(TorslatError):
 
 
 # ---------------------------------------------------------------------------
-# silting_engine
+# silting
 
 class ShapeMismatch(TorslatError):
     """A differential entry or matrix operand is not (source, target)
@@ -92,7 +92,7 @@ class IndexOutOfRange(TorslatError):
 
 
 # ---------------------------------------------------------------------------
-# spectrum_classify
+# spectra
 
 class ModelInvalid(TorslatError):
     """A SpecModel failed validation; .violations holds the diagnostics."""

@@ -517,10 +517,8 @@ def chain_map_space(algebra, X, Y):
     return var_list, int_nullspace(rows, len(var_list))
 
 
-def homotopy_boundaries(algebra, X, Y, var_list, var_idx=None):
+def homotopy_boundaries(algebra, X, Y, var_list, var_idx):
     """Images of all elementary null homotopies as chain-map vectors."""
-    if var_idx is None:
-        var_idx = {v: i for i, v in enumerate(var_list)}
     out = []
     cache_dy = {}   # (n, r2, r, b) -> {b} * dY entry, shared across columns
     cache_dx = {}   # (n, c, c2, b) -> dX entry * {b}, shared across rows
@@ -770,16 +768,6 @@ def _require_two_term(C, what):
 # decomposition
 
 
-def _identity_vector(algebra, P, var_list):
-    var_idx = {v: i for i, v in enumerate(var_list)}
-    vec = {}
-    for n, t in P.summands.items():
-        for r, v in enumerate(t):
-            b = algebra.idempotent_index(v)
-            vec[var_idx[(n, r, r, b)]] = ONE
-    return vec
-
-
 def _compose_graded(algebra, X, Y, Z, f, g):
     """(f: X->Y) then (g: Y->Z), all degreewise maps."""
     out = {}
@@ -788,18 +776,6 @@ def _compose_graded(algebra, X, Y, Z, f, g):
             continue
         out[n] = _mat_compose(algebra, f[n], g[n])
     return out
-
-
-def _vectorize(algebra, X, Y, var_list, mats):
-    var_idx = {v: i for i, v in enumerate(var_list)}
-    vec = {}
-    for n, rows in mats.items():
-        for r, row in enumerate(rows):
-            for c, e in enumerate(row):
-                for b, x in e.items():
-                    if x:
-                        vec[var_idx[(n, r, c, b)]] = x
-    return vec
 
 
 def _poly_divmod(num, den):
@@ -857,97 +833,91 @@ def _rational_roots(poly):
     return sorted(roots)
 
 
-class _QuotientAlgebra:
-    """Finite-dimensional algebra given by structure constants, with the
-    vector operations needed for idempotent hunting."""
+class _TopAlgebra:
+    """The tops of the chain endomorphisms of a reduced complex, with the
+    operations needed for idempotent hunting.
 
-    def __init__(self, dim, mult, unit):
-        self.dim = dim
-        self.mult = mult  # mult[i][j] = list of Fractions, product of basis i,j
-        self.unit = unit  # list of Fractions
+    An element is a sparse dict (n, r, c) -> trivial-path coefficient of
+    the (r, c) entry in degree n; basis is a list of linearly independent
+    tops spanning the algebra.
+    """
 
-    def mul(self, a, b):
-        out = [ZERO] * self.dim
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                for k, z in enumerate(self.mult[i][j]):
-                    if z:
-                        out[k] += x * y * z
-        return out
+    def __init__(self, basis, unit):
+        self.basis = basis
+        self.unit = unit
+
+    @staticmethod
+    def mul(a, b):
+        """a then b, degree by degree: (n, r, c) = sum_m a(n, m, c) b(n, r, m)."""
+        by_source = {}
+        for (n, r, m), y in b.items():
+            by_source.setdefault((n, m), []).append((r, y))
+        out = {}
+        for (n, m, c), x in a.items():
+            for r, y in by_source.get((n, m), ()):
+                key = (n, r, c)
+                out[key] = out.get(key, ZERO) + x * y
+        return {key: x for key, x in out.items() if x}
 
     def min_poly(self, a):
         ech = Echelon()
-        powers = [list(self.unit)]
-        ech.insert({i: x for i, x in enumerate(self.unit) if x})
-        cur = list(self.unit)
+        powers = [self.unit]
+        ech.insert(self.unit)
+        cur = self.unit
         while True:
             cur = self.mul(cur, a)
-            row = {i: x for i, x in enumerate(cur) if x}
-            rem = ech.reduce(row)
-            if not rem:
-                cols = [
-                    {i: x for i, x in enumerate(p) if x} for p in powers
-                ]
-                coeffs = express_in_span(cols, row)
+            if ech.contains(cur):
+                coeffs = express_in_span(powers, cur)
                 poly = [-coeffs.get(i, ZERO) for i in range(len(powers))]
                 poly.append(ONE)
                 return poly
-            ech.insert(row)
-            powers.append(list(cur))
+            ech.insert(cur)
+            powers.append(cur)
 
     def eval_poly(self, poly, a):
-        out = [c * poly[0] for c in self.unit]
-        power = list(self.unit)
+        out = {}
+        vec_add_scaled(out, self.unit, poly[0])
+        power = self.unit
         for coeff in poly[1:]:
             power = self.mul(power, a)
-            if coeff:
-                for k in range(self.dim):
-                    out[k] += coeff * power[k]
+            vec_add_scaled(out, power, coeff)
         return out
 
     def find_idempotent(self):
-        """A nonzero, non-unit idempotent of a semisimple algebra, or None.
+        """An idempotent other than 0 and 1, or None.
 
         Tries central elements first (rational eigenprojection), then a
         direct search over basis-derived elements with reducible minimal
         polynomial.
         """
-        if self.dim <= 1:
-            return None
-        basis = [
-            [ONE if i == k else ZERO for i in range(self.dim)]
-            for k in range(self.dim)
-        ]
+        basis = self.basis
+        dim = len(basis)
         # center: solve z b_k = b_k z for all k
         rows = []
-        for k in range(self.dim):
-            for out_k in range(self.dim):
-                row = {}
-                for i in range(self.dim):
-                    coeff = self.mult[i][k][out_k] - self.mult[k][i][out_k]
-                    if coeff:
-                        row[i] = coeff
-                if row:
-                    rows.append(row)
-        center = nullspace(rows, self.dim)
-        for zv in center:
-            z = [zv.get(i, ZERO) for i in range(self.dim)]
+        for k in range(dim):
+            comm = {}
+            for i in range(dim):
+                diff = self.mul(basis[i], basis[k])
+                vec_add_scaled(diff, self.mul(basis[k], basis[i]), -ONE)
+                for key, x in diff.items():
+                    comm.setdefault(key, {})[i] = x
+            rows.extend(comm.values())
+        for zv in nullspace(rows, dim):
+            z = {}
+            for i, x in zv.items():
+                vec_add_scaled(z, basis[i], x)
             e = self._split_on(z, central=True)
             if e is not None:
                 return e
         # non-central search
         candidates = list(basis)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                candidates.append(
-                    [basis[i][k] + basis[j][k] for k in range(self.dim)]
-                )
-        for i in range(self.dim):
-            for j in range(self.dim):
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                s = dict(basis[i])
+                vec_add_scaled(s, basis[j], ONE)
+                candidates.append(s)
+        for i in range(dim):
+            for j in range(dim):
                 if i != j:
                     candidates.append(self.mul(basis[i], basis[j]))
         for s in candidates:
@@ -991,8 +961,7 @@ class _QuotientAlgebra:
                 # e = (a * (x-lam)^k)(s)
                 prod = _poly_mul(a, _poly_power([-lam, ONE], k))
                 e = self.eval_poly(prod, s)
-            ee = self.mul(e, e)
-            if ee == e and any(e) and e != self.unit:
+            if e and e != self.unit and self.mul(e, e) == e:
                 return e
         return None
 
@@ -1044,104 +1013,43 @@ def _poly_sub(p, q):
 def decompose(algebra, P):
     """Indecomposable summands of a reduced complex.
 
-    Endomorphisms modulo homotopy form a rational algebra; its radical is
-    the trace-form kernel, idempotents of the semisimple quotient are
-    lifted by Newton iteration and split degreewise.  If no splitting
-    idempotent is found the complex is returned whole.
+    The top of a chain endomorphism is its matrix of trivial-path
+    coefficients in each degree.  Taking tops is multiplicative, kills every
+    null homotopy (the differential is radical) and has a nilpotent kernel,
+    so P splits exactly when the algebra of tops has an idempotent other
+    than 0 and 1.  One found by the search of _TopAlgebra is lifted to a
+    chain map with that top, made exact by Newton iteration and split
+    degreewise.  If no splitting idempotent is found the complex is
+    returned whole.
     """
     P = _as_complex(P)
     if P.is_zero():
         return []
     var_list, chains = chain_map_space(algebra, P, P)
-    bound = homotopy_boundaries(algebra, P, P, var_list)
     ech = Echelon()
-    bound_basis = []
-    for v in bound:
-        if ech.insert(dict(v)) is not None:
-            bound_basis.append(v)
-    reps = []
+    tops = []
+    lifts = []
     for z in chains:
-        if ech.insert(dict(z)) is not None:
-            reps.append(z)
-    m = len(reps)
-    if m <= 1:
+        top = {}
+        for i, x in z.items():
+            n, r, c, b = var_list[i]
+            if algebra.basis_length(b) == 0:
+                top[(n, r, c)] = x
+        if ech.insert(top) is not None:
+            tops.append(top)
+            lifts.append(z)
+    if len(tops) <= 1:
         return [P]
-    span_cols = bound_basis + reps
-
-    def to_end_coords(vec):
-        coeffs = express_in_span(span_cols, vec)
-        if coeffs is None:
-            raise CertificationFailed("endomorphism outside its own span")
-        off = len(bound_basis)
-        return [coeffs.get(off + i, ZERO) for i in range(m)]
-
-    rep_mats = [_materialize(algebra, P, P, var_list, r) for r in reps]
-    mult = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            prod = _compose_graded(algebra, P, P, P, rep_mats[i], rep_mats[j])
-            row.append(to_end_coords(_vectorize(algebra, P, P, var_list, prod)))
-        mult.append(row)
-    unit = to_end_coords(_identity_vector(algebra, P, var_list))
-    # radical = kernel of the trace form
-    traces = [sum(mult[l][k][k] for k in range(m)) for l in range(m)]
-    gram_rows = []
-    for i in range(m):
-        row = {}
-        for j in range(m):
-            val = sum(mult[i][j][l] * traces[l] for l in range(m))
-            if val:
-                row[j] = val
-        gram_rows.append(row)
-    # nullspace of the symmetric Gram matrix (rows indexed like columns)
-    rad = nullspace(gram_rows, m)
-    s_dim = m - len(rad)
-    if s_dim <= 1:
+    unit = {(n, r, r): ONE for n, t in P.summands.items() for r in range(len(t))}
+    e_top = _TopAlgebra(tops, unit).find_idempotent()
+    if e_top is None:
         return [P]
-    # complement basis of the radical inside End
-    ech_j = Echelon()
-    jvecs = []
-    for v in rad:
-        if ech_j.insert(dict(v)) is not None:
-            jvecs.append(v)
-    comp = []
-    for i in range(m):
-        if ech_j.insert({i: ONE}) is not None:
-            comp.append(i)
-    if len(comp) != s_dim:
-        raise CertificationFailed("radical complement has the wrong dimension")
-    jcols = list(jvecs) + [{i: ONE} for i in comp]
-
-    def project(vec_coeffs):
-        vec = {i: x for i, x in enumerate(vec_coeffs) if x}
-        coeffs = express_in_span(jcols, vec)
-        if coeffs is None:
-            raise CertificationFailed("element outside the endomorphism ring")
-        off = len(jvecs)
-        return [coeffs.get(off + t, ZERO) for t in range(s_dim)]
-
-    s_mult = []
-    for a in range(s_dim):
-        row = []
-        for b in range(s_dim):
-            row.append(project(list(mult[comp[a]][comp[b]])))
-        s_mult.append(row)
-    s_unit = project(unit)
-    S = _QuotientAlgebra(s_dim, s_mult, s_unit)
-    e_s = S.find_idempotent()
-    if e_s is None:
-        return [P]
-    # lift back: S coords -> End coords -> chain map
-    e_end = [ZERO] * m
-    for t, x in enumerate(e_s):
-        if x:
-            e_end[comp[t]] += x
+    coeffs = express_in_span(tops, e_top)
+    if coeffs is None:
+        raise CertificationFailed("idempotent outside the algebra of tops")
     e_vec = {}
-    for i, x in enumerate(e_end):
-        if x:
-            for k, y in reps[i].items():
-                e_vec[k] = e_vec.get(k, ZERO) + x * y
+    for i, x in coeffs.items():
+        vec_add_scaled(e_vec, lifts[i], x)
     e_mat = _materialize(algebra, P, P, var_list, e_vec)
     # Newton iteration to an exact idempotent in the genuine endo ring
     for _ in range(60):

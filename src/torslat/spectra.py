@@ -23,6 +23,7 @@ from collections import namedtuple
 
 from .config import DEFAULTS
 from .errors import CertificationFailed, ModelInvalid, ParseError, SizeCapExceeded
+from .linalg import det
 from .posets import (
     FinitePoset,
     _bits,
@@ -491,51 +492,20 @@ def classify_local_fibers(spec, config=DEFAULTS):
 
 
 def _is_dynkin(algebra):
-    """Simply laced Dynkin check: connected tree with ADE branch shape and
-    no relations."""
+    """Simply laced Dynkin check: no relations, n - 1 arrows and a positive
+    definite Tits form.  A positive definite form rules out loops, double
+    arrows and cycles, so the quiver is a tree, and the trees it allows are
+    exactly A, D and E."""
     q = algebra.quiver
     n = len(q.vertices)
-    if algebra.relation_terms:
+    if algebra.relation_terms or len(q.arrows) != n - 1:
         return False
-    if len(q.arrows) != n - 1:
-        return False
-    adj = [[] for _ in range(n)]
-    seen = set()
+    # 2I - (A + A^T), A the arrow-count matrix: twice the Tits form
+    form = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for _, s, t in q.arrows:
-        if s == t or (min(s, t), max(s, t)) in seen:
-            return False
-        seen.add((min(s, t), max(s, t)))
-        adj[s].append(t)
-        adj[t].append(s)
-    stack, visited = [0], {0}
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in visited:
-                visited.add(w)
-                stack.append(w)
-    if len(visited) != n:
-        return False
-    deg = [len(a) for a in adj]
-    if any(d > 3 for d in deg):
-        return False
-    branches = [v for v in range(n) if deg[v] == 3]
-    if not branches:
-        return True
-    if len(branches) > 1:
-        return False
-    b = branches[0]
-    arms = []
-    for start in adj[b]:
-        length, prev, cur = 1, b, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            (cur, prev) = (nxt[0], cur)
-            length += 1
-        arms.append(length)
-    a1, a2, a3 = sorted(arms)
-    return a1 == 1 and (a2 == 1 or (a2 == 2 and a3 <= 4))
+        form[s][t] -= 1
+        form[t][s] -= 1
+    return all(det([row[:k] for row in form[:k]]) > 0 for k in range(1, n + 1))
 
 
 def cambrian_classification(algebra, spec, config=DEFAULTS):

@@ -321,6 +321,31 @@ class TestDecompose:
     def test_zero_complex(self):
         assert decompose(A2, two_term(A2, [], [], [])) == []
 
+    def test_triangular_tops_split(self):
+        # the tops of X + P1 are triangular: the identity on P1 in degree 0
+        # is the top of a chain map P1 -> X, but every chain map X -> P1
+        # has zero top; the centre is the scalars, so only the non-central
+        # search splits it
+        X = s1_presentation()
+        P1 = stalk(A2, ["1"], 0)
+        parts = decompose(A2, direct_sum([X, P1]))
+        assert sorted(g_vector(p) for p in parts) == [(1, -1), (1, 0)]
+        parts = decompose(A2, direct_sum([X, P1, X]))
+        assert sorted(g_vector(p) for p in parts) == [(1, -1), (1, -1), (1, 0)]
+
+    def test_splits_without_null_homotopies(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("decompose computed null homotopies")
+
+        monkeypatch.setattr(silting_module, "homotopy_boundaries", refuse)
+        X = s1_presentation()
+        parts = decompose(A2, direct_sum([X, X]))
+        assert [g_vector(p) for p in parts] == [(1, -1), (1, -1)]
+        parts = decompose(A3, lambda_complex(A3))
+        assert sorted(g_vector(p) for p in parts) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        parts = decompose(BG, lambda_complex(BG))
+        assert sorted(g_vector(p) for p in parts) == [(0, 1), (1, 0)]
+
     @given(bg_two_term())
     @settings(max_examples=25, deadline=None)
     def test_parts_rebuild_the_whole(self, C):

@@ -3,11 +3,13 @@ Cambrian lattices, the componentwise orders and the spectrum parser."""
 
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torslat import spectra
+from torslat.algebras import Quiver, build_algebra
 from torslat.errors import CertificationFailed, ModelInvalid, ParseError
 from torslat.fixtures import algebra_a2, algebra_a3
 from torslat.posets import (
@@ -104,6 +106,62 @@ class TestIdentityMode:
         monkeypatch.setattr(spectra, "poset_isomorphism", lambda p, q: None)
         with pytest.raises(CertificationFailed):
             classify_local_fibers(V)
+
+
+def path_algebra(n, edges, relations=()):
+    """Path algebra on vertices 1..n, one arrow s -> t per edge (s, t)."""
+    arrows = [(f"x{k}", str(s), str(t)) for k, (s, t) in enumerate(edges)]
+    return build_algebra(Quiver([str(v) for v in range(1, n + 1)], arrows), list(relations))
+
+
+def star(*arms):
+    """Tree with arms of the given numbers of edges at vertex 1; arrows
+    alternate in direction along each arm."""
+    edges, n = [], 1
+    for length in arms:
+        prev = 1
+        for step in range(length):
+            n += 1
+            edges.append((prev, n) if step % 2 == 0 else (n, prev))
+            prev = n
+    return path_algebra(n, edges)
+
+
+class TestDynkinCheck:
+    @pytest.mark.parametrize(
+        "arms", [(), (1, 1, 1), (1, 1, 3), (1, 2, 2), (1, 2, 3), (1, 2, 4)],
+        ids=["A1", "D4", "D6", "E6", "E7", "E8"],
+    )
+    def test_dynkin_trees_accepted(self, arms):
+        assert spectra._is_dynkin(star(*arms))
+
+    def test_zig_zag_a5_accepted(self):
+        assert spectra._is_dynkin(path_algebra(5, [(1, 2), (3, 2), (3, 4), (5, 4)]))
+
+    @pytest.mark.parametrize(
+        "arms", [(1, 1, 1, 1), (2, 2, 2), (1, 3, 3), (1, 2, 5)],
+        ids=["D4~", "E6~", "E7~", "E8~"],
+    )
+    def test_extended_dynkin_trees_refused(self, arms):
+        assert not spectra._is_dynkin(star(*arms))
+
+    def test_loop_refused(self):
+        # n - 1 arrows, but the loop makes the form vanish on its vertex; a
+        # loop without relations has no finite path algebra, so only the
+        # quiver is given
+        quiver = Quiver(["1", "2", "3"], [("l", "1", "1"), ("a", "1", "2")])
+        assert not spectra._is_dynkin(SimpleNamespace(quiver=quiver, relation_terms=()))
+
+    def test_double_arrow_refused(self):
+        assert not spectra._is_dynkin(path_algebra(3, [(1, 2), (1, 2)]))
+
+    def test_relation_refused(self):
+        a3 = path_algebra(3, [(1, 2), (2, 3)], [[(1, ["x1", "x0"])]])
+        assert not spectra._is_dynkin(a3)
+
+    def test_cambrian_classification_refuses_extended_d4(self):
+        with pytest.raises(ValueError, match="Dynkin"):
+            cambrian_classification(star(1, 1, 1, 1), V)
 
 
 def test_broken_top_reports_its_two_violations():
