@@ -11,9 +11,9 @@ class TorslatError(Exception):
 
 
 class CertificationFailed(TorslatError):
-    """Two computations of one result disagree: a supplied cover list is
-    not the transitive reduction of the order, or a classification does
-    not match the independent construction that certifies it."""
+    """Two computations of one result disagree: listed covers do not
+    generate the order they should, or a classification does not match
+    the independent construction that certifies it."""
 
 
 class ParseError(TorslatError):
@@ -35,7 +35,7 @@ class DuplicateId(TorslatError):
 
 
 class CycleDetected(TorslatError):
-    """Transitive closure of the declared relation violates antisymmetry."""
+    """The declared covers or relation pairs close a cycle."""
 
 
 class SizeCapExceeded(TorslatError):

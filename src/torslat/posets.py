@@ -5,8 +5,13 @@ orders, torsion-class lattices, compatibility posets and Serre lattices are
 all delivered as instances.  Elements keep their construction order; all
 derived data (covers, tops, isomorphisms) is deterministic.
 
-The order is stored as one bitmask per element (up[i] = everything >= i), so
-relation queries and closure checks are word operations.
+Every order is built the same way, from a list of covers (a, b), a above
+b: any set of pairs that generates an order contains its transitive
+reduction (Aho, Garey and Ullman, *The transitive reduction of a directed
+graph*, 1972), so the covers are read off the pairs given and nothing
+else is compared.  The order is stored as one bitmask per element (up[i]
+= everything >= i, down[i] = everything <= i), so relation queries and
+closure checks are word operations.
 """
 
 from __future__ import annotations
@@ -41,16 +46,19 @@ def _normalize_elements(elements):
 
 
 class FinitePoset:
-    """Immutable finite poset with labeled elements.
+    """Immutable finite poset with labeled elements, built from its covers.
 
-    Invariants checked on construction: ids unique, the relation is
-    reflexive, antisymmetric and transitive, and the stored covers are the
-    transitive reduction of the strict order.
+    covers: pairs of ids (a, b) meaning a is above b.  The order is their
+    reflexive-transitive closure.  Self-pairs are ignored, repeated and
+    redundant pairs may be given: the stored covers are the given pairs
+    that are covers of that order, sorted by the indices of (a, b).
+    Raises DuplicateId for a repeated id, ParseError for a pair naming an
+    undeclared id and CycleDetected when the pairs close a cycle.
     """
 
     __slots__ = ("ids", "labels", "index", "up", "down", "covers")
 
-    def __init__(self, elements, up_masks, covers=None, _validate=True):
+    def __init__(self, elements, covers):
         pairs = _normalize_elements(elements)
         self.ids = tuple(p[0] for p in pairs)
         self.labels = tuple(p[1] for p in pairs)
@@ -60,49 +68,50 @@ class FinitePoset:
                 raise DuplicateId(f"duplicate element id {ident!r}")
             self.index[ident] = i
         n = len(self.ids)
-        self.up = tuple(up_masks)
-        if len(self.up) != n:
-            raise ValueError("up mask count does not match element count")
-        down = [0] * n
-        for i, m in enumerate(self.up):
-            for j in _bits(m):
-                down[j] |= 1 << i
-        self.down = tuple(down)
-        if _validate:
-            self._validate_order()
-        self.covers = tuple(covers) if covers is not None else self._compute_covers()
-        if _validate and covers is not None and self.covers != self._compute_covers():
-            raise CertificationFailed("covers are not the transitive reduction")
-
-    # -- construction helpers ------------------------------------------------
-
-    def _validate_order(self):
-        n = len(self.ids)
-        for i in range(n):
-            if not self.up[i] >> i & 1:
-                raise ValueError(f"relation not reflexive at {self.ids[i]!r}")
-            if self.up[i] & self.down[i] != 1 << i:
-                other = _bits(self.up[i] & self.down[i] & ~(1 << i))
-                j = next(other)
-                raise CycleDetected(
-                    f"{self.ids[i]!r} and {self.ids[j]!r} are mutually comparable"
-                )
-            for j in _bits(self.up[i]):
-                if self.up[j] & ~self.up[i]:
-                    raise ValueError(
-                        f"relation not transitive above {self.ids[i]!r}"
-                    )
-
-    def _compute_covers(self):
-        n = len(self.ids)
-        covers = []
-        for a in range(n):  # a runs over bigger elements
-            sd = self.down[a] & ~(1 << a)
-            for b in _bits(sd):
-                between = sd & (self.up[b] & ~(1 << b))
-                if not between:
-                    covers.append((self.ids[a], self.ids[b]))
-        return tuple(covers)
+        above = [0] * n  # above[b]: the elements given as above b
+        below = [0] * n
+        for a, b in covers:
+            a, b = str(a), str(b)
+            if a not in self.index or b not in self.index:
+                missing = a if a not in self.index else b
+                raise ParseError(f"relation mentions undeclared element {missing!r}")
+            ia, ib = self.index[a], self.index[b]
+            if ia != ib:
+                above[ib] |= 1 << ia
+                below[ia] |= 1 << ib
+        # Kahn's algorithm, top down: an element follows everything above it
+        waiting = [bin(m).count("1") for m in above]
+        order = [i for i in range(n) if not waiting[i]]
+        for i in order:
+            for j in _bits(below[i]):
+                waiting[j] -= 1
+                if not waiting[j]:
+                    order.append(j)
+        if len(order) < n:
+            # every element left over has one left over above it; walk up
+            # until an element repeats, which lies on a cycle
+            placed, seen = set(order), set()
+            i = min(set(range(n)) - placed)
+            while i not in seen:
+                seen.add(i)
+                i = next(a for a in _bits(above[i]) if a not in placed)
+            raise CycleDetected(f"the covers close a cycle through {self.ids[i]!r}")
+        # one pass each: an element's cone is itself and the cones of the
+        # elements given next to it, which are complete by then
+        up, down = [0] * n, [0] * n
+        for cone, given, walk in ((up, above, order), (down, below, order[::-1])):
+            for i in walk:
+                m = 1 << i
+                for j in _bits(given[i]):
+                    m |= cone[j]
+                cone[i] = m
+        self.up, self.down = tuple(up), tuple(down)
+        self.covers = tuple(
+            (self.ids[a], self.ids[b])
+            for a in range(n)
+            for b in _bits(below[a])
+            if down[a] & up[b] == 1 << a | 1 << b
+        )
 
     # -- queries -------------------------------------------------------------
 
@@ -154,10 +163,10 @@ class FinitePoset:
     def from_json_dict(cls, data):
         try:
             elements = [(e["id"], e.get("label", e["id"])) for e in data["elements"]]
-            pairs = [(b, a) for a, b in data["covers"]]  # cover is larger->smaller
+            covers = [(a, b) for a, b in data["covers"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad poset JSON: {exc}") from exc
-        return build_poset(elements, pairs)
+        return cls(elements, covers)
 
     @classmethod
     def from_json(cls, text):
@@ -189,40 +198,9 @@ def _bits(mask):
 
 
 def build_poset(elements, relation_pairs):
-    """Construct a poset from generating pairs (a, b) meaning a <= b.
-
-    The order is the reflexive-transitive closure; element order is the
-    input order.  Raises CycleDetected if the closure is not antisymmetric
-    and DuplicateId for repeated element ids.
-    """
-    pairs = _normalize_elements(elements)
-    index = {}
-    for i, (ident, _) in enumerate(pairs):
-        if ident in index:
-            raise DuplicateId(f"duplicate element id {ident!r}")
-        index[ident] = i
-    n = len(pairs)
-    up = [1 << i for i in range(n)]
-    succ = [0] * n
-    for a, b in relation_pairs:
-        a, b = str(a), str(b)
-        if a not in index or b not in index:
-            missing = a if a not in index else b
-            raise ParseError(f"relation mentions undeclared element {missing!r}")
-        succ[index[a]] |= 1 << index[b]
-    for i in range(n):
-        up[i] |= succ[i]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = up[i]
-            for j in _bits(acc):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
-    return FinitePoset(pairs, up)
+    """The poset generated by pairs (a, b) meaning a <= b: FinitePoset of
+    the flipped pairs, with the same errors."""
+    return FinitePoset(elements, [(b, a) for a, b in relation_pairs])
 
 
 def hasse_quiver(poset):
@@ -275,10 +253,12 @@ class SubsetLattice:
         return mask in set(self.masks)
 
     def poset(self):
-        """Materialize the inclusion order.
+        """Materialize the inclusion order from its one-element steps.
 
-        Covers: in a family closed under the defining closure operation,
-        covers are exactly one-element enlargements that stay in the family.
+        Between two nested down-sets (up-sets, subsets) lies a chain of
+        members each one element bigger than the last, so the steps
+        generate inclusion.  Up to 256 members every up-mask is checked
+        against inclusion; CertificationFailed if one differs.
         """
         if self._poset is not None:
             return self._poset
@@ -289,24 +269,22 @@ class SubsetLattice:
             )
         masks = sorted(self.masks, key=lambda m: (bin(m).count("1"), m))
         pos = {m: i for i, m in enumerate(masks)}
-        elements = [(self.mask_id(m), self.mask_id(m)) for m in masks]
-        up = [0] * n
-        for i, mi in enumerate(masks):
-            for j, mj in enumerate(masks):
-                if mi & ~mj == 0:
-                    up[i] |= 1 << j
-        covers = []
-        for mi in masks:
-            under = sorted(
-                pos[mi & ~(1 << b)]
-                for b in _bits(mi)
-                if (mi & ~(1 << b)) in pos
-            )
-            covers.extend((self.mask_id(mi), self.mask_id(masks[j])) for j in under)
-        self._poset = FinitePoset(
-            elements, up, covers=tuple(covers), _validate=n <= 256
-        )
-        return self._poset
+        ids = [self.mask_id(m) for m in masks]
+        steps = [
+            (ids[i], ids[pos[m & ~(1 << b)]])
+            for i, m in enumerate(masks)
+            for b in _bits(m)
+            if (m & ~(1 << b)) in pos
+        ]
+        poset = FinitePoset(list(zip(ids, ids)), steps)
+        if n <= 256:
+            for i, mi in enumerate(masks):
+                if poset.up[i] != sum(1 << j for j, mj in enumerate(masks) if not mi & ~mj):
+                    raise CertificationFailed(
+                        f"one-element steps do not generate inclusion above {ids[i]}"
+                    )
+        self._poset = poset
+        return poset
 
 
 def closed_sets(n, closure, config=DEFAULTS):
@@ -378,10 +356,7 @@ def all_subsets(poset, config=DEFAULTS):
 def opposite(poset):
     """Same elements, reversed order."""
     return FinitePoset(
-        list(zip(poset.ids, poset.labels)),
-        poset.down,
-        covers=tuple((b, a) for a, b in poset.covers),
-        _validate=False,
+        list(zip(poset.ids, poset.labels)), [(b, a) for a, b in poset.covers]
     )
 
 
@@ -398,30 +373,48 @@ def _componentwise(coords, tuples):
 
     tuples[a][k] indexes coords[k]; element ids and labels are the
     coordinates' ids and labels joined as "(a,b,...)", in the order given.
-    up[a] is the AND over k of the tuples whose k-th index lies above
-    tuples[a][k]: one mask per coordinate element, no pair of tuples is
-    compared.
+    The order is built from the steps that raise one coordinate by one
+    cover of its poset and land on a listed tuple, found through each
+    tuple's mixed-radix code: raising coordinate k from i to u adds
+    (u - i) * stride[k].
+
+    The steps generate the order on every set of tuples listed here: a
+    product, the monotone maps of hom_poset, and the compatible tuples of
+    spectra (constraints x_q <= phi(x_p) for q below p, phi monotone).  If
+    g < f, raise g by one cover towards f at a coordinate k where they
+    differ that is maximal in the source poset or spectrum, to u <= f_k.
+    The coordinates p above k agree with f, so every constraint with k
+    below still holds (u <= f_k <= phi(f_p) = phi(g_p)); the ones with k
+    above hold as phi is monotone.  The result is listed and still <= f.
+    So every cover is a step (Aho-Garey-Ullman), and FinitePoset keeps
+    exactly those.
     """
-    n = len(tuples)
-    up = [(1 << n) - 1] * n
-    for k, c in enumerate(coords):
-        at = [0] * len(c)  # at[i]: the tuples whose k-th index is i
-        for a, t in enumerate(tuples):
-            at[t[k]] |= 1 << a
-        above = [0] * len(c)
-        for i in range(len(c)):
-            for j in _bits(c.up[i]):
-                above[i] |= at[j]
-        for a, t in enumerate(tuples):
-            up[a] &= above[t[k]]
-    elements = [
-        (
-            "(" + ",".join(c.ids[i] for c, i in zip(coords, t)) + ")",
-            "(" + ",".join(c.labels[i] for c, i in zip(coords, t)) + ")",
-        )
-        for t in tuples
+    stride = [1] * len(coords)
+    for k in range(len(coords) - 1, 0, -1):
+        stride[k - 1] = stride[k] * len(coords[k])
+    steps_at = []  # steps_at[k][i]: code steps of the covers above i in coords[k]
+    for c, s in zip(coords, stride):
+        at = [[] for _ in range(len(c))]
+        for a, b in c.covers:
+            u, i = c.index[a], c.index[b]
+            at[i].append((u - i) * s)
+        steps_at.append(at)
+    codes = [sum(i * s for i, s in zip(t, stride)) for t in tuples]
+    where = {code: a for a, code in enumerate(codes)}
+    ids = [
+        "(" + ",".join(c.ids[i] for c, i in zip(coords, t)) + ")" for t in tuples
     ]
-    poset = _TuplePoset(elements, up, _validate=False)
+    labels = [
+        "(" + ",".join(c.labels[i] for c, i in zip(coords, t)) + ")" for t in tuples
+    ]
+    steps = []
+    for a, t in enumerate(tuples):
+        for k, i in enumerate(t):
+            for step in steps_at[k][i]:
+                b = where.get(codes[a] + step)
+                if b is not None:
+                    steps.append((ids[b], ids[a]))
+    poset = _TuplePoset(list(zip(ids, labels)), steps)
     poset.coords = tuple(coords)
     poset.tuples = tuples
     return poset
@@ -440,41 +433,65 @@ def product(posets, config=DEFAULTS):
     return _componentwise(posets, tuples)
 
 
+def _backtrack(order, sizes, constraints, cap, what):
+    """The tuples t with t[i] < sizes[i] that meet every constraint,
+    sorted.  Position pos of order assigns t[order[pos]]; each (q, masks)
+    in constraints[pos], q < pos, allows only the bits of masks[v], v the
+    value assigned at q.  Depth first, with an explicit stack of the
+    candidate masks still untried, so no recursion limit bounds the
+    length.  SizeCapExceeded past cap tuples."""
+    n = len(order)
+    if not n:
+        return [()]
+    value = [0] * n  # by position
+    untried = [0] * n
+
+    def candidates(pos):
+        m = (1 << sizes[order[pos]]) - 1
+        for q, masks in constraints[pos]:
+            m &= masks[value[q]]
+        return m
+
+    found = []
+    untried[0] = candidates(0)
+    pos = 0
+    while pos >= 0:
+        m = untried[pos]
+        if not m:
+            pos -= 1
+            continue
+        low = m & -m
+        untried[pos] = m ^ low
+        value[pos] = low.bit_length() - 1
+        if pos + 1 < n:
+            pos += 1
+            untried[pos] = candidates(pos)
+            continue
+        t = [0] * n
+        for q, i in enumerate(order):
+            t[i] = value[q]
+        found.append(tuple(t))
+        if len(found) > cap:
+            raise SizeCapExceeded(f"{what} count exceeds the map cap")
+    found.sort()
+    return found
+
+
 def hom_poset(x, y, config=DEFAULTS):
     """All order-preserving maps x -> y under the pointwise order.
 
     Elements are tuples of y-ids listed in x's element order; enumeration
-    backtracks over a linear extension of x.
+    backtracks over a linear extension of x.  Each element is pruned by
+    its lower covers only: y is transitive, so a map that is monotone on
+    covers is monotone.
     """
-    nx, ny = len(x), len(y)
-    ext = sorted(range(nx), key=lambda i: (bin(x.down[i]).count("1"), i))
-    pred = []  # for each position in ext: [(earlier position, needs f(e) <= f(this)) ...]
-    for pos, i in enumerate(ext):
-        below = [q for q in range(pos) if x.leq_idx(ext[q], i)]
-        pred.append(below)
-    maps = []
-    assign = [0] * nx  # by ext position
-    full = (1 << ny) - 1
-
-    def rec(pos):
-        if pos == nx:
-            f = [0] * nx
-            for q, i in enumerate(ext):
-                f[i] = assign[q]
-            maps.append(tuple(f))
-            if len(maps) > config.map_cap:
-                raise SizeCapExceeded("monotone map count exceeds the map cap")
-            return
-        cand = full
-        for q in pred[pos]:
-            cand &= y.up[assign[q]]
-        for j in _bits(cand):
-            assign[pos] = j
-            rec(pos + 1)
-
-    rec(0)
-    maps.sort()
-    return _componentwise([y] * nx, maps)
+    ext = sorted(range(len(x)), key=lambda i: (bin(x.down[i]).count("1"), i))
+    pos_of = {i: pos for pos, i in enumerate(ext)}
+    constraints = [[] for _ in ext]
+    for a, b in x.covers:
+        constraints[pos_of[x.index[a]]].append((pos_of[x.index[b]], y.up))
+    maps = _backtrack(ext, [len(y)] * len(x), constraints, config.map_cap, "monotone map")
+    return _componentwise([y] * len(x), maps)
 
 
 def poset_isomorphism(p, q):

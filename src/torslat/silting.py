@@ -1757,12 +1757,7 @@ def tors_lattice(algebra, cap=None, config=DEFAULTS):
     labels = [
         "H0=" + _fmt_vecs(result.objects[i].h0_key()) for i in poset.ids
     ]
-    return FinitePoset(
-        list(zip(poset.ids, labels)),
-        poset.up,
-        covers=poset.covers,
-        _validate=False,
-    )
+    return FinitePoset(list(zip(poset.ids, labels)), poset.covers)
 
 
 def is_tau_tilting_finite(algebra, cap=None, config=DEFAULTS):

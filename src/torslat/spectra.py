@@ -10,8 +10,9 @@ Serre sides of the picture as FinitePosets.
 Two restriction modes exist.  Identity mode: every prime carries the same
 lattice and each map is the identity, so compatible tuples are exactly the
 monotone maps out of the prime poset.  Every identity-mode result is
-certified once, by matching its elements one for one with an independently
-built monotone-map poset (see _certify_monotone_maps).  Explicit mode: a
+certified once: its elements are matched one for one, by label tuple, with
+an independently built monotone-map poset, and the matching must carry
+covers onto covers (see _certify_monotone_maps).  Explicit mode: a
 table per comparable pair; composing tables along a chain is only required
 to bound the direct table from above, which is why compatibility is checked
 on all comparable pairs rather than on covers alone.
@@ -22,11 +23,11 @@ import re
 from collections import namedtuple
 
 from .config import DEFAULTS
-from .errors import CertificationFailed, ModelInvalid, ParseError, SizeCapExceeded
+from .errors import CertificationFailed, ModelInvalid, ParseError
 from .linalg import det
 from .posets import (
     FinitePoset,
-    _bits,
+    _backtrack,
     _componentwise,
     all_subsets,
     build_poset,
@@ -328,52 +329,23 @@ def enumerate_compatible(model, config=DEFAULTS):
     """
     _require_valid(model)
     spec = model.spec
-    n = len(spec)
     tables = _tables(model)
     fib = [model.fibers[p] for p in spec.ids]
 
-    ext = sorted(range(n), key=lambda i: (bin(spec.up[i]).count("1"), i))
-    preds = []  # per position: (earlier position, that prime's table into us)
+    ext = sorted(range(len(spec)), key=lambda i: (bin(spec.up[i]).count("1"), i))
+    constraints = []  # per position: (earlier position, down-mask per element there)
     for pos, i in enumerate(ext):
+        f = fib[i]
         entry = []
         for qpos in range(pos):
             j = ext[qpos]
             if spec.leq_idx(i, j):
-                entry.append((qpos, tables[spec.ids[j], spec.ids[i]]))
-        preds.append(entry)
-
-    found = []
-    assign = [0] * n
-
-    def rec(pos):
-        if pos == n:
-            found.append(tuple(assign))
-            if len(found) > config.map_cap:
-                raise SizeCapExceeded(
-                    "compatible tuple count exceeds the map cap"
-                )
-            return
-        i = ext[pos]
-        f = fib[i]
-        cand = (1 << len(f)) - 1
-        for qpos, table in preds[pos]:
-            j = ext[qpos]
-            image = table[fib[j].ids[assign[qpos]]]
-            cand &= f.down[f.index[image]]
-        for x in range(len(f)):
-            if cand >> x & 1:
-                assign[pos] = x
-                rec(pos + 1)
-
-    rec(0)
-
-    tuples = []
-    for res in found:
-        t = [0] * n
-        for pos, i in enumerate(ext):
-            t[i] = res[pos]
-        tuples.append(tuple(t))
-    tuples.sort()
+                table = tables[spec.ids[j], spec.ids[i]]
+                entry.append((qpos, [f.down[f.index[table[x]]] for x in fib[j].ids]))
+        constraints.append(entry)
+    tuples = _backtrack(
+        ext, [len(f) for f in fib], constraints, config.map_cap, "compatible tuple"
+    )
     return _componentwise(fib, tuples)
 
 
@@ -384,8 +356,8 @@ def _certify_monotone_maps(spec, lattice, compat, config):
 
     Elements are matched by their tuple of fiber labels, which identity-mode
     validation makes unique per fiber and ordered alike at every prime.
-    The matching must be a bijection that carries every up-mask onto the
-    other side's, so the two orders are equal element for element.
+    The matching must be a bijection that carries the covers of compat
+    onto those of the other side; the same covers give the same order.
     Raises CertificationFailed otherwise.
     """
     hom = hom_poset(spec, lattice, config)
@@ -403,15 +375,16 @@ def _certify_monotone_maps(spec, lattice, compat, config):
             f"{len(compat)} compatible tuples do not match the "
             f"{len(hom)} monotone maps"
         )
-    for a, b in enumerate(image):
-        mapped = 0
-        for j in _bits(compat.up[a]):
-            mapped |= 1 << image[j]
-        if mapped != hom.up[b]:
-            raise CertificationFailed(
-                f"compatible tuple {compat.ids[a]!r} and monotone map "
-                f"{hom.ids[b]!r} have different up-sets"
-            )
+    mapped = {
+        (hom.ids[image[compat.index[a]]], hom.ids[image[compat.index[b]]])
+        for a, b in compat.covers
+    }
+    if mapped != set(hom.covers):
+        a, b = min(mapped ^ set(hom.covers))
+        raise CertificationFailed(
+            f"compatible tuples and monotone maps have different up-sets: "
+            f"only one side has the cover {a!r} > {b!r}"
+        )
     return hom
 
 
@@ -432,12 +405,7 @@ def classify_tors(model, config=DEFAULTS):
     if model.mode == "identity" and len(spec):
         _certify_monotone_maps(spec, model.fibers[spec.ids[0]], poset, config)
     labels = ["tors" + l for l in poset.labels]
-    return FinitePoset(
-        list(zip(poset.ids, labels)),
-        poset.up,
-        covers=poset.covers,
-        _validate=False,
-    )
+    return FinitePoset(list(zip(poset.ids, labels)), poset.covers)
 
 
 def classify_tors_hom_form(spec, lattice, config=DEFAULTS):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from torslat.config import Config
 from torslat.errors import (
-    CertificationFailed,
     CycleDetected,
     DuplicateId,
     NotALattice,
@@ -84,7 +83,52 @@ def poset_pairs(draw):
     return p, q
 
 
+@st.composite
+def listed_covers(draw):
+    """Ids e0.. listed in index order and pairs (a, b), a above b, drawn
+    over a shuffled ranking: index order is not the order.  The pairs may
+    repeat, be redundant or pair an element with itself."""
+    n = draw(st.integers(1, 7))
+    rank = draw(st.permutations(range(n)))
+    ids = [f"e{i}" for i in range(n)]
+    allowed = [(ids[a], ids[b]) for a in range(n) for b in range(n) if rank[a] >= rank[b]]
+    return ids, draw(st.lists(st.sampled_from(allowed), max_size=3 * n))
+
+
 class TestConstruction:
+    @given(listed_covers())
+    @settings(max_examples=100, deadline=None)
+    def test_order_and_covers_from_any_generating_pairs(self, listing):
+        ids, pairs = listing
+        p = FinitePoset(ids, pairs)
+        leq = transitive_closure(ids, [(b, a) for a, b in pairs])
+        n = len(ids)
+        assert list(p.up) == [
+            sum(1 << j for j in range(n) if (ids[i], ids[j]) in leq) for i in range(n)
+        ]
+        assert list(p.down) == [
+            sum(1 << j for j in range(n) if (ids[j], ids[i]) in leq) for i in range(n)
+        ]
+        strict = {(a, b) for a, b in leq if a != b}
+        assert p.covers == tuple(
+            (ids[a], ids[b])
+            for a in range(n)
+            for b in range(n)
+            if (ids[b], ids[a]) in strict
+            and not any((ids[b], c) in strict and (c, ids[a]) in strict for c in ids)
+        )
+
+    def test_constructor_errors(self):
+        # z sits below the cycle a > b > a; the error names an element on it
+        with pytest.raises(CycleDetected) as info:
+            FinitePoset(["z", "a", "b"], [("a", "z"), ("a", "b"), ("b", "a")])
+        assert "'z'" not in str(info.value)
+        assert "'a'" in str(info.value) or "'b'" in str(info.value)
+        with pytest.raises(ParseError):
+            FinitePoset(["a"], [("q", "a")])
+        with pytest.raises(DuplicateId):
+            FinitePoset(["a", "b", "a"], [])
+
     def test_chain_basics(self):
         p = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert p.covers == (("b", "a"), ("c", "b"))
@@ -120,8 +164,10 @@ class TestConstruction:
         assert p.label_of("n2") == "n2"
 
     def test_covers_must_be_the_transitive_reduction(self):
-        with pytest.raises(CertificationFailed):
-            FinitePoset(["a", "b", "c"], [0b111, 0b110, 0b100], covers=[("c", "a")])
+        # a redundant pair is dropped: c > a follows from c > b > a
+        p = FinitePoset(["a", "b", "c"], [("c", "a"), ("c", "b"), ("b", "a")])
+        assert p.covers == (("b", "a"), ("c", "b"))
+        assert p.up == (0b111, 0b110, 0b100)
 
     def test_antichain_has_no_top(self):
         a = antichain(2)
@@ -168,6 +214,10 @@ class TestHomPoset:
 
     def test_empty_source_gives_single_map(self):
         assert len(hom_poset(build_poset([], []), chain(3))) == 1
+
+    def test_enumeration_is_not_recursive(self):
+        # one search level per element of the source, past the recursion limit
+        assert len(hom_poset(chain(1200), chain(2))) == 1201
 
 
 class TestSubsetLattices:
@@ -240,6 +290,21 @@ class TestSubsetLattices:
         with pytest.raises(SizeCapExceeded):
             big.poset()
 
+    def test_inclusion_order_beyond_the_checked_size(self):
+        # 512 down-sets: more than SubsetLattice.poset compares with inclusion
+        ds = down_sets(antichain(9))
+        lat = ds.poset()
+        assert len(lat) == 512
+        at = [lat.index[ds.mask_id(m)] for m in ds.masks]
+        for m, i in zip(ds.masks, at):
+            assert lat.up[i] == sum(1 << j for n, j in zip(ds.masks, at) if not m & ~n)
+        assert set(lat.covers) == {
+            (ds.mask_id(m), ds.mask_id(n))
+            for m in ds.masks
+            for n in ds.masks
+            if n & ~m == 0 and bin(m ^ n).count("1") == 1
+        }
+
     def test_boolean_lattice_covers(self):
         lat = all_subsets(antichain(2)).poset()
         assert lat.covers == (
@@ -293,22 +358,12 @@ class TestConstructions:
 
     def test_isomorphism_search_is_not_recursive(self):
         # one search level per element: past the interpreter's recursion
-        # limit; masks are given directly, chain()'s closure is cubic
+        # limit
         n = 1001
         p_ids = [f"p{i}" for i in range(n)]
         q_ids = [f"q{i}" for i in range(n)]  # listed top first
-        p = FinitePoset(
-            p_ids,
-            [(1 << n) - (1 << i) for i in range(n)],
-            covers=[(p_ids[i + 1], p_ids[i]) for i in range(n - 1)],
-            _validate=False,
-        )
-        q = FinitePoset(
-            q_ids,
-            [(1 << (i + 1)) - 1 for i in range(n)],
-            covers=[(q_ids[i], q_ids[i + 1]) for i in range(n - 1)],
-            _validate=False,
-        )
+        p = FinitePoset(p_ids, [(p_ids[i + 1], p_ids[i]) for i in range(n - 1)])
+        q = FinitePoset(q_ids, [(q_ids[i], q_ids[i + 1]) for i in range(n - 1)])
         iso = poset_isomorphism(p, q)
         assert iso["p0"] == "q1000" and iso["p1000"] == "q0"
 

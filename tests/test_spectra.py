@@ -6,7 +6,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from torslat import spectra
 from torslat.algebras import Quiver, build_algebra
@@ -14,14 +14,19 @@ from torslat.errors import CertificationFailed, ModelInvalid, ParseError
 from torslat.fixtures import algebra_a2, algebra_a3
 from torslat.posets import (
     FinitePoset,
+    antichain,
     build_poset,
     chain,
     hom_poset,
+    lattice_ops,
     opposite,
+    point,
     poset_isomorphism,
     product,
+    specialization_closed,
 )
 from torslat.spectra import (
+    SpecModel,
     cambrian_classification,
     classify_local_fibers,
     classify_serre,
@@ -223,3 +228,127 @@ def test_hom_poset_matches_all_pairs(x, y):
     h = hom_poset(x, y)
     assert h.tuples == maps
     assert list(h.up) == all_pairs_up([y] * len(x), maps)
+
+
+@st.composite
+def bounded_posets(draw):
+    """A poset of up to three elements between a bottom 0 and a top 1."""
+    inner = draw(posets(max_size=3))
+    pairs = [("0", "1")] + [(b, a) for a, b in inner.covers]
+    pairs += [("0", e) for e in inner.ids] + [(e, "1") for e in inner.ids]
+    return build_poset(["0", *inner.ids, "1"], pairs)
+
+
+@st.composite
+def explicit_models(draw):
+    """Valid explicit-mode models: each table is a drawn monotone map that
+    keeps top and bottom; models whose tables compose wrongly are refused."""
+    spec = draw(posets(max_size=3))
+    fibers = {p: draw(bounded_posets()) for p in spec.ids}
+    tables = {}
+    for big, small in SpecModel(spec, fibers).comparable_pairs():
+        fp, fq = fibers[big], fibers[small]
+        maps = [
+            f for f in hom_poset(fp, fq).tuples
+            if fq.ids[f[0]] == "0" and fq.ids[f[-1]] == "1"
+        ]
+        f = draw(st.sampled_from(maps))
+        tables[big, small] = {a: fq.ids[i] for a, i in zip(fp.ids, f)}
+    model = SpecModel(spec, fibers, "explicit", tables)
+    assume(validate(model) == ())
+    return model
+
+
+def chain_model_with_a_smaller_direct_table():
+    """Primes c0 < c1 < c2 with fibers 0 < e0 < 1; e0 restricts to e0
+    along each cover but to 0 from c2 to c0, so the pair c2 > c0 prunes
+    tuples that the covers alone allow."""
+    spec = chain(3)
+    fiber = build_poset(["0", "e0", "1"], [("0", "e0"), ("e0", "1")])
+    ident = {x: x for x in fiber.ids}
+    tables = {("c2", "c1"): ident, ("c1", "c0"): ident, ("c2", "c0"): {**ident, "e0": "0"}}
+    return SpecModel(spec, {p: fiber for p in spec.ids}, "explicit", tables)
+
+
+@given(explicit_models())
+@example(chain_model_with_a_smaller_direct_table())
+@settings(max_examples=60, deadline=None)
+def test_compatible_tuples_match_all_pairs(model):
+    spec = model.spec
+    fib = [model.fibers[p] for p in spec.ids]
+    compat = spectra.enumerate_compatible(model)
+    tables = spectra._tables(model)
+    expected = [
+        t for t in itertools.product(*(range(len(f)) for f in fib))
+        if all(
+            fib[q].leq_idx(t[q], fib[q].index[tables[spec.ids[p], spec.ids[q]][fib[p].ids[t[p]]]])
+            for p in range(len(spec))
+            for q in range(len(spec))
+            if p != q and spec.leq_idx(q, p)
+        )
+    ]
+    assert compat.tuples == expected
+    assert list(compat.up) == all_pairs_up(fib, expected)
+
+
+def test_identity_enumeration_is_not_recursive():
+    # one search level per prime, past the recursion limit
+    spec = antichain(1200)
+    model = SpecModel(spec, {p: point() for p in spec.ids})
+    assert len(classify_tors(model)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the paper's statements on random finite models
+
+
+@st.composite
+def lattices(draw):
+    fiber = draw(bounded_posets())
+    assume(lattice_ops(fiber).is_lattice)
+    return fiber
+
+
+def tuple_of(ident):
+    """The fiber ids of a tuple id "(a,b,...)"."""
+    return tuple(ident[1:-1].split(",")) if ident != "()" else ()
+
+
+@given(posets(max_size=3), lattices())
+@settings(max_examples=40, deadline=None)
+def test_identity_mode_is_a_sublattice_of_the_product(spec, fiber):
+    # tors R Lambda = Hom_poset(Spec R, L): pointwise meets and joins of
+    # compatible tuples are compatible, and they are the meets and joins
+    tors = classify_tors(SpecModel(spec, {p: fiber for p in spec.ids}))
+    ops, fops = lattice_ops(tors), lattice_ops(fiber)
+    assert ops.is_lattice
+    for f in tors.ids:
+        for g in tors.ids:
+            pairs = list(zip(tuple_of(f), tuple_of(g)))
+            meet = "(" + ",".join(fops.meet(a, b) for a, b in pairs) + ")"
+            join = "(" + ",".join(fops.join(a, b) for a, b in pairs) + ")"
+            assert (ops.meet(f, g), ops.join(f, g)) == (meet, join)
+
+
+@given(posets())
+@settings(max_examples=40, deadline=None)
+def test_two_element_fibers_give_the_specialization_closed_subsets(spec):
+    # a compatible tuple is read as the set of primes at the top element
+    two = chain(2, prefix="t")
+    compat = spectra.enumerate_compatible(
+        SpecModel(spec, {p: two for p in spec.ids})
+    )
+    masks = [sum(1 << p for p, x in enumerate(t) if x == 1) for t in compat.tuples]
+    spcl = specialization_closed(spec)
+    assert sorted(masks) == sorted(spcl.masks)
+    for a, m in enumerate(masks):
+        assert compat.up[a] == sum(1 << b for b, n in enumerate(masks) if not m & ~n)
+
+
+def test_msilt_golden_is_the_closed_point_fiber():
+    # paper36_msilt lists the silting objects of the closed-point fiber in
+    # the order of tors_fl.json; the i-th element corresponds to the i-th
+    msilt = golden("msilt")
+    fiber = load("paper36").model.fibers["pm"]
+    assert poset_isomorphism(msilt, fiber) is not None
+    assert msilt.up == fiber.up and msilt.down == fiber.down
