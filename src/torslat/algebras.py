@@ -608,7 +608,20 @@ def parse_algebra(text, config=DEFAULTS):
 
 
 def _parse_relation(expr, quiver, lineno):
-    s = "".join(expr.split())
+    terms = _signed_terms(expr, quiver.arrow_index, "relation", lineno)
+    for _, factors in terms:
+        for f in factors:
+            if f not in quiver.arrow_index:
+                raise ParseError(f"unknown arrow {f!r}", line=lineno)
+    return terms
+
+
+def _signed_terms(text, arrow_names, what, line=None):
+    """(coefficient, factor names) for each term of a signed sum such as
+    ``2*b*a - 1/3*c``.  A leading factor that is a rational and not an
+    arrow name is the coefficient.  ``what`` names the text in messages,
+    ``line`` is its line number when known."""
+    s = "".join(text.split())
     terms = []
     sign = 1
     i = 0
@@ -619,7 +632,7 @@ def _parse_relation(expr, quiver, lineno):
     while i <= len(s):
         if i == len(s) or s[i] in "+-":
             if i == start:
-                raise ParseError("empty term in relation", line=lineno)
+                raise ParseError(f"empty term in {what}", line=line)
             terms.append((sign, s[start:i]))
             if i < len(s):
                 sign = -1 if s[i] == "-" else 1
@@ -629,17 +642,15 @@ def _parse_relation(expr, quiver, lineno):
     for sgn, term in terms:
         factors = term.split("*")
         if any(not f for f in factors):
-            raise ParseError(f"bad term {term!r}", line=lineno)
+            raise ParseError(f"bad term {term!r}", line=line)
         coeff = Fraction(sgn)
-        if _RATIONAL_RE.match(factors[0]) and factors[0] not in quiver.arrow_index:
-            coeff *= Fraction(factors[0])
+        if _RATIONAL_RE.match(factors[0]) and factors[0] not in arrow_names:
+            try:
+                coeff *= Fraction(factors[0])
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {term!r}", line=line) from None
             factors = factors[1:]
         if not factors:
-            raise ParseError(
-                f"term {term!r} has no path part", line=lineno
-            )
-        for f in factors:
-            if f not in quiver.arrow_index:
-                raise ParseError(f"unknown arrow {f!r}", line=lineno)
+            raise ParseError(f"term {term!r} has no path part", line=line)
         out.append((coeff, factors))
     return out

@@ -113,6 +113,21 @@ class FinitePoset:
             if down[a] & up[b] == 1 << a | 1 << b
         )
 
+    def relabeled(self, labels):
+        """The same order with one new label per element, in index order.
+
+        A plain FinitePoset sharing ids, index, up- and down-masks and
+        covers with this one; nothing is rebuilt."""
+        labels = tuple(str(l) for l in labels)
+        if len(labels) != len(self.ids):
+            raise ValueError(f"{len(labels)} labels for {len(self.ids)} elements")
+        out = object.__new__(FinitePoset)
+        out.ids, out.index, out.up, out.down, out.covers = (
+            self.ids, self.index, self.up, self.down, self.covers
+        )
+        out.labels = labels
+        return out
+
     # -- queries -------------------------------------------------------------
 
     def __len__(self):

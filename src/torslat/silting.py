@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import AlgebraElement
+from .algebras import AlgebraElement, _signed_terms
 from .config import DEFAULTS
 from .errors import (
     CapExceeded,
@@ -756,14 +756,6 @@ def cone(algebra, f_mats, X, E):
     return Complex(algebra, summands, diff, validate=False, copy=False)
 
 
-def _require_two_term(C, what):
-    if not C.is_two_term():
-        raise ConeNotTwoTerm(
-            f"{what} does not reduce to a two-term complex "
-            f"(degrees {list(C.summands)})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # decomposition
 
@@ -886,10 +878,18 @@ class _TopAlgebra:
     def find_idempotent(self):
         """An idempotent other than 0 and 1, or None.
 
-        Tries central elements first (rational eigenprojection), then a
-        direct search over basis-derived elements with reducible minimal
-        polynomial.
+        Candidates are tried in turn until one splits by _split_on: a
+        basis of the centre, then the basis, its pairwise sums and its
+        pairwise products.  Each is formed only when every candidate
+        before it has failed.
         """
+        for s in self._candidates():
+            e = self._split_on(s)
+            if e is not None:
+                return e
+        return None
+
+    def _candidates(self):
         basis = self.basis
         dim = len(basis)
         # center: solve z b_k = b_k z for all k
@@ -906,61 +906,42 @@ class _TopAlgebra:
             z = {}
             for i, x in zv.items():
                 vec_add_scaled(z, basis[i], x)
-            e = self._split_on(z, central=True)
-            if e is not None:
-                return e
-        # non-central search
-        candidates = list(basis)
+            yield z
+        yield from basis
         for i in range(dim):
             for j in range(i + 1, dim):
                 s = dict(basis[i])
                 vec_add_scaled(s, basis[j], ONE)
-                candidates.append(s)
+                yield s
         for i in range(dim):
             for j in range(dim):
                 if i != j:
-                    candidates.append(self.mul(basis[i], basis[j]))
-        for s in candidates:
-            e = self._split_on(s, central=False)
-            if e is not None:
-                return e
-        return None
+                    yield self.mul(basis[i], basis[j])
 
-    def _split_on(self, s, central):
+    def _split_on(self, s):
+        """The Chinese-remainder idempotent of s, or None.
+
+        For the first rational root lam of the minimal polynomial with
+        poly = (x - lam)^k g, g(lam) != 0 and g not constant, this is
+        e = (a (x - lam)^k)(s) with a (x - lam)^k = 1 mod g, which is 0 on
+        the generalised lam-eigenspace of s and 1 on the rest.  On a central
+        s it is the complement of the eigenprojection onto lam, also where
+        lam is a repeated root.
+        """
         poly = self.min_poly(s)
         if len(poly) <= 2:
             return None
-        roots = _rational_roots(poly)
-        for lam in roots:
-            if central:
-                # q = poly / (x - lam); e = q(s)/q(lam)
-                q, rem = _poly_divmod(poly, [-lam, ONE])
+        for lam in _rational_roots(poly):
+            g, k = poly, 0
+            while True:
+                q, rem = _poly_divmod(g, [-lam, ONE])
                 if rem:
-                    raise CertificationFailed("a rational root left a remainder")
-                qlam = sum(c * lam ** i for i, c in enumerate(q))
-                if not qlam:
-                    continue
-                e = self.eval_poly([c / qlam for c in q], s)
-            else:
-                # poly = (x-lam)^k * g with g(lam) != 0; CRT idempotent
-                g = list(poly)
-                k = 0
-                while True:
-                    q, rem = _poly_divmod(g, [-lam, ONE])
-                    if rem:
-                        break
-                    g = q
-                    k += 1
-                if k == 0 or len(g) <= 1:
-                    continue
-                a, b = _poly_ext_euclid(
-                    _poly_power([-lam, ONE], k), g
-                )
-                if a is None:
-                    continue
-                # e = (a * (x-lam)^k)(s)
-                prod = _poly_mul(a, _poly_power([-lam, ONE], k))
-                e = self.eval_poly(prod, s)
+                    break
+                g, k = q, k + 1
+            if len(g) <= 1:
+                continue
+            lam_k = _poly_power([-lam, ONE], k)
+            e = self.eval_poly(_poly_mul(_poly_inverse(lam_k, g), lam_k), s)
             if e and e != self.unit and self.mul(e, e) == e:
                 return e
         return None
@@ -983,20 +964,15 @@ def _poly_power(p, k):
     return out
 
 
-def _poly_ext_euclid(f, g):
-    """a, b with a f + b g = 1, if f, g are coprime; else (None, None)."""
+def _poly_inverse(f, g):
+    """a with a f = 1 mod g, for coprime f and g."""
     r0, r1 = list(f), list(g)
     a0, a1 = [ONE], [ZERO]
-    b0, b1 = [ZERO], [ONE]
     while any(r1):
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         a0, a1 = a1, _poly_sub(a0, _poly_mul(q, a1))
-        b0, b1 = b1, _poly_sub(b0, _poly_mul(q, b1))
-    if len(r0) != 1 or not r0[0]:
-        return None, None
-    c = r0[0]
-    return [x / c for x in a0], [x / c for x in b0]
+    return [x / r0[0] for x in a0]
 
 
 def _poly_sub(p, q):
@@ -1054,7 +1030,7 @@ def decompose(algebra, P):
     # Newton iteration to an exact idempotent in the genuine endo ring
     for _ in range(60):
         sq = _compose_graded(algebra, P, P, P, e_mat, e_mat)
-        if _mats_equal(sq, e_mat):
+        if sq == e_mat:
             break
         cube = _compose_graded(algebra, P, P, P, sq, e_mat)
         e_mat = _mats_combine(sq, cube)
@@ -1068,22 +1044,6 @@ def decompose(algebra, P):
     if not left.size() or not right.size():
         raise CertificationFailed("split is not proper")
     return decompose(algebra, left) + decompose(algebra, right)
-
-
-def _mats_equal(a, b):
-    degs = set(a) | set(b)
-    for n in degs:
-        ra = a.get(n, ())
-        rb = b.get(n, ())
-        if len(ra) != len(rb):
-            return False
-        for r1, r2 in zip(ra, rb):
-            for e1, e2 in zip(r1, r2):
-                if {k: v for k, v in e1.items() if v} != {
-                    k: v for k, v in e2.items() if v
-                }:
-                    return False
-    return True
 
 
 def _mats_combine(sq, cube):
@@ -1150,52 +1110,30 @@ def _element_to_vec(element, coord_pos):
 
 
 def _split_part(algebra, P, e_mat):
-    """Subcomplex carried by an exact idempotent chain endomorphism, built
-    on a chosen projective generating system."""
+    """Subcomplex carried by an exact idempotent chain endomorphism e.
+
+    Im e is a summand of P, so rad(Im e) is the intersection of Im e with
+    rad P, and no element of rad P has a trivial-path coefficient.  A set of columns of e therefore
+    generates Im e minimally exactly when their tops (trivial-path
+    coefficients) are independent.  In each degree the columns are taken
+    vertex by vertex, then by index, and one becomes a generator when its
+    top is independent of the tops already chosen.  The differential is
+    read off by writing the image of each generator in the generators of
+    the next degree.
+    """
     gens = {}  # degree -> list of (vertex, element)
     for n, t in P.summands.items():
-        coords = _degree_coords(algebra, t)
-        coord_pos = {key: i for i, key in enumerate(coords)}
-        mat = e_mat.get(n)
-        if mat is None:
-            mat = tuple(tuple({} for _ in t) for _ in t)
-        cols = []
-        for c, v in enumerate(t):
-            col = {}
-            for r in range(len(t)):
-                e = mat[r][c]
-                if e:
-                    col[r] = dict(e)
-            cols.append(col)
-        # radical span of the image
+        mat = e_mat[n]
+        # a top lies on the rows of its column's vertex, so one echelon
+        # keeps the vertices apart
         ech = Echelon()
-        for c, v in enumerate(t):
-            for p in algebra.basis_by_source(v):
-                if algebra.basis_length(p) == 0:
-                    continue
-                moved = {}
-                for r, cell in cols[c].items():
-                    prod = algebra.mul_dicts({p: ONE}, cell)
-                    if prod:
-                        moved[r] = prod
-                vec = _element_to_vec(moved, coord_pos)
-                if vec:
-                    ech.insert(vec)
         chosen = []
-        for v in range(len(algebra.quiver.vertices)):
-            for c in range(len(t)):
-                # vertex-homogeneous piece of the image of generator c
-                piece = {}
-                for r, cell in cols[c].items():
-                    part = {
-                        b: x for b, x in cell.items()
-                        if algebra.basis_target(b) == v
-                    }
-                    if part:
-                        piece[r] = part
-                vec = _element_to_vec(piece, coord_pos)
-                if vec and ech.insert(dict(vec)) is not None:
-                    chosen.append((v, piece))
+        for c in sorted(range(len(t)), key=t.__getitem__):
+            unit = algebra.idempotent_index(t[c])
+            col = {r: row[c] for r, row in enumerate(mat) if row[c]}
+            top = {r: e[unit] for r, e in col.items() if unit in e}
+            if top and ech.insert(top) is not None:
+                chosen.append((t[c], col))
         if chosen:
             gens[n] = chosen
     summands = {n: tuple(v for v, _ in g) for n, g in gens.items()}
@@ -1326,11 +1264,7 @@ def is_silting(algebra, P):
     if not is_presilting(algebra, P):
         return False
     parts = decompose(algebra, reduce_complex(algebra, P))
-    classes = []
-    for p in parts:
-        if not any(complexes_isomorphic(algebra, p, q) for q in classes):
-            classes.append(p)
-    return len(classes) == len(algebra.quiver.vertices)
+    return len(_summand_classes(algebra, parts)) == len(algebra.quiver.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -1411,8 +1345,6 @@ def _as_complex(P):
 
 
 def _memo_hom_k_basis(algebra, X, Y, memo):
-    if memo is None:
-        return hom_k_basis(algebra, X, Y)
     k = ("homk", X.key(), Y.key())
     out = memo.get(k)
     if out is None:
@@ -1420,78 +1352,73 @@ def _memo_hom_k_basis(algebra, X, Y, memo):
     return out
 
 
-def _stacked_approximation(algebra, source, target_classes, reverse=False, memo=None):
-    """All-basis approximation map.
+def _exchange_cone(algebra, X, classes, direction, memo):
+    """Reduced two-term cone of the all-basis approximation of X by classes.
 
-    forward (reverse=False): f: source -> (+) R^{dim Hom_K(source, R)}.
-    reverse: g: (+) R^{dim Hom_K(R, source)} -> source.
-    Returns (f_mats, E) with f the chain map and E the stacked complex;
-    E may be zero (no maps), signalled as (None, None).
+    "left": the cone of f: X -> (+) R^{dim Hom_K(X, R)}; "right": the
+    cocone of g: (+) R^{dim Hom_K(R, X)} -> X.  Every Hom basis map is one
+    block of the stacked map, at rows (left) or columns (right) offset by
+    the summands of the blocks before it.  This is where a minimal
+    approximation would go: the cone here is the exchange summand plus
+    copies of classes.  Raises ConeNotTwoTerm if the reduced cone is not
+    two-term.
 
     Callers guarantee Hom_K(A, B[1]) = 0 for every used pair (A, B), so
     each hom dimension equals the euler pairing plus the backward maps;
     pairs predicted to carry no maps skip the solve.
     """
+    left = direction == "left"
     blocks = []
-    for R in target_classes:
-        A, B = (R, source) if reverse else (source, R)
+    for R in classes:
+        A, B = (X, R) if left else (R, X)
         pred = _euler_pairing(algebra, A, B) + hom_k_dim(algebra, A, B.shift(-1))
         if pred == 0:
             continue
         var_list, basis = _memo_hom_k_basis(algebra, A, B, memo)
         if len(basis) != pred:
             raise CertificationFailed("hom dimension disagrees with its prediction")
-        for vec in basis:
-            if reverse:
-                blocks.append((R, _materialize(algebra, R, source, var_list, vec)))
-            else:
-                blocks.append((R, _materialize(algebra, source, R, var_list, vec)))
+        blocks.extend((R, _materialize(algebra, A, B, var_list, v)) for v in basis)
     if not blocks:
-        return None, None
-    E = direct_sum([R for R, _ in blocks])
-    f_mats = {}
-    if reverse:
-        # map E -> source: stack columns
-        for n in source.summands:
-            if n in E.summands:
-                f_mats[n] = [
-                    [{} for _ in E.summands[n]]
-                    for _ in source.summands[n]
-                ]
-        col_off = {n: 0 for n in E.summands}
-        for R, mats in blocks:
-            for n in R.summands:
-                if n not in f_mats:
-                    continue
-                mat = mats.get(n)
-                for r in range(len(source.summands_at(n))):
-                    for c in range(len(R.summands_at(n))):
-                        e = mat[r][c] if mat else {}
-                        if e:
-                            f_mats[n][r][col_off[n] + c] = dict(e)
-            for n in R.summands:
-                col_off[n] += len(R.summands[n])
+        C = X.shift(1 if left else -1)
     else:
-        for n in source.summands:
-            if n in E.summands:
-                f_mats[n] = [
-                    [{} for _ in source.summands[n]]
-                    for _ in E.summands[n]
-                ]
-        row_off = {n: 0 for n in E.summands}
+        E = direct_sum([R for R, _ in blocks])
+        src, tgt = (X, E) if left else (E, X)
+        f = {
+            n: [[{} for _ in src.summands[n]] for _ in tgt.summands[n]]
+            for n in X.summands
+            if n in E.summands
+        }
+        off = dict.fromkeys(E.summands, 0)
         for R, mats in blocks:
-            for n in R.summands:
-                if n not in f_mats:
-                    continue
-                mat = mats.get(n)
-                for r in range(len(R.summands_at(n))):
-                    for c in range(len(source.summands_at(n))):
-                        e = mat[r][c] if mat else {}
+            for n, mat in mats.items():
+                for r, row in enumerate(mat):
+                    for c, e in enumerate(row):
                         if e:
-                            f_mats[n][row_off[n] + r][c] = dict(e)
-            for n in R.summands:
-                row_off[n] += len(R.summands[n])
-    return f_mats, E
+                            if left:
+                                f[n][off[n] + r][c] = e
+                            else:
+                                f[n][r][off[n] + c] = e
+            for n, t in R.summands.items():
+                off[n] += len(t)
+        C = cone(algebra, f, X, E) if left else cone(algebra, f, E, X).shift(-1)
+    C = reduce_complex(algebra, C)
+    if not C.is_two_term():
+        raise ConeNotTwoTerm(
+            f"{direction} exchange cone does not reduce to a two-term complex "
+            f"(degrees {list(C.summands)})"
+        )
+    return C
+
+
+def _summand_classes(algebra, parts, known=()):
+    """The parts, one per isomorphism class, that are isomorphic to no
+    complex in known.  Each part is compared first with known, then with
+    the parts kept before it."""
+    kept = []
+    for p in parts:
+        if not any(complexes_isomorphic(algebra, p, q) for q in (*known, *kept)):
+            kept.append(p)
+    return kept
 
 
 def _new_class_from_cone(algebra, cone_red, keep_classes):
@@ -1506,14 +1433,7 @@ def _new_class_from_cone(algebra, cone_red, keep_classes):
     )
     if end == 1:
         return cone_red
-    parts = decompose(algebra, cone_red)
-    fresh = []
-    for p in parts:
-        if any(complexes_isomorphic(algebra, p, q) for q in keep_classes):
-            continue
-        if any(complexes_isomorphic(algebra, p, q) for q in fresh):
-            continue
-        fresh.append(p)
+    fresh = _summand_classes(algebra, decompose(algebra, cone_red), keep_classes)
     if len(fresh) != 1:
         raise CertificationFailed(
             f"expected one new summand class, got {len(fresh)}"
@@ -1537,22 +1457,7 @@ def mutate(algebra, P, k, direction, validate=True, memo=None):
         raise ValueError("direction must be 'left' or 'right'")
     X = P.summands[k]
     rest = [s for i, s in enumerate(P.summands) if i != k]
-    if direction == "left":
-        f_mats, E = _stacked_approximation(algebra, X, rest, reverse=False, memo=memo)
-        if E is None:
-            C = X.shift(1)
-        else:
-            C = cone(algebra, f_mats, X, E)
-        C = reduce_complex(algebra, C)
-        _require_two_term(C, "left mutation cone")
-    else:
-        g_mats, E = _stacked_approximation(algebra, X, rest, reverse=True, memo=memo)
-        if E is None:
-            C = X.shift(-1)
-        else:
-            C = cone(algebra, g_mats, E, X).shift(-1)
-        C = reduce_complex(algebra, C)
-        _require_two_term(C, "right mutation cocone")
+    C = _exchange_cone(algebra, X, rest, direction, {} if memo is None else memo)
     Y = _new_class_from_cone(algebra, C, rest)
     out = SiltingObject(algebra, rest + [Y], validate=validate)
     if out.key == P.key:
@@ -1569,17 +1474,14 @@ def bongartz_complete(algebra, P, validate=True):
 
     Support-aware: vertices absent from the (reduced) complex whose
     cohomology also vanishes there contribute shifted projectives; the
-    remaining slots are filled by the cocone of the all-basis approximation
-    onto the shifted free module.
+    remaining slots are filled by the right exchange cone of the shifted
+    free module by those classes.
     """
     P = _as_complex(P)
     red = reduce_complex(algebra, P)
     if not red.is_zero() and not is_presilting(algebra, red):
         raise NotPresilting("input is not presilting")
-    classes = []
-    for p in decompose(algebra, red):
-        if not any(complexes_isomorphic(algebra, p, q) for q in classes):
-            classes.append(p)
+    classes = _summand_classes(algebra, decompose(algebra, red))
     h0 = h0_dim_vector(algebra, red) if not red.is_zero() else (
         (0,) * len(algebra.quiver.vertices)
     )
@@ -1587,18 +1489,8 @@ def bongartz_complete(algebra, P, validate=True):
     for v in range(len(algebra.quiver.vertices)):
         if v not in present and h0[v] == 0:
             classes.append(stalk(algebra, [v], -1))
-    target = lambda_shifted(algebra)
-    g_mats, E = _stacked_approximation(algebra, target, classes, reverse=True)
-    if E is None:
-        D = target.shift(-1)
-    else:
-        D = cone(algebra, g_mats, E, target).shift(-1)
-    D = reduce_complex(algebra, D)
-    _require_two_term(D, "completion cocone")
-    all_parts = list(classes)
-    for p in decompose(algebra, D):
-        if not any(complexes_isomorphic(algebra, p, q) for q in all_parts):
-            all_parts.append(p)
+    D = _exchange_cone(algebra, lambda_shifted(algebra), classes, "right", {})
+    all_parts = classes + _summand_classes(algebra, decompose(algebra, D), classes)
     out = SiltingObject(algebra, all_parts, validate=validate)
     if validate:
         for c in classes:
@@ -1622,12 +1514,9 @@ def check_silting_module(algebra, presentation):
         completion = bongartz_complete(algebra, red)
     except NotPresilting:
         return False
-    mine = []
-    for p in decompose(algebra, red):
-        if any(h0_dim_vector(algebra, p)) and not any(
-            complexes_isomorphic(algebra, p, q) for q in mine
-        ):
-            mine.append(p)
+    mine = _summand_classes(
+        algebra, [p for p in decompose(algebra, red) if any(h0_dim_vector(algebra, p))]
+    )
     theirs = [
         s for s in completion.summands if any(h0_dim_vector(algebra, s))
     ]
@@ -1754,10 +1643,9 @@ def tors_lattice(algebra, cap=None, config=DEFAULTS):
     finite algebras this is the lattice of torsion classes."""
     result = enumerate_2silt(algebra, cap, config)
     poset = result.poset
-    labels = [
+    return poset.relabeled(
         "H0=" + _fmt_vecs(result.objects[i].h0_key()) for i in poset.ids
-    ]
-    return FinitePoset(list(zip(poset.ids, labels)), poset.covers)
+    )
 
 
 def is_tau_tilting_finite(algebra, cap=None, config=DEFAULTS):
@@ -1851,32 +1739,10 @@ def _parse_entry(algebra, text, col_vertex, row_vertex):
     text = text.strip()
     if text in ("0", ""):
         return 0
-    s = "".join(text.split())
-    terms = []
-    sign = 1
-    i = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    start = i
-    while i <= len(s):
-        if i == len(s) or s[i] in "+-":
-            if i == start:
-                raise ParseError(f"empty term in entry {text!r}")
-            terms.append((sign, s[start:i]))
-            if i < len(s):
-                sign = -1 if s[i] == "-" else 1
-                start = i + 1
-        i += 1
     acc = None
-    for sgn, term in terms:
-        factors = term.split("*")
-        coeff = Fraction(sgn)
-        if re.fullmatch(r"\d+(/\d+)?", factors[0]) and factors[0] not in algebra.quiver.arrow_index:
-            coeff *= Fraction(factors[0])
-            factors = factors[1:]
-        if not factors:
-            raise ParseError(f"term {term!r} has no path part")
+    for coeff, factors in _signed_terms(
+        text, algebra.quiver.arrow_index, f"entry {text!r}"
+    ):
         el = None
         for f in factors:
             if f in algebra.quiver.arrow_index:
@@ -1888,7 +1754,7 @@ def _parse_entry(algebra, text, col_vertex, row_vertex):
             try:
                 el = nxt if el is None else el * nxt
             except ValueError as exc:
-                raise ParseError(f"non-composable path in {term!r}") from exc
+                raise ParseError(f"non-composable path {'*'.join(factors)!r}") from exc
         el = el.scale(coeff)
         try:
             acc = el if acc is None else acc + el

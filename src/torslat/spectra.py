@@ -404,8 +404,7 @@ def classify_tors(model, config=DEFAULTS):
     spec = model.spec
     if model.mode == "identity" and len(spec):
         _certify_monotone_maps(spec, model.fibers[spec.ids[0]], poset, config)
-    labels = ["tors" + l for l in poset.labels]
-    return FinitePoset(list(zip(poset.ids, labels)), poset.covers)
+    return poset.relabeled("tors" + l for l in poset.labels)
 
 
 def classify_tors_hom_form(spec, lattice, config=DEFAULTS):
@@ -574,6 +573,8 @@ def parse_spectrum(text, base_dir="."):
                     fibers[p] = FinitePoset.from_json(fh.read())
             except OSError as exc:
                 raise ParseError(f"cannot read {path!r}: {exc}", line=lineno)
+            except ParseError as exc:
+                raise ParseError(f"fiber file {path!r}: {exc}", line=lineno) from exc
         elif head == "mode":
             m = _MODE_RE.match(line)
             if not m or m.group(1) not in ("identity", "explicit"):

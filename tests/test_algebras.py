@@ -355,6 +355,12 @@ class TestTextFormat:
             with pytest.raises(ParseError):
                 parse_algebra(base + rel + "\n")
 
+    def test_zero_denominator_in_relation(self):
+        text = "vertices = 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\nrelation 1/0*b*a\n"
+        with pytest.raises(ParseError) as exc:
+            parse_algebra(text)
+        assert exc.value.line == 4
+
     def test_unknown_arrow_in_relation(self):
         with pytest.raises(ParseError):
             parse_algebra("vertices = 1\narrow x : 1 -> 1\nrelation y*y\n")

@@ -163,6 +163,18 @@ class TestConstruction:
         assert p.label_of("n1") == "first"
         assert p.label_of("n2") == "n2"
 
+    def test_relabeled_shares_the_order(self):
+        square = product([chain(2), chain(2)])
+        p = square.relabeled(f"x{i}" for i in range(4))
+        assert type(p) is FinitePoset
+        assert p.labels == ("x0", "x1", "x2", "x3")
+        assert (p.ids, p.index, p.up, p.down, p.covers) == (
+            square.ids, square.index, square.up, square.down, square.covers
+        )
+        assert p.up is square.up and square.labels != p.labels
+        with pytest.raises(ValueError):
+            square.relabeled(["x0"])
+
     def test_covers_must_be_the_transitive_reduction(self):
         # a redundant pair is dropped: c > a follows from c > b > a
         p = FinitePoset(["a", "b", "c"], [("c", "a"), ("c", "b"), ("b", "a")])

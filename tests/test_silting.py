@@ -2,6 +2,7 @@
 mutation, completion, and the enumeration of the silting order."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,6 +23,7 @@ from torslat.fixtures import corpus
 from torslat.silting import (
     SiltingObject,
     _euler_pairing,
+    _mat_compose,
     bongartz_complete,
     check_presilting_family,
     check_silting_module,
@@ -179,6 +181,10 @@ class TestConstruction:
         with pytest.raises(ParseError):
             parse_complex(A2, "P = [e2] -> [e1, e1] ; d = [[1*a]]")
 
+    def test_parse_rejects_zero_denominator(self):
+        with pytest.raises(ParseError):
+            parse_complex(A2, "P = [e2] -> [e1] ; d = [[1/0*a]]")
+
     def test_parse_empty_minus(self):
         P = parse_complex(A2, "P = [] -> [e2] ; d = [[]]")
         assert P.degrees() == (0,)
@@ -302,6 +308,61 @@ class TestReduce:
         assert hom_k_dim(BG, C, C) == hom_k_dim(BG, red, red)
 
 
+@lru_cache(maxsize=None)
+def summand_pool(algebra):
+    """The indecomposable summands of the two-term silting objects, one
+    per g-vector."""
+    pool = {}
+    for obj in enumerate_2silt(algebra).objects.values():
+        for s in obj.summands:
+            pool.setdefault(g_vector(s), s)
+    return [pool[g] for g in sorted(pool)]
+
+
+@st.composite
+def disguised_sums(draw):
+    """(algebra, chosen summands, their direct sum conjugated by u = 1 + x).
+
+    x is one entry, a scalar or arrow multiple, from a chosen summand to
+    another chosen summand in the same degree, so x^2 = 0, u^-1 = 1 - x
+    and the differential d becomes u d (degree 0) or d u^-1 (degree -1)."""
+    algebra = draw(st.sampled_from([A3, N3]))
+    chosen = draw(st.lists(st.sampled_from(summand_pool(algebra)), min_size=2, max_size=4))
+    S = direct_sum(chosen)
+    slots = []
+    for n, t in S.summands.items():
+        owner = [i for i, s in enumerate(chosen) for _ in s.summands_at(n)]
+        for r, vr in enumerate(t):
+            for c, vc in enumerate(t):
+                if owner[r] != owner[c]:
+                    slots += [
+                        (n, r, c, b)
+                        for b in algebra.corner_indices(vc, vr)
+                        if algebra.basis_length(b) <= 1
+                    ]
+    assume(slots)
+    n, r0, c0, b = draw(st.sampled_from(slots))
+    x = Fraction(draw(st.sampled_from([-2, -1, 1, 3])))
+    t = S.summands[n]
+
+    def unipotent(coeff):
+        return [
+            [
+                {algebra.idempotent_index(t[r]): Fraction(1)} if r == c
+                else {b: coeff} if (r, c) == (r0, c0) else {}
+                for c in range(len(t))
+            ]
+            for r in range(len(t))
+        ]
+
+    d = S.diff_at(-1)
+    if -1 in S.summands and 0 in S.summands:
+        d = _mat_compose(algebra, d, unipotent(x)) if n == 0 else _mat_compose(
+            algebra, unipotent(-x), d
+        )
+    return algebra, chosen, two_term(algebra, S.summands_at(-1), S.summands_at(0), d)
+
+
 class TestDecompose:
     def test_free_module_splits_into_stalks(self):
         parts = decompose(A2, lambda_complex(A2))
@@ -359,6 +420,17 @@ class TestDecompose:
                 g[i] += x
         assert tuple(g) == g_vector(red)
         assert complexes_isomorphic(BG, direct_sum(parts), red)
+
+    @given(disguised_sums())
+    @settings(max_examples=40, deadline=None)
+    def test_disguised_sums_split_into_their_summands(self, case):
+        algebra, chosen, disguised = case
+        parts = decompose(algebra, disguised)
+        assert sorted(g_vector(p) for p in parts) == sorted(g_vector(s) for s in chosen)
+        for p in parts:
+            assert any(
+                complexes_isomorphic(algebra, p, s) for s in chosen if g_vector(s) == g_vector(p)
+            )
 
 
 class TestIsomorphism:

@@ -26,6 +26,7 @@ from torslat.posets import (
     specialization_closed,
 )
 from torslat.spectra import (
+    SimPoset,
     SpecModel,
     cambrian_classification,
     classify_local_fibers,
@@ -36,6 +37,7 @@ from torslat.spectra import (
     load_spectrum,
     parse_spectrum,
     validate,
+    validate_sim,
 )
 
 TESTS = Path(__file__).resolve().parent
@@ -182,6 +184,19 @@ def test_parse_error_carries_the_line():
         parse_spectrum("primes = p q\n\nfrobnicate p\n")
     assert info.value.line == 3
     assert str(info.value) == "line 3: unrecognized directive 'frobnicate'"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("{not json", "bad JSON"), ('{"elements": [{"id": "x"}], "covers": [["x", "y"]]}', "'y'")],
+)
+def test_fiber_file_errors_carry_the_directive_line(tmp_path, body, message):
+    (tmp_path / "bad.json").write_text(body)
+    text = "primes = p\n# the fiber follows\nfiber p = bad.json\n"
+    with pytest.raises(ParseError) as info:
+        parse_spectrum(text, base_dir=str(tmp_path))
+    assert info.value.line == 3
+    assert "bad.json" in str(info.value) and message in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +358,52 @@ def test_two_element_fibers_give_the_specialization_closed_subsets(spec):
     assert sorted(masks) == sorted(spcl.masks)
     for a, m in enumerate(masks):
         assert compat.up[a] == sum(1 << b for b, n in enumerate(masks) if not m & ~n)
+
+
+@given(explicit_models())
+@settings(max_examples=40, deadline=None)
+def test_torf_is_the_product_of_the_opposite_fibers(model):
+    # torf: every tuple, with a <= b iff b_p <= a_p in the fiber at every p
+    fib = [model.fibers[p] for p in model.spec.ids]
+    torf = classify_torf(model)
+    assert sorted(torf.tuples) == list(itertools.product(*(range(len(f)) for f in fib)))
+    for a, ta in enumerate(torf.tuples):
+        expected = 0
+        for b, tb in enumerate(torf.tuples):
+            if all(f.leq(f.ids[j], f.ids[i]) for f, i, j in zip(fib, ta, tb)):
+                expected |= 1 << b
+        assert torf.up[a] == expected
+
+
+@st.composite
+def sim_posets(draw):
+    """Valid tagged simple posets: s_i <= s_j is drawn only where the prime
+    of s_i contains the prime of s_j, which the order's closure keeps."""
+    spec = draw(posets(max_size=3))
+    assume(len(spec))
+    n = draw(st.integers(0, 5))
+    ids = [f"s{i}" for i in range(n)]
+    tags = [draw(st.sampled_from(spec.ids)) for _ in ids]
+    pairs = [
+        (ids[i], ids[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if spec.leq(tags[j], tags[i]) and draw(st.booleans())
+    ]
+    return SimPoset(spec, build_poset(ids, pairs), dict(zip(ids, tags)))
+
+
+@given(sim_posets())
+@settings(max_examples=40, deadline=None)
+def test_serre_subcategories_are_the_down_sets_of_the_simple_poset(sim):
+    assert validate_sim(sim) == ()
+    p = sim.poset
+    n = len(p)
+    down_closed = [
+        m for m in range(1 << n)
+        if all(m >> j & 1 for i in range(n) if m >> i & 1 for j in range(n) if p.leq_idx(j, i))
+    ]
+    assert sorted(classify_serre(sim).masks) == down_closed
 
 
 def test_msilt_golden_is_the_closed_point_fiber():
