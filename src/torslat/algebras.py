@@ -33,6 +33,10 @@ _RATIONAL_RE = re.compile(r"\d+(/\d+)?\Z")
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# associativity is checked on every triple of basis elements up to this
+# dimension, on a sample of about 16 indices above it
+ASSOCIATIVITY_FULL_DIM = 40
+
 
 class Quiver:
     """Finite quiver: named vertices and named arrows with endpoints."""
@@ -494,7 +498,7 @@ class PathAlgebra:
                     )
 
     def _check_associativity(self):
-        if self.dim <= 40:
+        if self.dim <= ASSOCIATIVITY_FULL_DIM:
             idxs = range(self.dim)
         else:
             step = self.dim // 16 + 1

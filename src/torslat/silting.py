@@ -1284,9 +1284,11 @@ class SiltingObject:
 
     def __init__(self, algebra, summands, validate=True):
         self.algebra = algebra
-        parts = sorted(summands, key=lambda s: g_vector(s))
-        self.summands = tuple(parts)
-        self.key = tuple(sorted(g_vector(s) for s in self.summands))
+        summands = tuple(summands)
+        # the index breaks ties as a stable sort by g-vector would
+        order = sorted((g_vector(s), i) for i, s in enumerate(summands))
+        self.summands = tuple(summands[i] for _, i in order)
+        self.key = tuple(g for g, _ in order)
         self._h0 = None
         if validate:
             n = len(algebra.quiver.vertices)
@@ -1302,10 +1304,7 @@ class SiltingObject:
 
     def h0_key(self):
         if self._h0 is None:
-            dims = [
-                h0_dim_vector(self.algebra, s) for s in self.summands
-            ]
-            self._h0 = tuple(sorted(d for d in dims if any(d)))
+            self._h0 = _h0_key(self.algebra, self.summands, {})
         return self._h0
 
     def id_string(self):
@@ -1344,12 +1343,30 @@ def _as_complex(P):
 # approximation, mutation, completion
 
 
-def _memo_hom_k_basis(algebra, X, Y, memo):
-    k = ("homk", X.key(), Y.key())
+def _h0_key(algebra, summands, memo):
+    """Sorted nonzero H0 dimension vectors of the summands; memo maps a
+    summand to its vector."""
+    dims = []
+    for s in summands:
+        d = memo.get(s)
+        if d is None:
+            d = memo[s] = h0_dim_vector(algebra, s)
+        dims.append(d)
+    return tuple(sorted(d for d in dims if any(d)))
+
+
+def _memoised(fn, algebra, X, Y, memo):
+    """fn(algebra, X, Y), kept in memo under fn and the keys of X, Y."""
+    k = (fn, X.key(), Y.key())
     out = memo.get(k)
     if out is None:
-        out = memo[k] = hom_k_basis(algebra, X, Y)
+        out = memo[k] = fn(algebra, X, Y)
     return out
+
+
+def _backward_dim(algebra, X, Y):
+    """dim Hom_K(X, Y[-1])."""
+    return hom_k_dim(algebra, X, Y.shift(-1))
 
 
 def _exchange_cone(algebra, X, classes, direction, memo):
@@ -1371,10 +1388,10 @@ def _exchange_cone(algebra, X, classes, direction, memo):
     blocks = []
     for R in classes:
         A, B = (X, R) if left else (R, X)
-        pred = _euler_pairing(algebra, A, B) + hom_k_dim(algebra, A, B.shift(-1))
+        pred = _euler_pairing(algebra, A, B) + _memoised(_backward_dim, algebra, A, B, memo)
         if pred == 0:
             continue
-        var_list, basis = _memo_hom_k_basis(algebra, A, B, memo)
+        var_list, basis = _memoised(hom_k_basis, algebra, A, B, memo)
         if len(basis) != pred:
             raise CertificationFailed("hom dimension disagrees with its prediction")
         blocks.extend((R, _materialize(algebra, A, B, var_list, v)) for v in basis)
@@ -1577,13 +1594,21 @@ def enumerate_2silt(algebra, cap=None, config=DEFAULTS):
     """All two-term silting objects, by mutation search from the free
     module; order: Q <= P iff Hom(P, Q[1]) = 0.
 
-    Every left mutation found is recorded as an edge pointing down.  For a
+    Removing one summand leaves an almost complete presilting complex with
+    exactly two silting completions, one the left and the other the right
+    mutation of the object (Adachi-Iyama-Reiten, tau-tilting theory, Thm.
+    2.18).  So each (object, summand) pair is mutated once: left, and right
+    only if the left cone is not two-term; a pair whose edge was already
+    found from its other end is skipped.  A pair refused in both
+    directions raises CertificationFailed.
+
+    Every mutation found is recorded as an edge pointing down.  For a
     tau-tilting finite algebra these edges form the Hasse quiver of the
-    order (Adachi-Iyama-Reiten, tau-tilting theory, Cor. 2.34), so the
-    order is the reflexive-transitive closure of the edges and no Hom
-    between two silting objects is computed.  The result is certified by
-    checking that the edges are exactly the covers of that closure, with
-    the free module on top and its shift at the bottom.
+    order (Adachi-Iyama-Reiten, Cor. 2.34), so the order is the
+    reflexive-transitive closure of the edges and no Hom between two
+    silting objects is computed.  The result is certified by checking that
+    the edges are exactly the covers of that closure, with the free module
+    on top and its shift at the bottom.
     """
     cap = cap if cap is not None else config.silting_cap
     start = silting_lambda(algebra, validate=True)
@@ -1591,36 +1616,42 @@ def enumerate_2silt(algebra, cap=None, config=DEFAULTS):
     edges = set()
     queue = [start]
     memo = {}
-    # left and right mutation at the exchanged summand are mutually inverse,
-    # so each discovered edge marks its reverse computation as done
+    # (object key, summand index) pairs whose edge is known from either end
     done = set()
     while queue:
         cur = queue.pop(0)
         for k in range(len(cur.summands)):
-            for direction in ("left", "right"):
-                if (cur.key, k, direction) in done:
-                    continue
+            if (cur.key, k) in done:
+                continue
+            try:
+                nxt = mutate(algebra, cur, k, "left", validate=False, memo=memo)
+            except ConeNotTwoTerm:
                 try:
-                    nxt = mutate(algebra, cur, k, direction, validate=False, memo=memo)
+                    nxt = mutate(algebra, cur, k, "right", validate=False, memo=memo)
                 except ConeNotTwoTerm:
-                    continue
-                if direction == "left":
-                    edges.add((cur.key, nxt.key))
-                else:
-                    edges.add((nxt.key, cur.key))
-                (new_g,) = set(nxt.key) - set(cur.key)
-                reverse = "right" if direction == "left" else "left"
-                done.add((nxt.key, nxt.key.index(new_g), reverse))
-                if nxt.key not in objects:
-                    objects[nxt.key] = nxt
-                    if len(objects) > cap:
-                        raise CapExceeded(
-                            f"more than {cap} silting objects; "
-                            "not certified tau-tilting finite"
-                        )
-                    queue.append(nxt)
+                    raise CertificationFailed(
+                        f"summand {k} of {cur.id_string()} has no two-term "
+                        "exchange partner"
+                    ) from None
+                edges.add((nxt.key, cur.key))
+            else:
+                edges.add((cur.key, nxt.key))
+            (new_g,) = set(nxt.key) - set(cur.key)
+            done.add((nxt.key, nxt.key.index(new_g)))
+            if nxt.key not in objects:
+                objects[nxt.key] = nxt
+                if len(objects) > cap:
+                    raise CapExceeded(
+                        f"more than {cap} silting objects; "
+                        "not certified tau-tilting finite"
+                    )
+                queue.append(nxt)
     keys = sorted(objects)
     ids = {k: objects[k].id_string() for k in keys}
+    # neighbouring objects share summands: one H0 per distinct summand
+    h0_memo = {}
+    for obj in objects.values():
+        obj._h0 = _h0_key(algebra, obj.summands, h0_memo)
     elements = [(ids[k], objects[k].label()) for k in keys]
     edge_ids = tuple(sorted((ids[a], ids[b]) for a, b in edges))
     poset = build_poset(elements, [(lower, upper) for upper, lower in edge_ids])

@@ -76,6 +76,28 @@ N3 = build_algebra(
     [[(1, [f"a{i % 3 + 1}", f"a{i}"])] for i in range(1, 4)],
 )
 
+# 1 -> 2 <- 3
+A3_SINK = build_algebra(
+    Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")]), []
+)
+# branch vertex 3, one arrow into it and two out of it
+D4 = build_algebra(
+    Quiver(
+        ["1", "2", "3", "4"],
+        [("a", "1", "3"), ("b", "3", "2"), ("c", "3", "4")],
+    ),
+    [],
+)
+A4 = build_algebra(
+    Quiver(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "3", "2"), ("c", "3", "4")],
+    ),
+    [],
+)
+EXCHANGE_CASES = [A for _, A in corpus()] + [N3, A3_SINK, D4]
+EXCHANGE_IDS = [n for n, _ in corpus()] + ["N3", "A3-sink", "D4"]
+
 
 def s1_presentation():
     # the radical cover of the first projective; cokernel is the simple S1
@@ -536,6 +558,20 @@ class TestMutation:
             with pytest.raises(ConeNotTwoTerm):
                 mutate(A2, top, k, "right")
 
+    @pytest.mark.parametrize("A", EXCHANGE_CASES, ids=EXCHANGE_IDS)
+    def test_exactly_one_direction_is_two_term(self, A):
+        # an almost complete two-term presilting complex has exactly two
+        # completions, one on each side (Adachi-Iyama-Reiten, Thm. 2.18)
+        for obj in enumerate_2silt(A).objects.values():
+            for k in range(len(obj.summands)):
+                refused = []
+                for direction in ("left", "right"):
+                    try:
+                        mutate(A, obj, k, direction)
+                    except ConeNotTwoTerm:
+                        refused.append(direction)
+                assert len(refused) == 1, (obj.id_string(), k, refused)
+
     def test_rejects_plain_complex(self):
         with pytest.raises(NotSilting):
             mutate(A2, lambda_complex(A2), 0, "left")
@@ -667,6 +703,76 @@ class TestEnumeration:
 
         monkeypatch.setattr(silting_module, "mutate", mutate)
         with pytest.raises(CertificationFailed):
+            enumerate_2silt(A2)
+
+    @pytest.mark.parametrize("A", EXCHANGE_CASES, ids=EXCHANGE_IDS)
+    def test_every_object_has_one_edge_per_summand(self, A):
+        r = enumerate_2silt(A)
+        n = len(A.quiver.vertices)
+        degree = dict.fromkeys(r.objects, 0)
+        for upper, lower in r.edges:
+            degree[upper] += 1
+            degree[lower] += 1
+        assert set(degree.values()) == {n}
+
+    def test_each_summand_mutated_once(self, monkeypatch):
+        # left once per (object, summand) whose edge is not yet known,
+        # right only after that left was refused, nothing repeated
+        real = silting_module.mutate
+        calls = []
+
+        def mutate(algebra, P, k, direction, **kw):
+            try:
+                out = real(algebra, P, k, direction, **kw)
+            except ConeNotTwoTerm:
+                calls.append((P.key, k, direction, False))
+                raise
+            calls.append((P.key, k, direction, True))
+            return out
+
+        monkeypatch.setattr(silting_module, "mutate", mutate)
+        r = enumerate_2silt(A4)
+        tried = [c[:3] for c in calls]
+        assert len(set(tried)) == len(tried)
+        refused_left = {c[:2] for c in calls if c[2] == "left" and not c[3]}
+        assert {c[:2] for c in calls if c[2] == "right"} == refused_left
+        assert sum(ok for *_, ok in calls) == len(r.edges)
+        assert len(calls) <= len(A4.quiver.vertices) * len(r.objects)
+
+    def test_pair_without_exchange_partner_detected(self, monkeypatch):
+        # refuse both directions at the first summand of the top
+        real = silting_module.mutate
+
+        def mutate(algebra, P, k, direction, **kw):
+            if P.id_string() == M_LAMBDA and k == 0:
+                raise ConeNotTwoTerm("refused for the test")
+            return real(algebra, P, k, direction, **kw)
+
+        monkeypatch.setattr(silting_module, "mutate", mutate)
+        with pytest.raises(CertificationFailed, match="no two-term exchange partner"):
+            enumerate_2silt(A2)
+
+    @pytest.mark.parametrize(
+        "obj, k, message",
+        [
+            (M_LAMBDA, 0, "free module is not the unique maximum"),
+            (M2, 1, "edges are not the covers of their order"),
+            (M3, 1, "shifted free module is not the unique minimum"),
+        ],
+    )
+    def test_reversed_mutation_edge_detected(self, monkeypatch, obj, k, message):
+        # swap the directions at one (object, summand) pair of the pentagon:
+        # its edge is recorded upside down, every pair still has a two-term
+        # partner, and the final checks on the order refuse the result
+        real = silting_module.mutate
+
+        def mutate(algebra, P, j, direction, **kw):
+            if P.id_string() == obj and j == k:
+                direction = "right" if direction == "left" else "left"
+            return real(algebra, P, j, direction, **kw)
+
+        monkeypatch.setattr(silting_module, "mutate", mutate)
+        with pytest.raises(CertificationFailed, match=message):
             enumerate_2silt(A2)
 
     def test_pentagon_edges_match_covers(self, pentagon):
