@@ -4,10 +4,12 @@ An independent check on the complex-based machinery: modules are stored as
 literal matrix representations over F_p, splitting and isomorphism are
 decided by searching for explicit intertwiners, and torsion classes are
 the subsets of indecomposable classes closed under literal closure
-conditions, listed by NextClosure.  Deliberately naive and capped
-everywhere; without an explicit dimension bound only a short table of
-certified algebra shapes is accepted, so the exhaustive searches stay
-honest.
+conditions, listed by NextClosure.  The searches are exhaustive and capped
+everywhere.  They skip only what provably adds nothing: matrix assignments
+that cannot be the first of their class, subspace tuples with an unstable
+part, and cocycles cohomologous to one already taken.  Without an explicit
+dimension bound only a short table of certified algebra shapes is
+accepted, so the exhaustive searches stay honest.
 
 Matrices are tuples of row tuples with entries reduced mod p; the matrix of
 an arrow has one row per target-vertex dimension and one column per
@@ -772,28 +774,53 @@ def _subspaces(p, d):
     return out
 
 
+def _inside(p, vecs, sub):
+    """Whether every vector lies in the subspace (pivot columns, RREF rows)."""
+    pivs, rows = sub
+    return all(_coords_in_rref(p, rows, pivs, w) is not None for w in vecs)
+
+
 def _stable_tuples(algebra, rep):
-    """Arrow-stable per-vertex subspace tuples of rep."""
+    """Arrow-stable per-vertex subspace tuples of rep.
+
+    The subspace is chosen vertex by vertex in index order, each vertex
+    running through _subspaces in its order, so the tuples come out in the
+    order of the full product sweep.  An arrow is checked as soon as both
+    of its ends are chosen; its condition involves only those two
+    subspaces, so a partial tuple that fails it is cut with every
+    completion, none of which is stable.  The images of each source
+    subspace's basis are computed once per arrow.
+    """
     p = rep.p
     q = algebra.quiver
+    nv = len(rep.dims)
     per_vertex = [_subspaces(p, d) for d in rep.dims]
+    due = [[] for _ in range(nv)]  # arrows whose later end is the vertex
+    for a in range(len(q.arrows)):
+        s, t = q.arrow_source(a), q.arrow_target(a)
+        images = [
+            [w for w in (_mat_vec(p, rep.mats[a], u) for u in rows) if any(w)]
+            for _, rows in per_vertex[s]
+        ]
+        due[max(s, t)].append((images, s, t))
     out = []
-    for choice in product(*per_vertex):
-        ok = True
-        for a in range(len(q.arrows)):
-            s, t = q.arrow_source(a), q.arrow_target(a)
-            pivs_t, rows_t = choice[t]
-            for u in choice[s][1]:
-                w = _mat_vec(p, rep.mats[a], u)
-                if not any(w):
-                    continue
-                if not rows_t or _coords_in_rref(p, rows_t, pivs_t, w) is None:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(choice)
+    nxt = [0] * nv  # next subspace to try at each vertex; nxt - 1 is chosen
+    v = 0
+    while v >= 0:
+        if nxt[v] == len(per_vertex[v]):
+            nxt[v] = 0
+            v -= 1
+            continue
+        nxt[v] += 1
+        if not all(
+            _inside(p, images[nxt[s] - 1], per_vertex[t][nxt[t] - 1])
+            for images, s, t in due[v]
+        ):
+            continue
+        if v == nv - 1:
+            out.append(tuple(subs[k - 1] for subs, k in zip(per_vertex, nxt)))
+        else:
+            v += 1
     return out
 
 
@@ -825,34 +852,73 @@ def _quotient_rep(algebra, rep, choice):
     return Representation(algebra, p, dims, mats, validate=False)
 
 
+def _coboundary_pivots(p, q, x, y, offs):
+    """Pivot columns of the echelon form of the coboundaries: the blocks
+    x_a h_s - h_t y_a, spanned one unit map h: y_v -> x_v at a time."""
+    nvars = offs[-1]
+    rows = []
+    for v in range(len(x.dims)):
+        for i in range(x.dims[v]):
+            for j in range(y.dims[v]):
+                # h has a single 1, at (i, j) of vertex v
+                row = [0] * nvars
+                for a in range(len(q.arrows)):
+                    s, t = q.arrow_source(a), q.arrow_target(a)
+                    cols = y.dims[s]
+                    if s == v:  # x_a h_s: column i of x_a, at column j
+                        for r in range(x.dims[t]):
+                            row[offs[a] + r * cols + j] += x.mats[a][r][i]
+                    if t == v:  # h_t y_a: row j of y_a, at row i
+                        for c in range(cols):
+                            row[offs[a] + i * cols + c] -= y.mats[a][j][c]
+                row = [e % p for e in row]
+                if any(row):
+                    rows.append(row)
+    return modp_echelon(rows, nvars, p)[0]
+
+
 def _extensions(algebra, x, y, config):
-    """Middle terms of short exact sequences with sub x and quotient y."""
+    """Middle terms of short exact sequences with sub x and quotient y,
+    one for each class of Ext^1(y, x).
+
+    A middle term has the arrow matrices [[x_a, c_a], [0, y_a]], and the
+    connecting blocks c on which the relations vanish are the cocycles Z.
+    Changing the basis by [[1, h], [0, 1]] adds the coboundary
+    x_a h_s - h_t y_a to c, so cohomologous cocycles give isomorphic middle
+    terms and Ext^1(y, x) = Z/B.  Every coset of B meets the blocks that
+    vanish on the pivot columns of B's echelon form exactly once, so only
+    those blocks are swept, in the order of the full sweep, and filtered
+    by the relations.  The cap still applies to all p^nvars blocks.
+    """
     p = x.p
     q = algebra.quiver
     shapes = [
         (x.dims[q.arrow_target(a)], y.dims[q.arrow_source(a)])
         for a in range(len(q.arrows))
     ]
-    nvars = sum(r * c for r, c in shapes)
+    offs = [0]  # where each arrow's block starts in the flat vector
+    for r, c in shapes:
+        offs.append(offs[-1] + r * c)
+    nvars = offs[-1]
     if p ** nvars > config.oracle_cocycle_cap:
         raise SearchSpaceExceeded(
             f"{p ** nvars} connecting blocks exceed the cap of {config.oracle_cocycle_cap}"
         )
+    pivots = set(_coboundary_pivots(p, q, x, y, offs))
+    free = [k for k in range(nvars) if k not in pivots]
     dims = tuple(xd + yd for xd, yd in zip(x.dims, y.dims))
-    for flat in product(range(p), repeat=nvars):
+    flat = [0] * nvars
+    for vals in product(range(p), repeat=len(free)):
+        for k, val in zip(free, vals):
+            flat[k] = val
         mats = []
-        pos = 0
         for a in range(len(q.arrows)):
             s, t = q.arrow_source(a), q.arrow_target(a)
-            rows_x, cols_y = shapes[a]
-            block = [
-                flat[pos + i * cols_y : pos + (i + 1) * cols_y]
-                for i in range(rows_x)
-            ]
-            pos += rows_x * cols_y
+            pos, cols_y = offs[a], shapes[a][1]
             m = []
             for i in range(x.dims[t]):
-                m.append(tuple(x.mats[a][i]) + tuple(block[i]))
+                block_row = flat[pos + i * cols_y : pos + (i + 1) * cols_y]
+                m.append(tuple(x.mats[a][i]) + tuple(block_row))
             for i in range(y.dims[t]):
                 m.append((0,) * x.dims[s] + tuple(y.mats[a][i]))
             mats.append(tuple(m))
@@ -960,13 +1026,17 @@ def brute_torsion_classes(algebra, field=None, dim_bound=None, config=DEFAULTS):
     """Poset of subsets of indecomposable classes closed under quotients of
     two-member sums and under extensions, ordered by inclusion.
 
-    The two-member truncation is validated by the cross-check suite.  The
-    subsets are listed by posets.closed_sets and each is checked against
-    the requirement tables.  The closures of each listed T plus one class
-    must be listed too, which makes the listing complete: every closed set
-    is reached from the closure of the empty set by such steps.  The
-    minimal steps are T's covers; the order built from them must be
-    inclusion.
+    The requirement tables take the quotients of each two-member sum from
+    its arrow-stable subspace tuples, chosen vertex by vertex with each
+    arrow checked once both of its ends are chosen, and the extensions
+    from one middle term per class of Ext^1, swept over the blocks that
+    vanish on the pivots of the coboundaries.  The two-member truncation
+    is validated by the cross-check suite.  The subsets are listed by
+    posets.closed_sets and each is checked against the requirement
+    tables.  The closures of each listed T plus one class must be listed
+    too, which makes the listing complete: every closed set is reached
+    from the closure of the empty set by such steps.  The minimal steps
+    are T's covers; the order built from them must be inclusion.
     """
     return _brute_closed_subsets(algebra, field, dim_bound, config, False)
 

@@ -691,8 +691,9 @@ class TestEnumeration:
         assert tuple(up) == r.poset.up
 
     def test_missing_mutation_edge_detected(self, monkeypatch):
-        # drop the exchange between the top and M1: the order read off the
-        # remaining edges has two maxima, which the certification refuses
+        # drop the exchange between the top and M1: neither direction at
+        # that summand is two-term any more, which the search refuses
+        # before it reads an order off the edges
         real = silting_module.mutate
 
         def mutate(algebra, P, k, direction, **kw):
@@ -702,7 +703,7 @@ class TestEnumeration:
             return out
 
         monkeypatch.setattr(silting_module, "mutate", mutate)
-        with pytest.raises(CertificationFailed):
+        with pytest.raises(CertificationFailed, match="no two-term exchange partner"):
             enumerate_2silt(A2)
 
     @pytest.mark.parametrize("A", EXCHANGE_CASES, ids=EXCHANGE_IDS)
