@@ -1,5 +1,5 @@
 """Finite-dimensional path algebras with admissible relations, over exact
-rationals.
+rationals: integral coefficients are ints, the rest Fractions (see linalg).
 
 Composition convention, fixed once and used by every matrix in the package:
 the written product ``b*a`` applies ``a`` first, then ``b``.  A path with
@@ -25,13 +25,10 @@ from .errors import (
     NotFiniteDimensional,
     ParseError,
 )
-from .linalg import Echelon, vec_add_scaled
+from .linalg import Echelon, exact_div, intify, vec_add_scaled
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.']+\Z")
 _RATIONAL_RE = re.compile(r"\d+(/\d+)?\Z")
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # associativity is checked on every triple of basis elements up to this
 # dimension, on a sample of about 16 indices above it
@@ -78,8 +75,9 @@ class Quiver:
 class AlgebraElement:
     """Element of one corner e_t A e_s: the carrier for differential entries.
 
-    coeffs maps basis index -> nonzero Fraction; every indexed basis path
-    has the declared target/source.
+    coeffs maps basis index -> nonzero coefficient (an int where integral,
+    else a Fraction); every indexed basis path has the declared
+    target/source.
     """
 
     __slots__ = ("algebra", "target", "source", "coeffs")
@@ -118,20 +116,20 @@ class AlgebraElement:
     def __add__(self, other):
         self._same_corner(other)
         out = dict(self.coeffs)
-        vec_add_scaled(out, other.coeffs, ONE)
+        vec_add_scaled(out, other.coeffs, 1)
         return AlgebraElement(self.algebra, self.target, self.source, out)
 
     def __sub__(self, other):
         self._same_corner(other)
         out = dict(self.coeffs)
-        vec_add_scaled(out, other.coeffs, -ONE)
+        vec_add_scaled(out, other.coeffs, -1)
         return AlgebraElement(self.algebra, self.target, self.source, out)
 
     def __neg__(self):
-        return self.scale(-ONE)
+        return self.scale(-1)
 
     def scale(self, s):
-        s = Fraction(s)
+        s = intify(Fraction(s))
         return AlgebraElement(
             self.algebra, self.target, self.source,
             {i: c * s for i, c in self.coeffs.items()},
@@ -238,7 +236,7 @@ class PathAlgebra:
                 elif tc != corner:
                     raise NotAdmissible("relation terms are not parallel paths")
                 key = (q.arrow_source(idxs[-1]), idxs)
-                terms[key] = terms.get(key, ZERO) + coeff
+                terms[key] = terms.get(key, 0) + coeff
             terms = {k: c for k, c in terms.items() if c}
             if terms:
                 out.append((length, terms))
@@ -376,11 +374,11 @@ class PathAlgebra:
         return AlgebraElement(self, target, source, {})
 
     def idempotent(self, v):
-        return AlgebraElement(self, v, v, {self._e_index[v]: ONE})
+        return AlgebraElement(self, v, v, {self._e_index[v]: 1})
 
     def basis_element(self, i):
         return AlgebraElement(
-            self, self._targets[i], self._sources[i], {i: ONE}
+            self, self._targets[i], self._sources[i], {i: 1}
         )
 
     def arrow_element(self, name):
@@ -410,7 +408,10 @@ class PathAlgebra:
     # -- multiplication ------------------------------------------------------
 
     def mul_basis(self, i, j):
-        """Structure constants: (basis i) * (basis j), j applied first."""
+        """Structure constants: (basis i) * (basis j), j applied first.
+
+        Integral constants are cached as ints, so products of int
+        coefficient dicts stay ints."""
         cached = self._mul_cache.get((i, j))
         if cached is not None:
             return cached
@@ -429,9 +430,9 @@ class PathAlgebra:
                 if p is None:
                     out = {}
                 else:
-                    rem = lvl["ech"].reduce({p: ONE})
+                    rem = lvl["ech"].reduce({p: 1})
                     out = {
-                        self._basis_pos[lvl["paths"][c]]: v
+                        self._basis_pos[lvl["paths"][c]]: intify(v)
                         for c, v in rem.items()
                     }
         self._mul_cache[(i, j)] = out
@@ -450,19 +451,19 @@ class PathAlgebra:
         """Inverse of a corner element e_v A e_v whose trivial-path
         coefficient is nonzero; geometric series against the nilpotent part."""
         ev = self._e_index[v]
-        lam = coeffs.get(ev, ZERO)
+        lam = coeffs.get(ev, 0)
         if not lam:
             raise ValueError("corner element is not invertible")
         # x = e_v - a/lam is nilpotent; a^{-1} = (1/lam) * sum x^k
-        x = {i: -c / lam for i, c in coeffs.items()}
-        x[ev] = x.get(ev, ZERO) + ONE
+        x = {i: exact_div(-c, lam) for i, c in coeffs.items()}
+        x[ev] = x.get(ev, 0) + 1
         x = {i: c for i, c in x.items() if c}
-        total = {ev: ONE}
+        total = {ev: 1}
         power = x
         while power:
-            vec_add_scaled(total, power, ONE)
+            vec_add_scaled(total, power, 1)
             power = self.mul_dicts(power, x)
-        return {i: c / lam for i, c in total.items() if c}
+        return {i: exact_div(c, lam) for i, c in total.items() if c}
 
     # -- derived data --------------------------------------------------------
 
@@ -490,8 +491,8 @@ class PathAlgebra:
             t, s = self._targets[b], self._sources[b]
             for v in range(len(self.quiver.vertices)):
                 e = self._e_index[v]
-                if self.mul_basis(e, b) != ({b: ONE} if v == t else {}) or (
-                    self.mul_basis(b, e) != ({b: ONE} if v == s else {})
+                if self.mul_basis(e, b) != ({b: 1} if v == t else {}) or (
+                    self.mul_basis(b, e) != ({b: 1} if v == s else {})
                 ):
                     raise CertificationFailed(
                         f"trivial path {v} does not act as an idempotent on {b}"
@@ -508,8 +509,8 @@ class PathAlgebra:
                 ij = self.mul_basis(i, j)
                 for k in idxs:
                     jk = self.mul_basis(j, k)
-                    left = self.mul_dicts(ij, {k: ONE})
-                    right = self.mul_dicts({i: ONE}, jk)
+                    left = self.mul_dicts(ij, {k: 1})
+                    right = self.mul_dicts({i: 1}, jk)
                     if left != right:
                         raise CertificationFailed("associativity failure")
 

@@ -1,26 +1,66 @@
 """Exact linear algebra kernels.
 
-Two families:
+Coefficients are exact rationals under one convention: a value that is
+integral is a Python ``int``, and a ``Fraction`` appears only where a
+division makes one.  ``intify``, ``exact_div`` and ``int_scale`` keep to
+it, every kernel returns its results in that form, and none returns a
+float.  Integer arithmetic is several times cheaper than Fraction
+arithmetic, and most systems the silting engine meets are integral.
 
-* sparse rational (dict-of-columns rows over Fraction) -- used by the silting
-  engine, whose chain-map and homotopy systems are large but very sparse
-  (banded differentials couple only a handful of unknowns per equation);
-* small dense mod-p (coefficient lists) -- used by the brute-force oracle.
+Three eliminators:
 
-Everything is deterministic: rows are processed in the order given and pivots
-are always the lowest-index column available.
+* ``IntEchelon``: sparse fraction-free forward echelon over the integers.
+  ``nullspace``, ``int_nullspace``, ``solve`` and ``express_in_span`` run
+  on it, rows with Fractions first scaled to integers (``int_rows``).  It
+  carries the large chain-map systems of the silting engine, whose banded
+  differentials couple only a handful of unknowns per equation;
+* ``Echelon``: sparse reduced echelon form with pivot rows normalized to
+  1, so its rows hold Fractions; used for incremental rank and membership
+  where rows arrive one at a time;
+* small dense mod-p elimination on coefficient lists, used by the
+  brute-force oracle.
+
+``det`` eliminates fraction-free too (Bareiss).  Sparse vectors are dicts
+column -> nonzero coefficient.  Everything is deterministic: rows are
+processed in the order given and pivots are always the lowest-index column
+available, so every route returns the same pivots and the same vectors.
 """
 
 import heapq
 import math
 from fractions import Fraction
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# sparse rational vectors: dict col -> nonzero Fraction
+# exact scalars and sparse vectors: dict col -> nonzero int or Fraction
+
+
+def intify(x):
+    """x as an int when it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_div(a, b):
+    """a / b, an int when b divides a and a Fraction otherwise."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return intify(Fraction(a) / b)
+
+
+def int_scale(vectors):
+    """(d, scaled): the least positive integer d that makes every vector
+    integral, and the vectors times d as int dicts."""
+    d = 1
+    for v in vectors:
+        for x in v.values():
+            d = math.lcm(d, x.denominator)
+    if d == 1:
+        return 1, [{c: int(x) for c, x in v.items()} for v in vectors]
+    return d, [{c: int(x * d) for c, x in v.items()} for v in vectors]
 
 
 def vec_add_scaled(target, source, scale):
@@ -28,7 +68,7 @@ def vec_add_scaled(target, source, scale):
     if not scale:
         return
     for c, v in source.items():
-        w = target.get(c, ZERO) + scale * v
+        w = target.get(c, 0) + scale * v
         if w:
             target[c] = w
         else:
@@ -40,8 +80,8 @@ class Echelon:
 
     Rows are sparse dicts.  Pivot columns are chosen as the minimum column
     index of the reduced row; pivot rows are normalized to 1 and kept clear
-    of each other's pivot columns, so membership tests and nullspace reads
-    need no back-substitution pass.
+    of each other's pivot columns, so membership tests need no
+    back-substitution pass.
     """
 
     def __init__(self):
@@ -111,23 +151,11 @@ def nullspace(rows, ncols):
     """Right nullspace basis of the system {row . x = 0 for row in rows}.
 
     Columns are 0..ncols-1; the basis vectors are sparse dicts, one per free
-    column, in ascending free-column order.
+    column, in ascending free-column order.  Rows may hold Fractions: each
+    is scaled to integers, which keeps its nullspace, and eliminated
+    fraction-free.
     """
-    ech = Echelon()
-    for r in rows:
-        ech.insert(r)
-    pivots = ech.pivots
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = {f: ONE}
-        for p, prow in pivots.items():
-            coeff = prow.get(f)
-            if coeff:
-                v[p] = -coeff
-        basis.append(v)
-    return basis
+    return int_nullspace(int_rows(rows), ncols)
 
 
 class IntEchelon:
@@ -200,45 +228,57 @@ class IntEchelon:
         return not self.reduce(row)
 
     def nullspace_basis(self, ncols):
-        """Nullspace of the inserted rows, one Fraction dict per free column.
+        """Nullspace of the inserted rows, one dict per free column.
 
-        Identical vectors to nullspace(): unit at the free column, zero at the
-        other free columns, back-substituted values at pivot columns.  Only
-        pivots reachable through the support chain are visited (a pivot row
-        touching column c has pivot <= c, so a descending worklist resolves
-        dependencies in order).
+        Equal vectors to nullspace(): unit at the free column, zero at the
+        other free columns, back-substituted values at pivot columns, each
+        an int where it is integral.
         """
-        pivots = self.pivots
-        uses = {}               # col -> pivot cols whose rows touch it
-        for p, prow in pivots.items():
+        uses = self._uses()
+        return [
+            self._back_substitute(f, uses)
+            for f in range(ncols)
+            if f not in self.pivots
+        ]
+
+    def _uses(self):
+        """col -> pivot cols whose rows touch it."""
+        uses = {}
+        for p, prow in self.pivots.items():
             for c in prow:
                 if c != p:
                     uses.setdefault(c, []).append(p)
-        basis = []
-        for f in range(ncols):
-            if f in pivots:
-                continue
-            v = {f: ONE}
-            heap = [-p for p in uses.get(f, ())]
-            heapq.heapify(heap)
-            seen = set(heap)
-            while heap:
-                p = -heapq.heappop(heap)
-                prow = pivots[p]
-                s = ZERO
-                for c, pv in prow.items():
-                    if c != p:
-                        x = v.get(c)
-                        if x is not None:
-                            s += pv * x
-                if s:
-                    v[p] = -s / prow[p]
-                    for q in uses.get(p, ()):
-                        if -q not in seen:
-                            seen.add(-q)
-                            heapq.heappush(heap, -q)
-            basis.append(v)
-        return basis
+        return uses
+
+    def _back_substitute(self, f, uses):
+        """The nullspace vector with 1 at the non-pivot column f and 0 at
+        every other non-pivot column.
+
+        Only pivots reachable through the support chain are visited (a
+        pivot row touching column c has pivot <= c, so a descending
+        worklist resolves dependencies in order).
+        """
+        pivots = self.pivots
+        v = {f: 1}
+        heap = [-p for p in uses.get(f, ())]
+        heapq.heapify(heap)
+        seen = set(heap)
+        while heap:
+            p = -heapq.heappop(heap)
+            prow = pivots[p]
+            s = 0
+            for c, pv in prow.items():
+                if c != p:
+                    x = v.get(c)
+                    if x is not None:
+                        s += pv * x
+            if s:
+                v[p] = exact_div(-s, prow[p])
+                for q in uses.get(p, ()):
+                    if -q not in seen:
+                        seen.add(-q)
+                        heapq.heappush(heap, -q)
+        return v
 
 
 def int_rows(rows):
@@ -266,8 +306,8 @@ def int_rows(rows):
 def int_nullspace(rows, ncols):
     """Like nullspace(), but eliminates over the integers.
 
-    Accepts integer rows; returns sparse Fraction dicts identical to what
-    nullspace() would produce on the same system.
+    Accepts integer rows; returns sparse dicts equal to what nullspace()
+    would produce on the same system, with integral values as ints.
     """
     ech = IntEchelon()
     for r in rows:
@@ -284,21 +324,23 @@ def solve(rows, rhs):
     """Solve the linear system rows . x = rhs (rows sparse, rhs a list).
 
     Returns a sparse solution dict (free variables set to 0), or None if the
-    system is inconsistent.
+    system is inconsistent.  Eliminates fraction-free: each augmented row
+    is scaled to integers, which changes neither the pivot columns nor the
+    solution.
     """
-    ech = Echelon()
+    aug = []
     for row, b in zip(rows, rhs):
         r = dict(row)
         if b:
-            r[AUG] = -Fraction(b)
+            r[AUG] = -b
+        aug.append(r)
+    ech = IntEchelon()
+    for r in int_rows(aug):
         ech.insert(r)
-    sol = {}
-    for p, prow in ech.pivots.items():
-        if p == AUG:
-            return None  # 0 = 1 row
-        b = prow.get(AUG)
-        if b:
-            sol[p] = -b
+    if AUG in ech.pivots:
+        return None  # 0 = 1 row
+    sol = ech._back_substitute(AUG, ech._uses())
+    del sol[AUG]
     return sol
 
 
@@ -306,7 +348,7 @@ def express_in_span(columns, target):
     """Write target as a combination of the given column vectors.
 
     columns and target are sparse dicts over the same coordinate set.
-    Returns the coefficient dict (index -> Fraction) or None.
+    Returns the coefficient dict (index -> int or Fraction) or None.
     """
     coords = set(target)
     for col in columns:
@@ -320,38 +362,41 @@ def express_in_span(columns, target):
             if v:
                 row[j] = v
         eq_rows.append(row)
-        rhs.append(target.get(coord, ZERO))
+        rhs.append(target.get(coord, 0))
     return solve(eq_rows, rhs)
 
 
 def det(rows):
-    """Determinant of a small dense matrix (lists of ints/Fractions)."""
+    """Determinant of a small dense matrix (lists of ints/Fractions).
+
+    Fraction-free (Bareiss) elimination on the rows scaled to integers, so
+    the determinant of an integral matrix is an int.
+    """
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
+    scale = 1
+    m = []
+    for row in rows:
+        d, (r,) = int_scale([dict(enumerate(row))])
+        scale *= d
+        m.append([r[j] for j in range(n)])
     sign = 1
-    result = ONE
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            return ZERO
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        pval = m[col][col]
-        result *= pval
-        inv = ONE / pval
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return result * sign
+        pk = m[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pk[k] - mi[k] * pk[j]) // prev
+        prev = pk[k]
+    return exact_div(sign * prev, scale)
 
 
 # ---------------------------------------------------------------------------

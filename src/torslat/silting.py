@@ -16,10 +16,8 @@ Conventions (fixed package-wide):
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import AlgebraElement, _signed_terms
 from .config import DEFAULTS
@@ -37,17 +35,16 @@ from .linalg import (
     Echelon,
     IntEchelon,
     det,
+    exact_div,
     express_in_span,
     int_nullspace,
     int_rows,
+    int_scale,
+    intify,
     nullspace,
     vec_add_scaled,
 )
 from .posets import FinitePoset, build_poset
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # complexes
@@ -59,7 +56,9 @@ class Complex:
     summands: dict degree -> tuple of vertex indices (one per summand).
     diff: dict degree n -> matrix (rows over degree n+1 summands, columns
     over degree n summands) of sparse coefficient dicts over the algebra
-    basis.  Only nonempty degrees are stored.
+    basis.  Only nonempty degrees are stored.  Coefficients are ints where
+    integral and Fractions otherwise; copied entries are brought to that
+    form, so complexes built from integral data compute on ints.
     """
 
     __slots__ = ("algebra", "summands", "diff", "_key")
@@ -82,7 +81,8 @@ class Complex:
                 continue
             if copy:
                 self.diff[n] = tuple(
-                    tuple(dict(e) for e in row) for row in rows
+                    tuple({b: intify(x) for b, x in e.items()} for e in row)
+                    for row in rows
                 )
             else:
                 # caller hands over freshly built entry dicts
@@ -222,7 +222,7 @@ def _mat_compose(algebra, first, second):
                 e1 = first[m][c]
                 e2 = second[r][m]
                 if e1 and e2:
-                    vec_add_scaled(acc, algebra.mul_dicts(e1, e2), ONE)
+                    vec_add_scaled(acc, algebra.mul_dicts(e1, e2), 1)
             row.append({b: x for b, x in acc.items() if x})
         out.append(tuple(row))
     return tuple(out)
@@ -349,9 +349,9 @@ def h0_dim_vector(algebra, P):
             for r in range(len(zero_s)):
                 e = mat[r][c]
                 if e:
-                    prod = algebra.mul_dicts({p: ONE}, e)
+                    prod = algebra.mul_dicts({p: 1}, e)
                     for b, x in prod.items():
-                        vec[pos[(r, b)]] = vec.get(pos[(r, b)], ZERO) + x
+                        vec[pos[(r, b)]] = vec.get(pos[(r, b)], 0) + x
             vec = {k: x for k, x in vec.items() if x}
             if vec:
                 v = algebra.basis_target(p)
@@ -399,7 +399,7 @@ def _materialize(algebra, X, Y, var_list, vec):
         x = vec.get(i)
         if x:
             cell = mats[n][r][c]
-            cell[b] = cell.get(b, ZERO) + x
+            cell[b] = cell.get(b, 0) + x
     for n, rows in mats.items():
         mats[n] = tuple(
             tuple({b: x for b, x in e.items() if x} for e in row)
@@ -408,22 +408,13 @@ def _materialize(algebra, X, Y, var_list, vec):
     return mats
 
 
-def _intify(d):
-    """Coefficient dict with integral values as plain int (faster arithmetic)."""
-    return {
-        b: x.numerator if x.denominator == 1 else x for b, x in d.items()
-    }
-
-
 def _chain_equations(algebra, X, Y, var_idx):
     """Sparse rows of the chain-map condition over _map_vars(X, Y).
 
     Products with differential entries depend on the row/column summand only
     through its vertex, so they are computed once per vertex class and
-    distributed, not recomputed per matrix position.  Returns (rows, all_int)
-    where all_int reports whether every coefficient is a plain int.
+    distributed, not recomputed per matrix position.
     """
-    all_int = True
     eqs = {}
 
     def eq_row(key):
@@ -447,13 +438,8 @@ def _chain_equations(algebra, X, Y, var_idx):
                         if not e:
                             continue
                         for b in algebra.corner_indices(vm, vy):
-                            prod = algebra.mul_dicts(e, {b: ONE})
+                            prod = algebra.mul_dicts(e, {b: 1})
                             if prod:
-                                prod = _intify(prod)
-                                if all_int and any(
-                                    type(x) is not int for x in prod.values()
-                                ):
-                                    all_int = False
                                 grouped.setdefault((m, b), []).append(
                                     (c, prod)
                                 )
@@ -478,13 +464,8 @@ def _chain_equations(algebra, X, Y, var_idx):
                             e = dY[r][m]
                             if not e:
                                 continue
-                            prod = algebra.mul_dicts({b: ONE}, e)
+                            prod = algebra.mul_dicts({b: 1}, e)
                             if prod:
-                                prod = _intify(prod)
-                                if all_int and any(
-                                    type(x) is not int for x in prod.values()
-                                ):
-                                    all_int = False
                                 grouped.setdefault((m, b), []).append(
                                     (r, prod)
                                 )
@@ -497,7 +478,7 @@ def _chain_equations(algebra, X, Y, var_idx):
                             row = eq_row((n, r, c, pb))
                             row[i] = row.get(i, 0) - x
     rows = [eqs[k] for k in sorted(eqs)]
-    return [r for r in rows if r], all_int
+    return [r for r in rows if r]
 
 
 def _chain_system(algebra, X, Y):
@@ -505,16 +486,17 @@ def _chain_system(algebra, X, Y):
     positions, and the chain-map condition as integer sparse rows."""
     var_list = _map_vars(algebra, X, Y)
     var_idx = {v: i for i, v in enumerate(var_list)}
-    rows, all_int = _chain_equations(algebra, X, Y, var_idx)
-    if not all_int:
-        rows = int_rows(rows)
+    rows = int_rows(_chain_equations(algebra, X, Y, var_idx))
     return var_list, var_idx, rows
 
 
 def chain_map_space(algebra, X, Y):
-    """Basis of chain maps X -> Y as (var_list, list of sparse vectors)."""
+    """Basis of chain maps X -> Y as (var_list, list of sparse vectors).
+
+    The vectors are int dicts: the nullspace basis times the least
+    positive integer that clears every denominator in it."""
     var_list, _, rows = _chain_system(algebra, X, Y)
-    return var_list, int_nullspace(rows, len(var_list))
+    return var_list, int_scale(int_nullspace(rows, len(var_list)))[1]
 
 
 def homotopy_boundaries(algebra, X, Y, var_list, var_idx):
@@ -541,8 +523,7 @@ def homotopy_boundaries(algebra, X, Y, var_list, var_idx):
                         if prod is None:
                             e = dY[r2][r]
                             prod = cache_dy[key] = (
-                                _intify(algebra.mul_dicts({b: ONE}, e))
-                                if e else {}
+                                algebra.mul_dicts({b: 1}, e) if e else {}
                             )
                         for pb, x in prod.items():
                             i = var_idx.get((n, r2, c, pb))
@@ -555,8 +536,7 @@ def homotopy_boundaries(algebra, X, Y, var_list, var_idx):
                         if prod is None:
                             e = dX[c][c2]
                             prod = cache_dx[key] = (
-                                _intify(algebra.mul_dicts(e, {b: ONE}))
-                                if e else {}
+                                algebra.mul_dicts(e, {b: 1}) if e else {}
                             )
                         for pb, x in prod.items():
                             i = var_idx.get((n - 1, r, c2, pb))
@@ -685,7 +665,7 @@ def reduce_complex(algebra, P):
                     continue
                 corr = algebra.mul_dicts(algebra.mul_dicts(gamma, uinv), beta)
                 cell = rows[r][c]
-                vec_add_scaled(cell, corr, -ONE)
+                vec_add_scaled(cell, corr, -1)
                 for b in [b for b, x in cell.items() if not x]:
                     del cell[b]
                 if cols[c] == tgts[r] and cell.get(idem(cols[c])):
@@ -772,13 +752,13 @@ def _compose_graded(algebra, X, Y, Z, f, g):
 
 def _poly_divmod(num, den):
     num = list(num)
-    out = [ZERO] * max(0, len(num) - len(den) + 1)
+    out = [0] * max(0, len(num) - len(den) + 1)
     while len(num) >= len(den) and any(num):
         if not num[-1]:
             num.pop()
             continue
         k = len(num) - len(den)
-        q = num[-1] / den[-1]
+        q = exact_div(num[-1], den[-1])
         out[k] = q
         for i, d in enumerate(den):
             num[k + i] -= q * d
@@ -801,27 +781,27 @@ def _divisors(m):
 
 
 def _rational_roots(poly):
-    """Rational roots of a Fraction-coefficient polynomial."""
-    scale = 1
-    for c in poly:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in poly]
+    """Rational roots of a polynomial with int or Fraction coefficients,
+    ascending, each an int where it is integral."""
+    _, (scaled,) = int_scale([dict(enumerate(poly))])
+    ints = list(scaled.values())
     while ints and ints[-1] == 0:
         ints.pop()
     if len(ints) <= 1:
         return []
     roots = set()
     if ints[0] == 0:
-        roots.add(Fraction(0))
+        roots.add(0)
         while ints and ints[0] == 0:
             ints.pop(0)
-        poly = [Fraction(i) for i in ints]
-        return sorted(roots | set(_rational_roots(poly)))
+        return sorted(roots | set(_rational_roots(ints)))
+    deg = len(ints) - 1
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * cand ** i for i, c in enumerate(poly)) == 0:
-                    roots.add(cand)
+            for num in (p, -p):
+                # q^deg poly(num / q), in integers
+                if not sum(c * num ** i * q ** (deg - i) for i, c in enumerate(ints)):
+                    roots.add(exact_div(num, q))
     return sorted(roots)
 
 
@@ -830,8 +810,13 @@ class _TopAlgebra:
     operations needed for idempotent hunting.
 
     An element is a sparse dict (n, r, c) -> trivial-path coefficient of
-    the (r, c) entry in degree n; basis is a list of linearly independent
-    tops spanning the algebra.
+    the (r, c) entry in degree n.  basis is a list of linearly independent
+    tops spanning the algebra and unit is the identity.  All of them are
+    int dicts: the basis may be the tops times one positive integer, which
+    changes no idempotent found (see _split_on).  Every element the search
+    forms is an int dict too.  Rationals appear only in the coefficients
+    of the small polynomials, and an idempotent e is returned as the int
+    dict D e with its positive integer D.
     """
 
     def __init__(self, basis, unit):
@@ -848,61 +833,57 @@ class _TopAlgebra:
         for (n, m, c), x in a.items():
             for r, y in by_source.get((n, m), ()):
                 key = (n, r, c)
-                out[key] = out.get(key, ZERO) + x * y
+                out[key] = out.get(key, 0) + x * y
         return {key: x for key, x in out.items() if x}
 
     def min_poly(self, a):
-        ech = Echelon()
-        powers = [self.unit]
+        """(poly, powers): the monic minimal polynomial of a, lowest
+        coefficient first, and the powers a^0 .. a^(deg - 1)."""
+        ech = IntEchelon()
         ech.insert(self.unit)
+        powers = [self.unit]
         cur = self.unit
         while True:
             cur = self.mul(cur, a)
-            if ech.contains(cur):
+            if ech.insert(cur) is None:
                 coeffs = express_in_span(powers, cur)
-                poly = [-coeffs.get(i, ZERO) for i in range(len(powers))]
-                poly.append(ONE)
-                return poly
-            ech.insert(cur)
+                poly = [-coeffs.get(i, 0) for i in range(len(powers))]
+                return poly + [1], powers
             powers.append(cur)
 
-    def eval_poly(self, poly, a):
-        out = {}
-        vec_add_scaled(out, self.unit, poly[0])
-        power = self.unit
-        for coeff in poly[1:]:
-            power = self.mul(power, a)
-            vec_add_scaled(out, power, coeff)
-        return out
-
     def find_idempotent(self):
-        """An idempotent other than 0 and 1, or None.
+        """(E, D) with E = D e for an idempotent e other than 0 and 1, or
+        None.
 
         Candidates are tried in turn until one splits by _split_on: a
         basis of the centre, then the basis, its pairwise sums and its
         pairwise products.  Each is formed only when every candidate
-        before it has failed.
+        before it has failed; the products are formed once, for the
+        centre.
         """
         for s in self._candidates():
-            e = self._split_on(s)
-            if e is not None:
-                return e
+            found = self._split_on(s)
+            if found is not None:
+                return found
         return None
 
     def _candidates(self):
         basis = self.basis
         dim = len(basis)
+        prods = [[self.mul(x, y) for y in basis] for x in basis]
         # center: solve z b_k = b_k z for all k
         rows = []
         for k in range(dim):
             comm = {}
             for i in range(dim):
-                diff = self.mul(basis[i], basis[k])
-                vec_add_scaled(diff, self.mul(basis[k], basis[i]), -ONE)
+                diff = dict(prods[i][k])
+                vec_add_scaled(diff, prods[k][i], -1)
                 for key, x in diff.items():
                     comm.setdefault(key, {})[i] = x
             rows.extend(comm.values())
-        for zv in nullspace(rows, dim):
+        # each centre vector is scaled to an int one, a positive multiple
+        _, central = int_scale(nullspace(rows, dim))
+        for zv in central:
             z = {}
             for i, x in zv.items():
                 vec_add_scaled(z, basis[i], x)
@@ -911,15 +892,15 @@ class _TopAlgebra:
         for i in range(dim):
             for j in range(i + 1, dim):
                 s = dict(basis[i])
-                vec_add_scaled(s, basis[j], ONE)
+                vec_add_scaled(s, basis[j], 1)
                 yield s
         for i in range(dim):
             for j in range(dim):
                 if i != j:
-                    yield self.mul(basis[i], basis[j])
+                    yield prods[i][j]
 
     def _split_on(self, s):
-        """The Chinese-remainder idempotent of s, or None.
+        """The Chinese-remainder idempotent e of s as (D e, D), or None.
 
         For the first rational root lam of the minimal polynomial with
         poly = (x - lam)^k g, g(lam) != 0 and g not constant, this is
@@ -927,28 +908,41 @@ class _TopAlgebra:
         the generalised lam-eigenspace of s and 1 on the rest.  On a central
         s it is the complement of the eigenprojection onto lam, also where
         lam is a repeated root.
+
+        A positive multiple t s has the roots t lam in the same order and
+        the same generalised eigenspaces, so it gives the same e.  The
+        polynomial a (x - lam)^k has degree below that of poly; D is the
+        least positive integer that clears its denominators, so D e is an
+        int combination of the powers of s, and D e is checked idempotent
+        exactly as (D e)^2 = D (D e).
         """
-        poly = self.min_poly(s)
+        poly, powers = self.min_poly(s)
         if len(poly) <= 2:
             return None
         for lam in _rational_roots(poly):
             g, k = poly, 0
             while True:
-                q, rem = _poly_divmod(g, [-lam, ONE])
+                q, rem = _poly_divmod(g, [-lam, 1])
                 if rem:
                     break
                 g, k = q, k + 1
             if len(g) <= 1:
                 continue
-            lam_k = _poly_power([-lam, ONE], k)
-            e = self.eval_poly(_poly_mul(_poly_inverse(lam_k, g), lam_k), s)
-            if e and e != self.unit and self.mul(e, e) == e:
-                return e
+            lam_k = _poly_power([-lam, 1], k)
+            crt = _poly_mul(_poly_inverse(lam_k, g), lam_k)
+            d, (ints,) = int_scale([dict(enumerate(crt))])
+            e = {}
+            for i, x in ints.items():
+                vec_add_scaled(e, powers[i], x)
+            if e and e != {key: d * x for key, x in self.unit.items()} and (
+                self.mul(e, e) == {key: d * x for key, x in e.items()}
+            ):
+                return e, d
         return None
 
 
 def _poly_mul(p, q):
-    out = [ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -958,7 +952,7 @@ def _poly_mul(p, q):
 
 
 def _poly_power(p, k):
-    out = [ONE]
+    out = [1]
     for _ in range(k):
         out = _poly_mul(out, p)
     return out
@@ -967,16 +961,16 @@ def _poly_power(p, k):
 def _poly_inverse(f, g):
     """a with a f = 1 mod g, for coprime f and g."""
     r0, r1 = list(f), list(g)
-    a0, a1 = [ONE], [ZERO]
+    a0, a1 = [1], [0]
     while any(r1):
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         a0, a1 = a1, _poly_sub(a0, _poly_mul(q, a1))
-    return [x / r0[0] for x in a0]
+    return [exact_div(x, r0[0]) for x in a0]
 
 
 def _poly_sub(p, q):
-    out = [ZERO] * max(len(p), len(q))
+    out = [0] * max(len(p), len(q))
     for i, a in enumerate(p):
         out[i] += a
     for i, b in enumerate(q):
@@ -997,12 +991,19 @@ def decompose(algebra, P):
     chain map with that top, made exact by Newton iteration and split
     degreewise.  If no splitting idempotent is found the complex is
     returned whole.
+
+    Coefficients are ints wherever they are integral.  The chain maps come
+    from chain_map_space as int vectors, their tops are int dicts, and the
+    search returns D e for an idempotent top e.  e is divided out once,
+    when D e is written in the tops; the lift of e, its Newton iteration
+    and the split then stay on ints unless a value is not integral, and
+    only such a value is a Fraction.
     """
     P = _as_complex(P)
     if P.is_zero():
         return []
     var_list, chains = chain_map_space(algebra, P, P)
-    ech = Echelon()
+    ech = IntEchelon()
     tops = []
     lifts = []
     for z in chains:
@@ -1016,16 +1017,18 @@ def decompose(algebra, P):
             lifts.append(z)
     if len(tops) <= 1:
         return [P]
-    unit = {(n, r, r): ONE for n, t in P.summands.items() for r in range(len(t))}
-    e_top = _TopAlgebra(tops, unit).find_idempotent()
-    if e_top is None:
+    unit = {(n, r, r): 1 for n, t in P.summands.items() for r in range(len(t))}
+    found = _TopAlgebra(tops, unit).find_idempotent()
+    if found is None:
         return [P]
+    e_top, d = found
     coeffs = express_in_span(tops, e_top)
     if coeffs is None:
         raise CertificationFailed("idempotent outside the algebra of tops")
     e_vec = {}
     for i, x in coeffs.items():
         vec_add_scaled(e_vec, lifts[i], x)
+    e_vec = {i: exact_div(x, d) for i, x in e_vec.items()}
     e_mat = _materialize(algebra, P, P, var_list, e_vec)
     # Newton iteration to an exact idempotent in the genuine endo ring
     for _ in range(60):
@@ -1055,7 +1058,7 @@ def _mats_combine(sq, cube):
             row = []
             for e1, e2 in zip(r1, r2):
                 cell = {b: 3 * x for b, x in e1.items()}
-                vec_add_scaled(cell, e2, Fraction(-2))
+                vec_add_scaled(cell, e2, -2)
                 row.append({b: x for b, x in cell.items() if x})
             rows.append(tuple(row))
         out[n] = tuple(rows)
@@ -1075,7 +1078,7 @@ def _one_minus(algebra, P, e_mat):
                     cell = {b: -x for b, x in mat[r][c].items()}
                 if r == c:
                     b = algebra.idempotent_index(t[r])
-                    cell[b] = cell.get(b, ZERO) + ONE
+                    cell[b] = cell.get(b, 0) + 1
                 row.append({b: x for b, x in cell.items() if x})
             rows.append(tuple(row))
         out[n] = tuple(rows)
@@ -1092,7 +1095,7 @@ def _apply_to_element(algebra, mat, element, n_rows):
                 prod = algebra.mul_dicts(xc, e)
                 if prod:
                     cell = out.setdefault(r, {})
-                    vec_add_scaled(cell, prod, ONE)
+                    vec_add_scaled(cell, prod, 1)
     return {
         r: {b: x for b, x in cell.items() if x}
         for r, cell in out.items()
@@ -1126,13 +1129,13 @@ def _split_part(algebra, P, e_mat):
         mat = e_mat[n]
         # a top lies on the rows of its column's vertex, so one echelon
         # keeps the vertices apart
-        ech = Echelon()
+        ech = IntEchelon()
         chosen = []
         for c in sorted(range(len(t)), key=t.__getitem__):
             unit = algebra.idempotent_index(t[c])
             col = {r: row[c] for r, row in enumerate(mat) if row[c]}
             top = {r: e[unit] for r, e in col.items() if unit in e}
-            if top and ech.insert(top) is not None:
+            if top and ech.insert(int_rows([top])[0]) is not None:
                 chosen.append((t[c], col))
         if chosen:
             gens[n] = chosen
@@ -1157,7 +1160,7 @@ def _split_part(algebra, P, e_mat):
                 for b in algebra.corner_indices(vc, vk):
                     moved = {}
                     for r, cell in wk.items():
-                        prod = algebra.mul_dicts({b: ONE}, cell)
+                        prod = algebra.mul_dicts({b: 1}, cell)
                         if prod:
                             moved[r] = prod
                     cols.append(_element_to_vec(moved, pos1))
@@ -1166,7 +1169,7 @@ def _split_part(algebra, P, e_mat):
             if coeffs is None:
                 raise CertificationFailed("image of generator left the subcomplex")
             for i, (k, b) in enumerate(meta):
-                x = coeffs.get(i, ZERO)
+                x = coeffs.get(i)
                 if x:
                     rows_out[k][ci][b] = x
         diff[n] = rows_out
@@ -1202,7 +1205,7 @@ def _graded_invertible(algebra, X, Y, mats):
             for r in ys:
                 rows.append(
                     [
-                        (mat[r][c].get(b, ZERO) if mat else ZERO)
+                        (mat[r][c].get(b, 0) if mat else 0)
                         for c in xs
                     ]
                 )
@@ -1314,7 +1317,7 @@ class SiltingObject:
         return f"g={_fmt_vecs(self.key)};H0={_fmt_vecs(self.h0_key())}"
 
     def g_matrix_det(self):
-        return det([[Fraction(x) for x in v] for v in self.key])
+        return det([list(v) for v in self.key])
 
     def __repr__(self):
         return f"SiltingObject({self.id_string()})"

@@ -191,6 +191,22 @@ class TestMultiplication:
         assert A.mul_dicts(u.coeffs, inv) == A.idempotent(0).coeffs
         assert A.mul_dicts(inv, u.coeffs) == A.idempotent(0).coeffs
 
+    def test_corner_inverse_of_int_coefficients_is_exact(self):
+        # 2 + e on the dual numbers: the inverse is 1/2 - e/4, and an int
+        # divided by an int must come out a Fraction, never a float
+        A = build_algebra(Quiver(["1"], [("e", "1", "1")]), [[(1, ["e", "e"])]])
+        unit = A.idempotent_index(0)
+        loop = A.arrow_element("e")
+        (e,) = loop.coeffs
+        inv = A.invert_corner({unit: 2, e: 1}, 0)
+        assert inv == {unit: Fraction(1, 2), e: Fraction(-1, 4)}
+        assert all(type(x) is Fraction for x in inv.values())
+        assert A.mul_dicts({unit: 2, e: 1}, inv) == {unit: 1}
+        # an integral inverse stays int
+        inv = A.invert_corner({unit: -1, e: 3}, 0)
+        assert inv == {unit: -1, e: -3}
+        assert all(type(x) is int for x in inv.values())
+
     def test_nilpotent_corner_element_not_invertible(self):
         A = beta_gamma()
         gb = A.element([(1, ["g", "b"])])

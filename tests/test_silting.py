@@ -1,8 +1,11 @@
 """Two-term complexes: construction, hom spaces, reduction, decomposition,
 mutation, completion, and the enumeration of the silting order."""
 
+import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +23,7 @@ from torslat.errors import (
     ShapeMismatch,
 )
 from torslat.fixtures import corpus
+from torslat.linalg import solve
 from torslat.silting import (
     SiltingObject,
     _euler_pairing,
@@ -823,3 +827,74 @@ class TestTauTiltingFinite:
         rep = is_tau_tilting_finite(KRON, cap=30)
         assert rep.status == "unknown"
         assert rep.count is None
+
+
+# 1 -> 3 <- 2, 3 -> 4 -> 5
+D5 = build_algebra(
+    Quiver(
+        ["1", "2", "3", "4", "5"],
+        [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "5")],
+    ),
+    [],
+)
+
+
+def c_vector(key, g):
+    """The c with <c, g_j> = 1 at the summand g of the object key (its
+    g-vectors g_j) and 0 at every other summand: a column of G^-1."""
+    k = key.index(g)
+    sol = solve([dict(enumerate(v)) for v in key], [int(j == k) for j in range(len(key))])
+    return tuple(sol.get(i, 0) for i in range(len(key)))
+
+
+class TestCVectors:
+    @pytest.mark.parametrize(
+        "A, roots", [(A4, 10), (D4, 12), (D5, 20)], ids=["A4", "D4", "D5"]
+    )
+    def test_exchange_c_vectors_are_sign_coherent_positive_roots(self, A, roots):
+        # the c-vector of the exchanged summand is sign-coherent at either
+        # end of a mutation edge, and the |c| are the positive roots, as
+        # many as the join-irreducible torsion classes
+        r = enumerate_2silt(A)
+        keys = {i: obj.key for i, obj in r.objects.items()}
+        magnitudes = set()
+        for upper, lower in r.edges:
+            (g_up,) = set(keys[upper]) - set(keys[lower])
+            (g_low,) = set(keys[lower]) - set(keys[upper])
+            c_up = c_vector(keys[upper], g_up)
+            c_low = c_vector(keys[lower], g_low)
+            assert c_low == tuple(-x for x in c_up)
+            assert all(x >= 0 for x in c_up) or all(x <= 0 for x in c_up)
+            magnitudes.add(tuple(abs(x) for x in c_up))
+        lower_covers = Counter(a for a, _ in r.poset.covers)
+        join_irreducible = [t for t in r.poset.ids if lower_covers[t] == 1]
+        assert len(magnitudes) == len(join_irreducible) == roots
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_algebras():
+    """D4 with every arrow pointing away from the short arms, and the
+    rad^2 = 0 cyclic Nakayama algebra N4, in natural listing order."""
+    d4 = build_algebra(
+        Quiver(["1", "2", "3", "4"], [("x0", "1", "3"), ("x1", "2", "3"), ("x2", "3", "4")]),
+        [],
+    )
+    n4 = build_algebra(
+        Quiver(["1", "2", "3", "4"], [(f"a{i}", str(i), str(i % 4 + 1)) for i in range(1, 5)]),
+        [[(1, [f"a{i % 4 + 1}", f"a{i}"])] for i in range(1, 5)],
+    )
+    return {"D4": d4, "N4": n4}
+
+
+class TestGoldenLattices:
+    @pytest.mark.parametrize("name, size", [("D4", 50), ("N4", 34)])
+    def test_tors_lattice_matches_its_golden(self, name, size):
+        with open(GOLDEN / "tors_d4_n4.json") as f:
+            want = json.load(f)[name]
+        got = tors_lattice(golden_algebras()[name])
+        assert len(got.ids) == size
+        assert list(got.ids) == want["ids"]
+        assert list(got.labels) == want["labels"]
+        assert sorted(list(c) for c in got.covers) == want["covers"]
