@@ -175,11 +175,10 @@ class PathAlgebra:
     arrows keep everything above it inside the ideal).
     """
 
-    def __init__(self, quiver, relations, length_cap=None, config=DEFAULTS):
+    def __init__(self, quiver, relations, config=DEFAULTS):
         self.quiver = quiver
         self.config = config
         self.oracle_field = "Q"
-        cap = length_cap if length_cap is not None else config.length_cap
         rel_rows = self._check_relations(relations)
         # validated relations, kept for consumers that need to evaluate them
         # on module data: tuple of term tuples (coeff, arrow index path)
@@ -187,7 +186,7 @@ class PathAlgebra:
             tuple(sorted((coeff, idxs) for (_, idxs), coeff in terms.items()))
             for _, terms in rel_rows
         )
-        self._build(rel_rows, cap)
+        self._build(rel_rows)
         self._mul_cache = {}
         self._cartan = None
         self._check_idempotents()
@@ -242,7 +241,7 @@ class PathAlgebra:
                 out.append((length, terms))
         return out
 
-    def _build(self, rel_rows, length_cap):
+    def _build(self, rel_rows):
         q = self.quiver
         nv = len(q.vertices)
         rels_by_len = {}
@@ -263,9 +262,9 @@ class PathAlgebra:
         prev_rows = []
         length = 0
         while True:
-            if length > length_cap:
+            if length > self.config.length_cap:
                 raise NotFiniteDimensional(
-                    f"basis still growing at length cap {length_cap}"
+                    f"basis still growing at length cap {self.config.length_cap}"
                 )
             total_paths += len(prev_paths)
             if total_paths > self.config.path_cap:
@@ -515,13 +514,13 @@ class PathAlgebra:
                         raise CertificationFailed("associativity failure")
 
 
-def build_algebra(quiver, relations, length_cap=None, config=DEFAULTS):
+def build_algebra(quiver, relations, config=DEFAULTS):
     """Path algebra modulo the two-sided ideal generated by the relations.
 
     relations: iterable of relations, each an iterable of
     (coefficient, [arrow names in written order]) terms.
     """
-    return PathAlgebra(quiver, relations, length_cap, config)
+    return PathAlgebra(quiver, relations, config)
 
 
 def hom_projectives(algebra, i, j):

@@ -7,9 +7,13 @@ the subsets of indecomposable classes closed under literal closure
 conditions, listed by NextClosure.  The searches are exhaustive and capped
 everywhere.  They skip only what provably adds nothing: matrix assignments
 that cannot be the first of their class, subspace tuples with an unstable
-part, and cocycles cohomologous to one already taken.  Without an explicit
-dimension bound only a short table of certified algebra shapes is
-accepted, so the exhaustive searches stay honest.
+part, cocycles cohomologous to one already taken, and combinations of Hom
+basis maps when testing whether an indecomposable class splits off.  The
+last rests on locality: the endomorphism ring of an indecomposable is
+local and its non-units form a subspace, so if some g o f is the
+identity, the composite of one pair of basis maps is already invertible.
+Without an explicit dimension bound only a short table of certified
+algebra shapes is accepted, so the exhaustive searches stay honest.
 
 Matrices are tuples of row tuples with entries reduced mod p; the matrix of
 an arrow has one row per target-vertex dimension and one column per
@@ -27,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     SizeCapExceeded,
 )
-from .linalg import modp_echelon, modp_nullspace, modp_rank, modp_solve
+from .linalg import modp_echelon, modp_nullspace, modp_rank
 from .posets import build_poset, closed_sets
 
 
@@ -357,41 +361,28 @@ def _simple_splits(rep, v):
 
 
 def _splits_off(algebra, c, r):
-    """Split pair (f: c -> r, g: r -> c with g o f = id), or None.
+    """Retraction g: r -> c of a split embedding of c into r, or None.
 
-    Complete search: f runs over the whole hom space, and for each f the
-    equation on g is linear, so a solvable g is never missed.
+    Scans pairs of Hom basis maps f_j: c -> r and g_i: r -> c for one
+    whose composite g_i o f_j is invertible at every vertex; then g_i o f_j
+    is an automorphism of c and r = im f_j (+) ker g_i.  The scan is
+    complete because c is indecomposable: End(c) is local, so its non-units
+    form the subspace rad End(c).  If g o f = 1 for some f and g, expanding
+    both in the bases writes 1 as a combination of the g_i o f_j, so one of
+    them lies outside rad End(c) and is a unit.
     """
     p = c.p
     fs = hom_rep_basis(algebra, c, r)
     if not fs:
         return None
-    gs = hom_rep_basis(algebra, r, c)
-    if not gs:
-        return None
-    nv = len(c.dims)
-    positions = [
-        (v, i, j)
-        for v in range(nv)
-        for i in range(c.dims[v])
-        for j in range(c.dims[v])
-    ]
-    rhs = [1 if i == j else 0 for (_, i, j) in positions]
-    for combo in product(range(p), repeat=len(fs)):
-        if not any(combo):
-            continue
-        f = _hom_combo(p, fs, combo)
-        cols = []
-        for g in gs:
-            comp = tuple(
-                _mat_mul(p, g[v], f[v], c.dims[v], r.dims[v], c.dims[v])
-                for v in range(nv)
-            )
-            cols.append([comp[v][i][j] for (v, i, j) in positions])
-        rows = [[col[t] for col in cols] for t in range(len(positions))]
-        y = modp_solve(rows, rhs, len(gs), p)
-        if y is not None:
-            return f, _hom_combo(p, gs, y)
+    for g in hom_rep_basis(algebra, r, c):
+        for f in fs:
+            if all(
+                modp_rank(_mat_mul(p, g[v], f[v], d, r.dims[v], d), d, p) == d
+                for v, d in enumerate(c.dims)
+                if d
+            ):
+                return g
     return None
 
 
@@ -454,10 +445,10 @@ def _decompose(algebra, rep, classes, memo):
     for idx, c in enumerate(classes):
         if any(cd > rd for cd, rd in zip(c.dims, rep.dims)):
             continue
-        pair = _splits_off(algebra, c, rep)
-        if pair is None:
+        g = _splits_off(algebra, c, rep)
+        if g is None:
             continue
-        rest = _kernel_subrep(algebra, rep, pair[1])
+        rest = _kernel_subrep(algebra, rep, g)
         sub = _decompose(algebra, rest, classes, memo)
         if sub is not None:
             out = tuple(sorted((idx,) + sub))
@@ -644,6 +635,8 @@ def enumerate_indecomposables(algebra, field=None, dim_bound=None, config=DEFAUL
                 for v in range(n)
             ):
                 continue
+            # simple classes went through _simple_splits, which costs about
+            # half the two Hom solves of _splits_off
             if any(
                 c.total_dim > 1
                 and all(cd <= rd for cd, rd in zip(c.dims, dims))

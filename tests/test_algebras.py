@@ -12,6 +12,7 @@ from torslat.algebras import (
     hom_projectives,
     parse_algebra,
 )
+from torslat.config import Config
 from torslat.errors import (
     DuplicateId,
     NotAdmissible,
@@ -88,7 +89,7 @@ class TestBasis:
             build_algebra(
                 Quiver(["1"], [("x", "1", "1")]),
                 [[(1, ["x", "x", "x"])]],
-                length_cap=2,
+                config=Config(length_cap=2),
             )
 
     def test_linear_three_vertex_path_count(self):

@@ -1,8 +1,10 @@
 """Brute-force module oracle: representation handling, Ext dimensions, and
 subset-sweep torsion classes, cross-checked against the complex engine."""
 
+import json
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from torslat.fixtures import (
     algebra_kronecker,
     corpus,
 )
-from torslat.linalg import modp_rank
+from torslat.linalg import modp_rank, modp_solve
 from torslat.oracle import (
     Representation,
     brute_serre,
@@ -40,6 +42,8 @@ from torslat.oracle import (
 )
 from torslat.posets import build_poset, lattice_ops, poset_isomorphism
 from torslat.silting import tors_lattice
+
+from test_silting import golden_algebras
 
 A2 = algebra_a2()
 A3 = algebra_a3()
@@ -342,22 +346,83 @@ def _loop_then_arrow():
     )
 
 
+SWEEP_INPUTS = [
+    (algebra_a2, (2, 2)),
+    (algebra_a3, (1, 1, 1)),
+    (algebra_beta_gamma, (2, 2)),
+    (algebra_kronecker, (1, 1)),
+    (algebra_dual_numbers, (2,)),
+    (_loop_then_arrow, (2, 1)),
+]
+
+
+def _combination_sweep_splits(alg, c, r):
+    """Reference split test: every nonzero f in Hom(c, r), each with a
+    linear solve of g o f = 1 for g in Hom(r, c)."""
+    p = c.p
+    fs = hom_rep_basis(alg, c, r)
+    gs = hom_rep_basis(alg, r, c)
+    if not fs or not gs:
+        return False
+    nv = len(c.dims)
+    positions = [(v, i, j) for v in range(nv) for i in range(c.dims[v]) for j in range(c.dims[v])]
+    rhs = [1 if i == j else 0 for (_, i, j) in positions]
+    for combo in product(range(p), repeat=len(fs)):
+        if not any(combo):
+            continue
+        f = oracle._hom_combo(p, fs, combo)
+        comps = [
+            [oracle._mat_mul(p, g[v], f[v], c.dims[v], r.dims[v], c.dims[v]) for v in range(nv)]
+            for g in gs
+        ]
+        rows = [[comp[v][i][j] for comp in comps] for (v, i, j) in positions]
+        if modp_solve(rows, rhs, len(gs), p) is not None:
+            return True
+    return False
+
+
+def _invertible_everywhere(p, dims, per_vertex):
+    return all(modp_rank(list(m), d, p) == d for d, m in zip(dims, per_vertex))
+
+
 class TestPrunedSweep:
     @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize(
-        "make, bounds",
-        [
-            (algebra_a2, (2, 2)),
-            (algebra_a3, (1, 1, 1)),
-            (algebra_beta_gamma, (2, 2)),
-            (algebra_kronecker, (1, 1)),
-            (algebra_dual_numbers, (2,)),
-            (_loop_then_arrow, (2, 1)),
-        ],
-    )
+    @pytest.mark.parametrize("make, bounds", SWEEP_INPUTS)
     def test_same_representatives_as_full_sweep(self, make, bounds, p):
         pruned = enumerate_indecomposables(make(), field=p, dim_bound=bounds)
         assert [c.key() for c in pruned] == _unpruned_keys(make(), p, bounds)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("make, bounds", SWEEP_INPUTS)
+    def test_pair_scan_agrees_with_combination_sweep(self, make, bounds, p, monkeypatch):
+        met = []
+        real = oracle._splits_off
+
+        def recorded(alg, c, r):
+            met.append((c, r))
+            return real(alg, c, r)
+
+        monkeypatch.setattr(oracle, "_splits_off", recorded)
+        alg = make()
+        enumerate_indecomposables(alg, field=p, dim_bound=bounds)
+        _unpruned_keys(alg, p, bounds)
+        pairs = {(c.key(), r.key()): (c, r) for c, r in met}
+        assert pairs
+        for c, r in pairs.values():
+            g = real(alg, c, r)
+            assert (g is not None) == _combination_sweep_splits(alg, c, r)
+            if g is None:
+                continue
+            assert any(
+                _invertible_everywhere(
+                    p,
+                    c.dims,
+                    [oracle._mat_mul(p, g[v], f[v], d, r.dims[v], d) for v, d in enumerate(c.dims)],
+                )
+                for f in hom_rep_basis(alg, c, r)
+            )
+            rest = oracle._kernel_subrep(alg, r, g)
+            assert rest.dims == tuple(rd - cd for rd, cd in zip(r.dims, c.dims))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_closed_form_is_first_of_each_rank(self, p):
@@ -724,3 +789,28 @@ class TestBruteTorsion:
     def test_subset_cap(self):
         with pytest.raises(SearchSpaceExceeded):
             brute_torsion_classes(BG, config=Config(subset_cap=4))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _as_json(x):
+    return json.loads(json.dumps(x))
+
+
+class TestGoldenOracle:
+    @pytest.mark.parametrize(
+        "name, n_classes, n_tors", [("D4", 12, 50), ("N4", 8, 34)]
+    )
+    def test_brute_lattices_match_their_golden(self, name, n_classes, n_tors):
+        want = json.loads((GOLDEN / "oracle_d4_n4.json").read_text())[name]
+        alg = golden_algebras()[name]
+        bound = want["bound"]
+        classes = enumerate_indecomposables(alg, dim_bound=bound)
+        assert len(classes) == n_classes
+        assert [_as_json(c.key()) for c in classes] == want["classes"]
+        tors = brute_torsion_classes(alg, dim_bound=bound)
+        assert len(tors.ids) == n_tors
+        for tag, poset in (("tors", tors), ("serre", brute_serre(alg, dim_bound=bound))):
+            assert list(poset.ids) == want[tag]["ids"]
+            assert sorted(list(c) for c in poset.covers) == want[tag]["covers"]

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from torslat import silting as silting_module
 from torslat.algebras import Quiver, build_algebra
+from torslat.config import Config
 from torslat.errors import (
     CapExceeded,
     CertificationFailed,
@@ -287,9 +288,10 @@ class TestHomSpaces:
     def test_dim_invariant_under_shift(self, C, D):
         assert hom_k_dim(BG, C, D) == hom_k_dim(BG, C.shift(1), D.shift(1))
 
-    @pytest.mark.parametrize("A", [BG, A3], ids=["beta-gamma", "A3"])
+    @pytest.mark.parametrize("A", [BG, A3, N3], ids=["beta-gamma", "A3", "N3"])
     def test_shift1_from_euler_pairing(self, A):
-        # the identity _stacked_approximation relies on:
+        # the identity behind the End-dimension shortcut of
+        # _new_class_from_cone:
         # hom(P, Q[1]) = hom(P, Q) - hom(P, Q[-1]) - <g(P), g(Q)>
         complexes = {}
         for obj in enumerate_2silt(A).objects.values():
@@ -791,8 +793,8 @@ class TestEnumeration:
 
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
-            enumerate_2silt(A2, cap=4)
-        assert len(enumerate_2silt(A2, cap=5).objects) == 5
+            enumerate_2silt(A2, config=Config(silting_cap=4))
+        assert len(enumerate_2silt(A2, config=Config(silting_cap=5)).objects) == 5
 
 
 class TestTorsLattice:
@@ -824,7 +826,7 @@ class TestTauTiltingFinite:
         assert rep.count == 5
 
     def test_infinite_case_reports_unknown(self):
-        rep = is_tau_tilting_finite(KRON, cap=30)
+        rep = is_tau_tilting_finite(KRON, config=Config(silting_cap=30))
         assert rep.status == "unknown"
         assert rep.count is None
 
