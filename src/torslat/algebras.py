@@ -179,7 +179,7 @@ class PathAlgebra:
         self.quiver = quiver
         self.config = config
         self.oracle_field = "Q"
-        rel_rows = self._check_relations(relations)
+        rel_rows = self._check_relations(quiver, relations)
         # validated relations, kept for consumers that need to evaluate them
         # on module data: tuple of term tuples (coeff, arrow index path)
         self.relation_terms = tuple(
@@ -194,9 +194,9 @@ class PathAlgebra:
 
     # -- construction --------------------------------------------------------
 
-    def _check_relations(self, relations):
-        """Validate admissibility and convert to (length, {path: coeff})."""
-        q = self.quiver
+    @staticmethod
+    def _check_relations(q, relations):
+        """Validate admissibility over quiver q; (length, {path: coeff}) rows."""
         out = []
         for rel in relations:
             terms = {}
@@ -576,9 +576,10 @@ def parse_algebra(text, config=DEFAULTS):
             if vertices is not None:
                 raise ParseError("vertices declared twice", line=lineno)
             vertices = val.split()
-            for v in vertices:
-                if not _NAME_RE.match(v):
-                    raise ParseError(f"bad vertex name {v!r}", line=lineno)
+            try:
+                Quiver(vertices, [])
+            except (DuplicateId, ValueError) as exc:
+                raise ParseError(f"vertices: {exc}", line=lineno) from exc
         elif line.startswith("arrow "):
             m = re.match(r"arrow\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\Z", line)
             if not m:
@@ -586,13 +587,11 @@ def parse_algebra(text, config=DEFAULTS):
             name, src, tgt = m.groups()
             if vertices is None:
                 raise ParseError("arrow before vertices", line=lineno)
-            if src not in vertices or tgt not in vertices:
-                raise ParseError(
-                    f"arrow {name!r} uses an undeclared vertex", line=lineno
-                )
-            if not _NAME_RE.match(name):
-                raise ParseError(f"bad arrow name {name!r}", line=lineno)
             arrows.append((name, src, tgt))
+            try:
+                Quiver(vertices, arrows)
+            except (DuplicateId, ValueError) as exc:
+                raise ParseError(f"arrow: {exc}", line=lineno) from exc
         elif line.startswith("relation"):
             expr = line[len("relation"):].strip()
             if not expr:
@@ -613,10 +612,10 @@ def parse_algebra(text, config=DEFAULTS):
 
 def _parse_relation(expr, quiver, lineno):
     terms = _signed_terms(expr, quiver.arrow_index, "relation", lineno)
-    for _, factors in terms:
-        for f in factors:
-            if f not in quiver.arrow_index:
-                raise ParseError(f"unknown arrow {f!r}", line=lineno)
+    try:
+        PathAlgebra._check_relations(quiver, [terms])
+    except NotAdmissible as exc:
+        raise ParseError(f"relation {expr!r}: {exc}", line=lineno) from exc
     return terms
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 
 from .config import DEFAULTS
 from .errors import (
@@ -376,9 +377,9 @@ def opposite(poset):
 
 
 class _TuplePoset(FinitePoset):
-    """A componentwise order that keeps each element's index tuple over its
-    coordinate posets, so two such orders can be matched element by
-    element without a search."""
+    """A componentwise order that keeps its coordinate posets and each
+    element's index tuple over them, so a certificate can check the
+    elements tuple by tuple and the order by the coordinates it names."""
 
     __slots__ = ("coords", "tuples")
 
@@ -507,6 +508,38 @@ def hom_poset(x, y, config=DEFAULTS):
         constraints[pos_of[x.index[a]]].append((pos_of[x.index[b]], y.up))
     maps = _backtrack(ext, [len(y)] * len(x), constraints, config.map_cap, "monotone map")
     return _componentwise([y] * len(x), maps)
+
+
+def count_monotone(x, y):
+    """|Hom_poset(x, y)|, counted without listing.  x's elements are placed
+    along hom_poset's linear extension, each live until its last upper
+    cover is placed; counts maps an assignment of the live elements to its
+    number of monotone partial maps.  A placed element takes any value
+    above the live elements below it: a branch while it stays live, a
+    factor otherwise.  g generic points of height one cost |y|^g a step."""
+    ext = sorted(range(len(x)), key=lambda i: (bin(x.down[i]).count("1"), i))
+    pos_of = {i: pos for pos, i in enumerate(ext)}
+    last = [-1] * len(x)  # the position of each element's last upper cover
+    for a, b in x.covers:
+        last[x.index[b]] = max(last[x.index[b]], pos_of[x.index[a]])
+    live, counts = [], Counter({(): 1})  # live: the elements keyed, in order
+    for pos, i in enumerate(ext):
+        below = [s for s, j in enumerate(live) if x.down[i] >> j & 1]
+        keep = [s for s, j in enumerate(live) if last[j] > pos]
+        placed = Counter()
+        for key, n in counts.items():
+            m = (1 << len(y)) - 1
+            for s in below:
+                m &= y.up[key[s]]
+            rest = tuple(key[s] for s in keep)
+            if last[i] > pos:
+                for v in _bits(m):
+                    placed[rest + (v,)] += n
+            elif m:
+                placed[rest] += n * bin(m).count("1")
+        live = [live[s] for s in keep] + ([i] if last[i] > pos else [])
+        counts = placed
+    return sum(counts.values())
 
 
 def poset_isomorphism(p, q):

@@ -362,6 +362,21 @@ class TestTextFormat:
                 parse_algebra(text)
             assert frag in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, line, directive",
+        [
+            ("vertices = 1 2 1\n", 1, "vertices"),
+            ("vertices = 1 2\narrow a : 1 -> 2\n\narrow a : 2 -> 1\n", 4, "arrow 'a'"),
+            ("vertices = 1 2\narrow a : 1 -> 2\nrelation a\n", 3, "relation 'a'"),
+        ],
+        ids=["duplicate-vertex", "duplicate-arrow", "inadmissible-relation"],
+    )
+    def test_structural_errors_carry_their_directive_line(self, text, line, directive):
+        with pytest.raises(ParseError) as exc:
+            parse_algebra(text)
+        assert exc.value.line == line
+        assert directive in str(exc.value)
+
     def test_missing_vertices(self):
         with pytest.raises(ParseError):
             parse_algebra("field = Q\n")

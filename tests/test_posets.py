@@ -19,6 +19,7 @@ from torslat.posets import (
     antichain,
     build_poset,
     chain,
+    count_monotone,
     down_sets,
     hasse_quiver,
     hom_poset,
@@ -230,6 +231,11 @@ class TestHomPoset:
     def test_enumeration_is_not_recursive(self):
         # one search level per element of the source, past the recursion limit
         assert len(hom_poset(chain(1200), chain(2))) == 1201
+
+    def test_count_is_not_recursive(self):
+        # one step per element of the source, past the recursion limit
+        assert count_monotone(chain(1200), chain(2)) == 1201
+        assert count_monotone(antichain(1200), chain(3)) == 3**1200
 
 
 class TestSubsetLattices:

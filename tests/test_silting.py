@@ -25,6 +25,7 @@ from torslat.errors import (
 )
 from torslat.fixtures import corpus
 from torslat.linalg import solve
+from torslat.posets import build_poset, lattice_ops
 from torslat.silting import (
     SiltingObject,
     _euler_pairing,
@@ -55,6 +56,7 @@ from torslat.silting import (
     tors_lattice,
     two_term,
 )
+from torslat.spectra import cambrian_classification
 
 A1 = build_algebra(Quiver(["1"], []), [])
 A2 = build_algebra(Quiver(["1", "2"], [("a", "1", "2")]), [])
@@ -900,3 +902,31 @@ class TestGoldenLattices:
         assert list(got.ids) == want["ids"]
         assert list(got.labels) == want["labels"]
         assert sorted(list(c) for c in got.covers) == want["covers"]
+
+
+def semidistributive(poset):
+    """For every a, the elements b with one meet a ^ b = m have a join J
+    with a ^ J = m, and dually; in a finite lattice that is meet- and
+    join-semidistributivity."""
+    ops = lattice_ops(poset)
+    for bound, dual in ((ops.meet, ops.join), (ops.join, ops.meet)):
+        for a in poset.ids:
+            span = {}  # m -> the join (meet) of the b with a ^ b = m (a v b = m)
+            for b in poset.ids:
+                m = bound(a, b)
+                span[m] = dual(span[m], b) if m in span else b
+            if any(bound(a, j) != m for m, j in span.items()):
+                return False
+    return True
+
+
+def test_torsion_lattices_are_semidistributive():
+    # Demonet-Iyama-Reading-Reiten-Thomas: tors of a tau-tilting finite
+    # algebra is semidistributive; the diamond M3 shows the check can fail
+    diamond = build_poset(["0", "x", "y", "z", "1"], [("0", t) for t in "xyz"] + [(t, "1") for t in "xyz"])
+    assert not semidistributive(diamond)
+    v = build_poset(["g", "m1", "m2"], [("g", "m1"), ("g", "m2")])
+    lattices = [tors_lattice(A) for A in (A3, A4, D4, N3, golden_algebras()["N4"])]
+    lattices.append(cambrian_classification(A2, v))
+    assert [len(l) for l in lattices] == [14, 42, 50, 14, 34, 43]
+    assert all(semidistributive(l) for l in lattices)

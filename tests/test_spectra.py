@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from torslat import spectra
 from torslat.algebras import Quiver, build_algebra
+from torslat.config import DEFAULTS
 from torslat.errors import CertificationFailed, ModelInvalid, ParseError
 from torslat.fixtures import algebra_a2, algebra_a3
 from torslat.posets import (
@@ -17,6 +18,7 @@ from torslat.posets import (
     antichain,
     build_poset,
     chain,
+    count_monotone,
     hom_poset,
     lattice_ops,
     opposite,
@@ -25,6 +27,7 @@ from torslat.posets import (
     product,
     specialization_closed,
 )
+from torslat.silting import tors_lattice
 from torslat.spectra import (
     SimPoset,
     SpecModel,
@@ -101,13 +104,31 @@ class TestIdentityMode:
         monkeypatch.setattr(
             spectra, "hom_poset", lambda x, y, config: hom_poset(x, opposite(y), config)
         )
-        # over a two-prime chain the maps into the opposite lattice differ
-        with pytest.raises(CertificationFailed, match="do not match"):
-            classify_tors(load("ident_pair").model)
+        # over a two-prime chain the maps into the opposite lattice are
+        # antitone into the lattice
+        with pytest.raises(CertificationFailed, match="not monotone"):
+            classify_tors_hom_form(chain(2), chain(3))
         # over two unrelated primes they are the same maps, ordered the
         # other way round
-        with pytest.raises(CertificationFailed, match="different up-sets"):
+        with pytest.raises(CertificationFailed, match="not over the fibers"):
             classify_tors_hom_form(build_poset(["a", "b"], []), chain(3))
+
+    def test_a_wrong_count_is_refused(self, monkeypatch):
+        monkeypatch.setattr(spectra, "count_monotone", lambda x, y: count_monotone(x, y) + 1)
+        with pytest.raises(CertificationFailed, match="9 tuples listed for 10"):
+            classify_tors(load("ident_pair").model)
+        with pytest.raises(CertificationFailed, match="9 tuples listed for 10"):
+            classify_tors_hom_form(build_poset(["a", "b"], []), chain(3))
+
+    def test_each_classification_lists_once(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a second listing")
+
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "hom_poset", refuse)
+            assert len(classify_tors(load("ident_pair").model)) == 9
+        monkeypatch.setattr(spectra, "enumerate_compatible", refuse)
+        assert len(classify_tors_hom_form(V, chain(2))) == 5
 
     def test_local_fiber_mismatch_is_refused(self, monkeypatch):
         monkeypatch.setattr(spectra, "poset_isomorphism", lambda p, q: None)
@@ -187,6 +208,20 @@ def test_parse_error_carries_the_line():
 
 
 @pytest.mark.parametrize(
+    "text, line, directive",
+    [
+        ("primes = p q\ncontains p q\ncontains q p\n", 3, "contains"),
+        ("primes = p\nsimple p : a b c\nsimrel a > b\nsimrel b > c\n\nsimrel c > a\n", 6, "simrel"),
+    ],
+)
+def test_cycles_carry_the_line_that_closes_them(text, line, directive):
+    with pytest.raises(ParseError) as info:
+        parse_spectrum(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {directive} closes a cycle"
+
+
+@pytest.mark.parametrize(
     "body, message",
     [("{not json", "bad JSON"), ('{"elements": [{"id": "x"}], "covers": [["x", "y"]]}', "'y'")],
 )
@@ -243,6 +278,16 @@ def test_hom_poset_matches_all_pairs(x, y):
     h = hom_poset(x, y)
     assert h.tuples == maps
     assert list(h.up) == all_pairs_up([y] * len(x), maps)
+    assert count_monotone(x, y) == len(maps)
+
+
+def test_count_goes_past_the_map_cap():
+    lattice = tors_lattice(algebra_a3())
+    # a local domain with ten closed points: the generic point goes
+    # anywhere, each closed point anywhere above it
+    local = build_poset(["g", *(f"m{i}" for i in range(10))], [("g", f"m{i}") for i in range(10)])
+    assert count_monotone(local, lattice) == sum(bin(u).count("1") ** 10 for u in lattice.up)
+    assert count_monotone(antichain(8), lattice) == 14**8 > DEFAULTS.map_cap
 
 
 @st.composite
