@@ -26,8 +26,9 @@ class Config:
     # free algebras on several arrows exhausting memory before length_cap)
     path_cap: int = 200_000
     # oracle: raw representation tuples summed over every dimension vector
-    # within the bound, counted before the sweep prunes arrow 0 by rank, and
-    # the largest extension-cocycle space enumerated exhaustively
+    # within the bound, counted before the sweep prunes arrow 0 by rank or
+    # solves the relations, and the largest extension-cocycle space, counted
+    # before the coboundaries and relations cut it
     oracle_search_cap: int = 2 ** 21
     oracle_cocycle_cap: int = 2 ** 14
 

@@ -5,7 +5,8 @@ literal matrix representations over F_p, splitting and isomorphism are
 decided by searching for explicit intertwiners, and torsion classes are
 the subsets of indecomposable classes closed under literal closure
 conditions, listed by NextClosure.  The searches are exhaustive and capped
-everywhere.  They skip only what provably adds nothing: matrix assignments
+everywhere; relations affine in a matrix are solved for, not filtered.
+They skip only what provably adds nothing: matrix assignments
 that cannot be the first of their class, subspace tuples with an unstable
 part, cocycles cohomologous to one already taken, and combinations of Hom
 basis maps when testing whether an indecomposable class splits off.  The
@@ -166,9 +167,9 @@ class Representation:
         return f"Representation(p={self.p}, dims={self.dims})"
 
 
-def _relations_vanish(rep):
+def _relations_vanish(rep, relations=None):
     p = rep.p
-    for rel in rep.algebra.relation_terms:
+    for rel in rep.algebra.relation_terms if relations is None else relations:
         acc = None
         for coeff, arrows in rel:
             c = _coeff_mod(coeff, p)
@@ -531,8 +532,10 @@ def _resolve_bound(algebra, dim_bound):
             raise ValueError("dim_bound must be positive")
         return (dim_bound,) * n
     bound = tuple(int(b) for b in dim_bound)
-    if len(bound) != n or any(b < 0 for b in bound):
+    if len(bound) != n:
         raise ValueError("dim_bound must give one cap per vertex")
+    if any(b < 1 for b in bound):
+        raise ValueError("dim_bound must be positive")
     return bound
 
 
@@ -548,13 +551,74 @@ def _search_size(p, bounds, q):
     return total
 
 
+def _reshape(flat, rows, cols):
+    return tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
+
+
 def _all_matrices(p, rows, cols):
-    if rows == 0 or cols == 0:
-        return [_zero_mat(rows, cols)]
+    return [_reshape(flat, rows, cols) for flat in product(range(p), repeat=rows * cols)]
+
+
+def _affine_solutions(rows, nvars, p):
+    """Solutions x of row . (x, 1) = 0 for every row over F_p, in the order
+    of product(range(p), repeat=nvars).  Eliminating from the last entry up
+    makes each pivot entry a function of the free entries before it, so two
+    solutions first differ at a free entry: counting those keeps the order.
+    """
+    rows = [row for row in rows if any(row)]
+    if not rows:
+        return list(product(range(p), repeat=nvars))
+    pivs, rref = modp_echelon([row[:nvars][::-1] + row[nvars:] for row in rows], nvars + 1, p)
+    if pivs[-1] == nvars:  # 0 = 1
+        return []
+    pivot = [(nvars - 1 - c, row[:nvars][::-1], row[nvars]) for c, row in zip(pivs, rref)]
+    free = sorted(set(range(nvars)) - {k for k, _, _ in pivot})
     out = []
-    for flat in product(range(p), repeat=rows * cols):
-        out.append(tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)))
+    x = [0] * nvars
+    for vals in product(range(p), repeat=len(free)):
+        for k, val in zip(free, vals):
+            x[k] = val
+        for k, coeffs, const in pivot:
+            x[k] = -(const + sum(coeffs[j] * x[j] for j in free)) % p
+        out.append(tuple(x))
     return out
+
+
+def _relation_rows(p, q, rel, left, right, offs, width):
+    """The entries of a relation as linear equations in the blocks of the
+    arrows in offs, whose row-major entries start at their offsets: rows of
+    length width + 1, the constant last, zero rows dropped.  Each term
+    reads L X R at each position of such an arrow, L a path of left and R
+    one of right, or is a constant path of left if it has no such arrow."""
+    shape = (left.dims[q.arrow_target(rel[0][1][0])], right.dims[q.arrow_source(rel[0][1][-1])])
+    if not all(shape):
+        return []
+    rows = [[0] * (width + 1) for _ in range(shape[0] * shape[1])]
+    for coeff, arrows in rel:
+        c = _coeff_mod(coeff, p)
+        if not c:
+            continue
+        spots = [k for k, a in enumerate(arrows) if a in offs]
+        if not spots:
+            for i, prow in enumerate(left.path_matrix(arrows)):
+                for j, e in enumerate(prow):
+                    rows[i * shape[1] + j][width] += c * e
+        for k in spots:
+            a = arrows[k]
+            xrows, cols = left.dims[q.arrow_target(a)], right.dims[q.arrow_source(a)]
+            if not xrows * cols:
+                continue
+            pre, post = arrows[:k], arrows[k + 1 :]
+            lmat = left.path_matrix(pre) if pre else _identity_mat(xrows)
+            rmat = right.path_matrix(post) if post else _identity_mat(cols)
+            for i, lrow in enumerate(lmat):
+                for r, lv in enumerate(lrow):
+                    if not lv:
+                        continue
+                    for s, rrow in enumerate(rmat):
+                        for j, rv in enumerate(rrow):
+                            rows[i * shape[1] + j][offs[a] + r * cols + s] += c * lv * rv
+    return [row for row in ([e % p for e in row] for row in rows) if any(row)]
 
 
 def _first_of_each_rank(rows, cols):
@@ -570,17 +634,72 @@ def _first_of_each_rank(rows, cols):
     return out
 
 
+def _vanishing_tuples(algebra, p, dims):
+    """Arrow matrix tuples on dims on which the relations vanish, in the
+    order of the full product sweep filtered by them.  The matrices are
+    chosen arrow by arrow, and a relation falls due at its highest arrow.
+    The relations due at an arrow that occurs at most once in each of their
+    terms are affine in its matrix and solved; others (a loop squared, say)
+    filter every matrix.  Without relations this is the product sweep."""
+    q = algebra.quiver
+    n_arrows = len(q.arrows)
+    shapes = [(dims[q.arrow_target(a)], dims[q.arrow_source(a)]) for a in range(n_arrows)]
+    pruned = bool(q.arrows) and q.arrow_source(0) != q.arrow_target(0)
+    full = [
+        _first_of_each_rank(*shape) if a == 0 and pruned else _all_matrices(p, *shape)
+        for a, shape in enumerate(shapes)
+    ]
+    if not algebra.relation_terms:
+        yield from product(*full)
+        return
+    due = [[] for _ in range(n_arrows)]
+    for rel in algebra.relation_terms:
+        due[max(a for _, arrows in rel for a in arrows)].append(rel)
+    chosen = [None] * n_arrows
+    # reads only the chosen arrows; chosen is filled in place
+    partial = Representation(algebra, p, dims, chosen, validate=False, copy=False)
+
+    def options(a):
+        if any(arrows.count(a) > 1 for rel in due[a] for _, arrows in rel):
+            kept = []
+            for m in full[a]:
+                chosen[a] = m
+                if _relations_vanish(partial, due[a]):
+                    kept.append(m)
+            return kept
+        nvars = shapes[a][0] * shapes[a][1]
+        rows = [
+            row
+            for rel in due[a]
+            for row in _relation_rows(p, q, rel, partial, partial, {a: 0}, nvars)
+        ]
+        if not rows:
+            return full[a]
+        return [_reshape(x, *shapes[a]) for x in _affine_solutions(rows, nvars, p)]
+
+    stack = [iter(options(0))]  # the options left at each chosen arrow
+    while stack:
+        a = len(stack) - 1
+        chosen[a] = next(stack[-1], None)
+        if chosen[a] is None:
+            stack.pop()
+        elif a == n_arrows - 1:
+            yield tuple(chosen)
+        else:
+            stack.append(iter(options(a + 1)))
+
+
 def enumerate_indecomposables(algebra, field=None, dim_bound=None, config=DEFAULTS):
     """One canonical representative per indecomposable class within the bound.
 
-    Matrix assignments on every dimension vector are generated, filtered by
-    the relations, and sieved: a representation any known class splits off
-    is decomposable or already seen, and the survivors are certified
-    indecomposable by checking the endomorphism space for idempotents.
-    Dimension vectors are visited sorted by total dimension then
-    lexicographically, assignments in base-p counter order with arrow 0
-    varying slowest, so the chosen representative of each class is the
-    first member of the class in that order.
+    Matrix assignments on every dimension vector on which the relations
+    vanish are solved for (_vanishing_tuples) and sieved: a representation
+    any known class splits off is decomposable or already seen, and the
+    survivors are certified indecomposable by checking the endomorphism
+    space for idempotents.  Dimension vectors are visited sorted by total
+    dimension then lexicographically, assignments in base-p counter order
+    with arrow 0 varying slowest, so the chosen representative of each
+    class is the first member of the class in that order.
 
     Unless arrow 0 is a loop, it only takes the first matrix of each rank.
     GL(d_s) x GL(d_t) at its source and target carries any matrix of rank r
@@ -617,19 +736,9 @@ def enumerate_indecomposables(algebra, field=None, dim_bound=None, config=DEFAUL
     )
     classes = []
     known_simple = [False] * n
-    prune_first = bool(q.arrows) and q.arrow_source(0) != q.arrow_target(0)
     for dims in dim_vectors:
-        per_arrow = []
-        for a in range(len(q.arrows)):
-            rows, cols = dims[q.arrow_target(a)], dims[q.arrow_source(a)]
-            if a == 0 and prune_first:
-                per_arrow.append(_first_of_each_rank(rows, cols))
-            else:
-                per_arrow.append(_all_matrices(p, rows, cols))
-        for mats in product(*per_arrow):
+        for mats in _vanishing_tuples(algebra, p, dims):
             rep = Representation(algebra, p, dims, mats, validate=False, copy=False)
-            if not _relations_vanish(rep):
-                continue
             if any(
                 known_simple[v] and dims[v] and _simple_splits(rep, v)
                 for v in range(n)
@@ -879,9 +988,10 @@ def _extensions(algebra, x, y, config):
     Changing the basis by [[1, h], [0, 1]] adds the coboundary
     x_a h_s - h_t y_a to c, so cohomologous cocycles give isomorphic middle
     terms and Ext^1(y, x) = Z/B.  Every coset of B meets the blocks that
-    vanish on the pivot columns of B's echelon form exactly once, so only
-    those blocks are swept, in the order of the full sweep, and filtered
-    by the relations.  The cap still applies to all p^nvars blocks.
+    vanish on the pivot columns of B's echelon form exactly once.  The
+    relations are linear in c, so the cocycles among those blocks are
+    solved for, one per class, in the order of the full sweep.  The cap
+    still applies to all p^nvars blocks.
     """
     p = x.p
     q = algebra.quiver
@@ -899,9 +1009,17 @@ def _extensions(algebra, x, y, config):
         )
     pivots = set(_coboundary_pivots(p, q, x, y, offs))
     free = [k for k in range(nvars) if k not in pivots]
+    # the (1, 2) block of a product of the middle term's matrices has one
+    # c factor per term: x's path before it, y's path after
+    every = {a: offs[a] for a in range(len(q.arrows))}
+    rows = [
+        [row[k] for k in free] + [0]
+        for rel in algebra.relation_terms
+        for row in _relation_rows(p, q, rel, x, y, every, nvars)
+    ]
     dims = tuple(xd + yd for xd, yd in zip(x.dims, y.dims))
     flat = [0] * nvars
-    for vals in product(range(p), repeat=len(free)):
+    for vals in _affine_solutions(rows, len(free), p):
         for k, val in zip(free, vals):
             flat[k] = val
         mats = []
@@ -915,9 +1033,7 @@ def _extensions(algebra, x, y, config):
             for i in range(y.dims[t]):
                 m.append((0,) * x.dims[s] + tuple(y.mats[a][i]))
             mats.append(tuple(m))
-        rep = Representation(algebra, p, dims, mats, validate=False)
-        if _relations_vanish(rep):
-            yield rep
+        yield Representation(algebra, p, dims, mats, validate=False)
 
 
 def _closure_requirements(algebra, classes, config, memo):
@@ -1022,8 +1138,8 @@ def brute_torsion_classes(algebra, field=None, dim_bound=None, config=DEFAULTS):
     The requirement tables take the quotients of each two-member sum from
     its arrow-stable subspace tuples, chosen vertex by vertex with each
     arrow checked once both of its ends are chosen, and the extensions
-    from one middle term per class of Ext^1, swept over the blocks that
-    vanish on the pivots of the coboundaries.  The two-member truncation
+    from one middle term per class of Ext^1, solved for among the blocks
+    that vanish on the pivots of the coboundaries.  The two-member truncation
     is validated by the cross-check suite.  The subsets are listed by
     posets.closed_sets and each is checked against the requirement
     tables.  The closures of each listed T plus one class must be listed

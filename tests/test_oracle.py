@@ -2,6 +2,7 @@
 subset-sweep torsion classes, cross-checked against the complex engine."""
 
 import json
+import random
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -279,8 +280,16 @@ class TestEnumerate:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             enumerate_indecomposables(A2, dim_bound=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one cap per vertex"):
             enumerate_indecomposables(A2, dim_bound=(1, 1, 1))
+        # a cap of 0 would drop the simple at its vertex
+        for bound in ((1, 0), (0, 1), (1, -1)):
+            with pytest.raises(ValueError, match="positive"):
+                enumerate_indecomposables(A2, dim_bound=bound)
+        with pytest.raises(ValueError, match="positive"):
+            brute_torsion_classes(A2, dim_bound=(1, 0))
+        with pytest.raises(ValueError, match="positive"):
+            brute_serre(A2, dim_bound=(0, 1))
 
     def test_cache_keeps_the_config(self):
         # a fresh algebra: the fixtures hand out cached singletons
@@ -295,6 +304,17 @@ class TestEnumerate:
     def test_odd_characteristic(self):
         assert len(enumerate_indecomposables(A2, field=3, dim_bound=(1, 1))) == 3
         assert len(enumerate_indecomposables(DUAL, field=3)) == 2
+
+
+def _nakayama(n):
+    # cyclic quiver with every length-two path killed
+    arrows = [(f"a{i}", str(i), str(i % n + 1)) for i in range(1, n + 1)]
+    relations = [[(1, [f"a{i % n + 1}", f"a{i}"])] for i in range(1, n + 1)]
+    return build_algebra(Quiver([str(i) for i in range(1, n + 1)], arrows), relations)
+
+
+def _no_relations(n, arrows):
+    return build_algebra(Quiver([str(i) for i in range(1, n + 1)], arrows), [])
 
 
 def _unpruned_keys(alg, p, bounds):
@@ -356,6 +376,51 @@ SWEEP_INPUTS = [
 ]
 
 
+def _nakayama3():
+    return _nakayama(3)
+
+
+def _square():
+    # ba - 2dc: the commutative square up to a unit over Q and F_3; over
+    # F_2 the monomial ba
+    return build_algebra(
+        Quiver(
+            ["1", "2", "3", "4"],
+            [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")],
+        ),
+        [[(1, ["b", "a"]), (-2, ["d", "c"])]],
+    )
+
+
+def _preprojective_a3():
+    # the double quiver of 1 - 2 - 3, the reverse of x named xs, with
+    # as a, a as - bs b and b bs killed
+    return build_algebra(
+        Quiver(
+            ["1", "2", "3"],
+            [("a", "1", "2"), ("as", "2", "1"), ("b", "2", "3"), ("bs", "3", "2")],
+        ),
+        [[(1, ["as", "a"])], [(1, ["a", "as"]), (-1, ["bs", "b"])], [(1, ["b", "bs"])]],
+    )
+
+
+def _arrow_then_loop():
+    # the loop's relation e^2 is not affine in e, so its matrices are filtered
+    return build_algebra(
+        Quiver(["1", "2"], [("a", "1", "2"), ("e", "2", "2")]),
+        [[(1, ["e", "e"])]],
+    )
+
+
+# inputs whose relations the sweep solves arrow by arrow
+SOLVED_INPUTS = [
+    (_nakayama3, (1, 1, 1)),
+    (_square, (1, 1, 1, 1)),
+    (_preprojective_a3, (1, 2, 1)),
+    (_arrow_then_loop, (2, 2)),
+]
+
+
 def _combination_sweep_splits(alg, c, r):
     """Reference split test: every nonzero f in Hom(c, r), each with a
     linear solve of g o f = 1 for g in Hom(r, c)."""
@@ -387,7 +452,7 @@ def _invertible_everywhere(p, dims, per_vertex):
 
 class TestPrunedSweep:
     @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("make, bounds", SWEEP_INPUTS)
+    @pytest.mark.parametrize("make, bounds", SWEEP_INPUTS + SOLVED_INPUTS)
     def test_same_representatives_as_full_sweep(self, make, bounds, p):
         pruned = enumerate_indecomposables(make(), field=p, dim_bound=bounds)
         assert [c.key() for c in pruned] == _unpruned_keys(make(), p, bounds)
@@ -433,18 +498,38 @@ class TestPrunedSweep:
                     first.setdefault(modp_rank([list(r) for r in m], cols, p), m)
                 assert oracle._first_of_each_rank(rows, cols) == list(first.values())
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_affine_solutions_keep_the_sweep_order(self, p):
+        rng = random.Random(p)
+        for _ in range(300):
+            nvars = rng.randint(0, 5)
+            rows = [
+                [rng.randrange(p) for _ in range(nvars + 1)] for _ in range(rng.randint(0, 4))
+            ]
+            swept = [
+                x for x in product(range(p), repeat=nvars)
+                if all((sum(c * v for c, v in zip(row, x)) + row[nvars]) % p == 0 for row in rows)
+            ]
+            assert oracle._affine_solutions(rows, nvars, p) == swept
+
     def test_beta_gamma_relation_checks(self, monkeypatch):
-        calls = []
-        real = oracle._relations_vanish
+        calls = _count_relation_checks(monkeypatch)
+        classes = enumerate_indecomposables(algebra_beta_gamma.__wrapped__())
+        # the relations are solved, so the only checks validate the classes
+        # kept; filtering took 270 767 checks, 2 538 with rank pruning
+        assert len(calls) == len(classes) == 5
 
-        def counted(rep):
-            calls.append(1)
-            return real(rep)
 
-        monkeypatch.setattr(oracle, "_relations_vanish", counted)
-        enumerate_indecomposables(algebra_beta_gamma())
-        # 270 767 without pruning
-        assert len(calls) < 3000
+def _count_relation_checks(monkeypatch):
+    calls = []
+    real = oracle._relations_vanish
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_relations_vanish", counted)
+    return calls
 
 
 class TestClosureRequirementsShared:
@@ -470,17 +555,6 @@ class TestClosureRequirementsShared:
             with pytest.raises(SearchSpaceExceeded):
                 brute_serre(alg, config=small)
         assert len(brute_torsion_classes(alg)) == TORS_COUNTS["a2"]
-
-
-def _nakayama(n):
-    # cyclic quiver with every length-two path killed
-    arrows = [(f"a{i}", str(i), str(i % n + 1)) for i in range(1, n + 1)]
-    relations = [[(1, [f"a{i % n + 1}", f"a{i}"])] for i in range(1, n + 1)]
-    return build_algebra(Quiver([str(i) for i in range(1, n + 1)], arrows), relations)
-
-
-def _no_relations(n, arrows):
-    return build_algebra(Quiver([str(i) for i in range(1, n + 1)], arrows), [])
 
 
 BEYOND_CORPUS = [
@@ -577,6 +651,17 @@ class TestEngineBeyondCorpus:
         brute = brute_torsion_classes(alg, dim_bound=bound)
         assert poset_isomorphism(tors_lattice(alg), brute)
 
+    @pytest.mark.parametrize(
+        "make, field, bound, n_tors",
+        [(_preprojective_a3, 2, (1, 2, 1), 24), (_square, 3, 1, 46)],
+        ids=["preprojective A3", "square over F_3"],
+    )
+    def test_solved_relations_match_engine(self, make, field, bound, n_tors):
+        alg = make()
+        brute = brute_torsion_classes(alg, field=field, dim_bound=bound)
+        assert len(brute) == n_tors
+        assert poset_isomorphism(tors_lattice(alg), brute)
+
 
 def _swept_stable_tuples(algebra, rep):
     """Every tuple of per-vertex subspaces in product order, kept when each
@@ -630,6 +715,9 @@ REFERENCE_CASES = [(name, make, None, bound) for name, make, bound in SWEEP_CASE
     ("dual-numbers over F_3", algebra_dual_numbers, 3, 2),
     ("beta-gamma over F_3", algebra_beta_gamma, 3, (2, 1)),
     ("N3 over F_3", lambda: _nakayama(3), 3, 1),
+    # the first preprojective and the first non-monomial inputs
+    ("preprojective A3", _preprojective_a3, 2, (1, 2, 1)),
+    ("square over F_3", _square, 3, 1),
 ]
 # the underlying graph of 1 -> 2 -> 3, 1 -> 3 is an odd cycle, so over F_3
 # the sign of the coboundary moves its pivots; the closure tables of this
@@ -670,6 +758,16 @@ class TestClosureSweeps:
                 middles = list(oracle._extensions(alg, x, y, DEFAULTS))
                 assert len(middles) == p ** ext_dim(alg, y, x)
 
+    def test_extensions_check_no_relations(self, monkeypatch):
+        alg = _preprojective_a3()
+        classes = enumerate_indecomposables(alg, dim_bound=(1, 2, 1))
+        calls = _count_relation_checks(monkeypatch)
+        middles = [
+            m for x in classes for y in classes for m in oracle._extensions(alg, x, y, DEFAULTS)
+        ]
+        assert middles and not calls
+        assert all(oracle._relations_vanish(m) for m in middles)
+
     @reference_cases
     def test_tables_match_the_full_sweeps(self, monkeypatch, make, field, bound):
         alg = make()
@@ -693,12 +791,26 @@ BRICK_COUNTS = {
     "N3": 6,
     "N4": 8,
     "N5": 10,
+    "preprojective A3": 11,
+    "A5": 15,
+    "D5": 20,
 }
+
+
+# D5 at its highest root: at (1, 1, 2, 1, 1) the sweep misses the brick
+# of dimension (1, 1, 2, 2, 1) and finds 19 without a word
+BRICKS_BEYOND = [
+    ("preprojective A3", _preprojective_a3, (1, 2, 1)),
+    ("A5", lambda: _linear(5), 1),
+    ("D5", lambda: _no_relations(
+        5, [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "5")]), (1, 1, 2, 2, 1)),
+]
 
 
 class TestBricks:
     @pytest.mark.parametrize(
-        "name, make, bound", SWEEP_CASES, ids=[case[0] for case in SWEEP_CASES]
+        "name, make, bound", SWEEP_CASES + BRICKS_BEYOND,
+        ids=[case[0] for case in SWEEP_CASES + BRICKS_BEYOND],
     )
     def test_bricks_count_the_irreducible_torsion_classes(self, name, make, bound):
         # bricks <-> join-irreducible torsion classes, and dually the
