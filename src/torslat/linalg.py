@@ -1,24 +1,21 @@
-"""Exact linear algebra kernels.
+"""Exact linear algebra: one sparse elimination kernel over Q and F_p.
 
-Coefficients are exact rationals under one convention: a value that is
-integral is a Python ``int``, and a ``Fraction`` appears only where a
-division makes one.  ``intify``, ``exact_div`` and ``int_scale`` keep to
-it, every kernel returns its results in that form, and none returns a
-float.  Integer arithmetic is several times cheaper than Fraction
-arithmetic, and most systems the silting engine meets are integral.
+Over Q a value that is integral is a Python ``int``, and a ``Fraction``
+appears only where a division makes one; ``intify``, ``exact_div`` and
+``int_scale`` keep to it, and no kernel returns a float.  Integer
+arithmetic is several times cheaper than Fraction arithmetic, and most
+systems the silting engine meets are integral.
 
-Three eliminators:
-
-* ``IntEchelon``: sparse fraction-free forward echelon over the integers.
-  ``nullspace``, ``int_nullspace``, ``solve`` and ``express_in_span`` run
-  on it, rows with Fractions first scaled to integers (``int_rows``).  It
-  carries the large chain-map systems of the silting engine, whose banded
-  differentials couple only a handful of unknowns per equation;
-* ``Echelon``: sparse reduced echelon form with pivot rows normalized to
-  1, so its rows hold Fractions; used for incremental rank and membership
-  where rows arrive one at a time;
-* small dense mod-p elimination on coefficient lists, used by the
-  brute-force oracle.
+``IntEchelon(char)`` is the kernel, with one elimination loop and one
+back-substitution.  Characteristic 0 means integer rows standing for
+rational ones, eliminated fraction-free; a prime p means residues mod p.
+It carries both the large banded chain-map systems of the silting engine
+and the small systems of the brute-force oracle over F_2 and F_3.  The
+front ends each hide a format: ``Echelon``, ``nullspace``, ``solve`` and
+``express_in_span`` take rows with Fractions and scale them to integers
+(``int_rows``), and the ``modp_*`` functions take and return the
+oracle's dense lists.  They stay separate entry points, not aliases,
+because the benchmark (``perfbench/``) traces each of them by name.
 
 ``det`` eliminates fraction-free too (Bareiss).  Sparse vectors are dicts
 column -> nonzero coefficient.  Everything is deterministic: rows are
@@ -30,7 +27,10 @@ import heapq
 import math
 from fractions import Fraction
 
-ONE = Fraction(1)
+# Augmented column key: it compares greater than every real column index,
+# so it is only ever picked as a pivot by an inconsistent row of solve(),
+# and Echelon.reduce can follow a marker in it.
+AUG = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -75,76 +75,173 @@ def vec_add_scaled(target, source, scale):
             target.pop(c, None)
 
 
-class Echelon:
-    """Incremental reduced row echelon form over Fraction.
+# Characteristics already checked: 0 and the primes seen so far.  A kernel
+# tests membership first, so the primality test runs once per prime.
+_FIELDS = {0}
 
-    Rows are sparse dicts.  Pivot columns are chosen as the minimum column
-    index of the reduced row; pivot rows are normalized to 1 and kept clear
-    of each other's pivot columns, so membership tests need no
-    back-substitution pass.
+
+class IntEchelon:
+    """Incremental sparse forward echelon over Q (char 0) or F_p (char p).
+
+    Over Q each stored row is an integer dict defined up to scale and
+    gcd-normalized; over F_p it holds residues and its pivot entry is 1.
+    Only forward elimination is done (rows are not kept clear of later
+    pivot columns), which keeps inserts cheap on the large chain-map
+    systems; nullspace reads back-substitute in descending pivot order.
     """
 
-    def __init__(self):
+    __slots__ = ("pivots", "char")
+
+    def __init__(self, char=0):
+        if char not in _FIELDS:
+            if char < 2 or any(char % d == 0 for d in range(2, math.isqrt(char) + 1)):
+                raise ValueError(f"characteristic {char} is neither 0 nor a prime")
+            _FIELDS.add(char)
         self.pivots = {}        # pivot col -> row dict
-        self._uses = {}         # col -> set of pivot cols whose rows touch it
+        self.char = char
 
     @property
     def rank(self):
         return len(self.pivots)
 
     def reduce(self, row):
-        """Return a new dict: row reduced modulo the current span."""
-        row = dict(row)
-        for c in sorted(row):
-            v = row.get(c)
-            if not v:
-                row.pop(c, None)
-                continue
-            piv = self.pivots.get(c)
-            if piv is not None:
-                vec_add_scaled(row, piv, -v)
-                row.pop(c, None)
+        """Return a new dict: row reduced modulo the current span, up to
+        scale, so it is supported on the non-pivot columns."""
+        p = self.char
+        if p:
+            row = {c: w for c, v in row.items() if (w := v % p)}
+        else:
+            row = {c: v for c, v in row.items() if v}
+        pivots = self.pivots
+        while row:
+            # lowest column with a pivot available; fill-in may add columns,
+            # so rescan instead of iterating a frozen order
+            best = None
+            for c in row:
+                if c in pivots and (best is None or c < best):
+                    best = c
+            if best is None:
+                break
+            piv = pivots[best]
+            mp = row[best]
+            if not p:
+                g = math.gcd(piv[best], mp)
+                mr = piv[best] // g
+                mp //= g
+                if mr != 1:
+                    for c in row:
+                        row[c] *= mr
+            for c, pv in piv.items():
+                w = row.get(c, 0) - mp * pv
+                if p:
+                    w %= p
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+        if row and not p:
+            g = 0
+            for v in row.values():
+                g = math.gcd(g, v)
+                if g == 1:
+                    return row
+            for c in row:
+                row[c] //= g
         return row
 
     def insert(self, row):
         """Insert row; return its pivot column, or None if dependent."""
-        rem = self.reduce(row)
+        rem = IntEchelon.reduce(self, row)  # Echelon.reduce gives rational forms
         if not rem:
             return None
-        p = min(rem)
-        inv = ONE / rem[p]
-        if inv != ONE:
-            rem = {c: v * inv for c, v in rem.items()}
-        # keep existing rows clear of the new pivot column
-        for q in list(self._uses.get(p, ())):
-            other = self.pivots[q]
-            coeff = other.pop(p, None)
-            if coeff is None:
-                continue
-            self._unregister(q, p)
-            vec_add_scaled(other, rem, -coeff)
-            other.pop(p, None)
-            for c in rem:
-                if c != p and c in other:
-                    self._register(q, c)
-        self.pivots[p] = rem
-        for c in rem:
-            if c != p:
-                self._register(p, c)
-        return p
+        c = min(rem)
+        p = self.char
+        if p and rem[c] != 1:
+            inv = pow(rem[c], -1, p)
+            rem = {col: v * inv % p for col, v in rem.items()}
+        self.pivots[c] = rem
+        return c
 
-    def _register(self, pivot_col, col):
-        self._uses.setdefault(col, set()).add(pivot_col)
+    def nullspace_basis(self, ncols):
+        """Nullspace of the inserted rows, one dict per free column.
 
-    def _unregister(self, pivot_col, col):
-        s = self._uses.get(col)
-        if s is not None:
-            s.discard(pivot_col)
-            if not s:
-                del self._uses[col]
+        Unit at the free column, zero at the other free columns,
+        back-substituted values at pivot columns: over Q each is an int
+        where it is integral, over F_p a residue.
+        """
+        uses = self._uses()
+        return [
+            self._back_substitute(f, uses)
+            for f in range(ncols)
+            if f not in self.pivots
+        ]
 
-    def contains(self, row):
-        return not self.reduce(row)
+    def _uses(self):
+        """col -> the negated pivot cols whose rows touch it (heap keys of
+        _back_substitute, which visits pivots in descending order)."""
+        uses = {}
+        for p, prow in self.pivots.items():
+            for c in prow:
+                if c != p:
+                    uses.setdefault(c, []).append(-p)
+        return uses
+
+    def _back_substitute(self, f, uses):
+        """The nullspace vector with 1 at the non-pivot column f and 0 at
+        every other non-pivot column.
+
+        Only pivots reachable through the support chain are visited (a
+        pivot row touching column c has pivot <= c, so a descending
+        worklist resolves dependencies in order).
+        """
+        pivots = self.pivots
+        char = self.char
+        v = {f: 1}
+        heap = list(uses.get(f, ()))
+        heapq.heapify(heap)
+        seen = set(heap)
+        while heap:
+            p = -heapq.heappop(heap)
+            prow = pivots[p]
+            s = 0
+            for c, pv in prow.items():
+                if c != p:
+                    x = v.get(c)
+                    if x is not None:
+                        s += pv * x
+            if char:
+                s %= char
+            if s:
+                v[p] = char - s if char else exact_div(-s, prow[p])
+                for q in uses.get(p, ()):
+                    if q not in seen:
+                        seen.add(q)
+                        heapq.heappush(heap, q)
+        return v
+
+
+class Echelon(IntEchelon):
+    """The kernel over Q for rows with Fractions, with exact normal forms.
+
+    The normal form of a vector, the one vector of vector + span supported
+    on the non-pivot columns, is what ``IntEchelon.reduce`` leaves of it
+    with a marker column added, divided by the marker's final coefficient.
+    """
+
+    __slots__ = ()
+
+    def insert(self, row):
+        """Insert row; return its pivot column, or None if dependent."""
+        return IntEchelon.insert(self, int_rows([row])[0])
+
+    def reduce(self, row):
+        """The normal form of row: a new dict, each value an int where it
+        is integral."""
+        marked = dict(row)
+        marked[AUG] = 1
+        rem = IntEchelon.reduce(self, int_rows([marked])[0])
+        m = rem.pop(AUG)
+        return {c: exact_div(v, m) for c, v in rem.items()}
 
 
 def nullspace(rows, ncols):
@@ -158,149 +255,10 @@ def nullspace(rows, ncols):
     return int_nullspace(int_rows(rows), ncols)
 
 
-class IntEchelon:
-    """Incremental forward echelon over the integers, fraction-free.
-
-    Each stored row is an integer dict defined up to scale and gcd-normalized.
-    Only forward elimination is done (rows are not kept clear of later pivot
-    columns), which keeps inserts cheap on the large integral chain-map
-    systems; nullspace reads back-substitute in descending pivot order.
-    """
-
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots = {}        # pivot col -> int row dict
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def reduce(self, row):
-        """Return a new int dict: row reduced modulo the current span."""
-        row = {c: v for c, v in row.items() if v}
-        pivots = self.pivots
-        while row:
-            # lowest column with a pivot available; fill-in may add columns,
-            # so rescan instead of iterating a frozen order
-            best = None
-            for c in row:
-                if c in pivots and (best is None or c < best):
-                    best = c
-            if best is None:
-                break
-            piv = pivots[best]
-            v = row[best]
-            p = piv[best]
-            g = math.gcd(p, v)
-            mr = p // g
-            mp = v // g
-            if mr != 1:
-                for c in row:
-                    row[c] *= mr
-            for c, pv in piv.items():
-                w = row.get(c, 0) - mp * pv
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
-        if row:
-            g = 0
-            for v in row.values():
-                g = math.gcd(g, v)
-                if g == 1:
-                    return row
-            if g > 1:
-                for c in row:
-                    row[c] //= g
-        return row
-
-    def insert(self, row):
-        """Insert row; return its pivot column, or None if dependent."""
-        rem = self.reduce(row)
-        if not rem:
-            return None
-        p = min(rem)
-        self.pivots[p] = rem
-        return p
-
-    def contains(self, row):
-        return not self.reduce(row)
-
-    def nullspace_basis(self, ncols):
-        """Nullspace of the inserted rows, one dict per free column.
-
-        Equal vectors to nullspace(): unit at the free column, zero at the
-        other free columns, back-substituted values at pivot columns, each
-        an int where it is integral.
-        """
-        uses = self._uses()
-        return [
-            self._back_substitute(f, uses)
-            for f in range(ncols)
-            if f not in self.pivots
-        ]
-
-    def _uses(self):
-        """col -> pivot cols whose rows touch it."""
-        uses = {}
-        for p, prow in self.pivots.items():
-            for c in prow:
-                if c != p:
-                    uses.setdefault(c, []).append(p)
-        return uses
-
-    def _back_substitute(self, f, uses):
-        """The nullspace vector with 1 at the non-pivot column f and 0 at
-        every other non-pivot column.
-
-        Only pivots reachable through the support chain are visited (a
-        pivot row touching column c has pivot <= c, so a descending
-        worklist resolves dependencies in order).
-        """
-        pivots = self.pivots
-        v = {f: 1}
-        heap = [-p for p in uses.get(f, ())]
-        heapq.heapify(heap)
-        seen = set(heap)
-        while heap:
-            p = -heapq.heappop(heap)
-            prow = pivots[p]
-            s = 0
-            for c, pv in prow.items():
-                if c != p:
-                    x = v.get(c)
-                    if x is not None:
-                        s += pv * x
-            if s:
-                v[p] = exact_div(-s, prow[p])
-                for q in uses.get(p, ()):
-                    if -q not in seen:
-                        seen.add(-q)
-                        heapq.heappush(heap, -q)
-        return v
-
-
 def int_rows(rows):
-    """Scale sparse Fraction rows to integer rows (per-row lcm of denominators).
-
-    Row scaling preserves rank and nullspace, which is all IntEchelon is for.
-    All-int rows pass through unchanged (not copied).
-    """
-    out = []
-    for r in rows:
-        if all(type(v) is int for v in r.values()):
-            out.append(r)
-            continue
-        scale = 1
-        for v in r.values():
-            d = getattr(v, "denominator", 1)
-            scale = scale * d // math.gcd(scale, d)
-        if scale == 1:
-            out.append({c: int(v) for c, v in r.items()})
-        else:
-            out.append({c: int(v * scale) for c, v in r.items()})
-    return out
+    """Each sparse row scaled to integers by the lcm of its denominators,
+    which keeps its span; all-int rows pass through uncopied."""
+    return [r if all(type(v) is int for v in r.values()) else int_scale([r])[1][0] for r in rows]
 
 
 def int_nullspace(rows, ncols):
@@ -313,11 +271,6 @@ def int_nullspace(rows, ncols):
     for r in rows:
         ech.insert(r)
     return ech.nullspace_basis(ncols)
-
-
-# Augmented column key used by solve(). Must compare greater than every real
-# column index so it is only ever picked as a pivot by an inconsistent row.
-AUG = float("inf")
 
 
 def solve(rows, rhs):
@@ -400,65 +353,62 @@ def det(rows):
 
 
 # ---------------------------------------------------------------------------
-# generic small prime p: rows are lists of ints in [0, p)
+# F_p on dense rows: lists of ints, reduced mod p on the way in
+
+
+def _modp_kernel(rows, ncols, p):
+    """The kernel over F_p holding the dense rows, each of length ncols."""
+    ech = IntEchelon(p)
+    for r in rows:
+        if len(ech.pivots) == ncols:
+            break  # the rows already span F_p^ncols
+        if any(r):
+            ech.insert(dict(enumerate(r)))
+    return ech
 
 
 def modp_echelon(rows, ncols, p):
-    """RREF over F_p; returns (pivot_cols, rref_rows)."""
-    mat = [list(r) for r in rows]
-    piv_cols = []
-    lead = 0
-    r = 0
-    while r < len(mat) and lead < ncols:
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][lead] % p:
-                sel = i
-                break
-        if sel is None:
-            lead += 1
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][lead], p - 2, p) if p > 2 else 1
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][lead] % p:
-                f = mat[i][lead] % p
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        piv_cols.append(lead)
-        lead += 1
-        r += 1
-    return piv_cols, mat[: len(piv_cols)]
+    """RREF over F_p of rows of length ncols: (pivot_cols, rref_rows).
+
+    The pivot columns ascend.  The RREF row of pivot c has 1 at c and
+    -v_f[c] at each free column f, where v_f is the nullspace vector of f.
+    """
+    ech = _modp_kernel(rows, ncols, p)
+    pivs = sorted(ech.pivots)
+    rref = {}
+    for c in pivs:
+        rref[c] = row = [0] * ncols
+        row[c] = 1
+    uses = ech._uses()
+    for f in range(ncols):
+        if f in uses and f not in rref:
+            for c, x in ech._back_substitute(f, uses).items():
+                if c != f:
+                    rref[c][f] = p - x
+    return pivs, list(rref.values())
 
 
 def modp_nullspace(rows, ncols, p):
-    piv_cols, rref = modp_echelon(rows, ncols, p)
-    piv_set = set(piv_cols)
+    """Nullspace basis over F_p as dense lists, one per free column in
+    ascending order: 1 there, 0 at the other free columns."""
     basis = []
-    for f in range(ncols):
-        if f in piv_set:
-            continue
+    for vec in _modp_kernel(rows, ncols, p).nullspace_basis(ncols):
         v = [0] * ncols
-        v[f] = 1
-        for pc, prow in zip(piv_cols, rref):
-            if prow[f] % p:
-                v[pc] = (-prow[f]) % p
+        for c, x in vec.items():
+            v[c] = x
         basis.append(v)
     return basis
 
 
 def modp_rank(rows, ncols, p):
-    piv_cols, _ = modp_echelon(rows, ncols, p)
-    return len(piv_cols)
+    return _modp_kernel(rows, ncols, p).rank
 
 
 def modp_solve(rows, rhs, ncols, p):
-    """One solution of rows . x = rhs over F_p (free vars 0), or None."""
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    piv_cols, rref = modp_echelon(aug, ncols + 1, p)
-    if ncols in piv_cols:
-        return None
-    x = [0] * ncols
-    for pc, prow in zip(piv_cols, rref):
-        x[pc] = prow[ncols] % p
-    return x
+    """One solution of rows . x = rhs over F_p (free vars 0), or None; the
+    right-hand side is column ncols, eliminated as in solve()."""
+    ech = _modp_kernel([list(r) + [-b] for r, b in zip(rows, rhs)], ncols + 1, p)
+    if ncols in ech.pivots:
+        return None  # 0 = 1 row
+    sol = ech._back_substitute(ncols, ech._uses())
+    return [sol.get(c, 0) for c in range(ncols)]
