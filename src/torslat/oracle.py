@@ -19,6 +19,10 @@ algebra shapes is accepted, so the exhaustive searches stay honest.
 Matrices are tuples of row tuples with entries reduced mod p; the matrix of
 an arrow has one row per target-vertex dimension and one column per
 source-vertex dimension, matching left modules over the path algebra.
+A subspace of F_p^d has one form throughout: (pivot columns, rows), each
+row 1 at its own pivot and 0 at the other pivots.  RREFs have it, and so
+do nullspace vectors pivoted at their free columns, so kernels are used
+as they come; _reduce serves membership, coordinates and quotients.
 """
 
 from fractions import Fraction
@@ -69,10 +73,14 @@ def _field_of(algebra, field):
     if field is None:
         tag = getattr(algebra, "oracle_field", "Q")
         return {"F2": 2, "F3": 3}.get(tag, 2)
-    p = int(field)
-    if p not in (2, 3):
-        raise ValueError("supported fields are F_2 and F_3")
-    return p
+    if not _is_int(field) or field not in (2, 3):
+        raise ValueError("supported fields are F_2 and F_3, given as 2 or 3")
+    return field
+
+
+def _is_int(x):
+    # bool is an int subclass, but True is no field or bound
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _vertex_index(algebra, vertex):
@@ -358,65 +366,71 @@ def _simple_splits(rep, v):
         return False
     if not in_vecs:
         return True
-    return modp_rank(in_vecs + kernel, d, p) > modp_rank(in_vecs, d, p)
+    images = modp_echelon(in_vecs, d, p)
+    return any(any(_reduce(p, images, u)[1]) for u in kernel)
 
 
 def _splits_off(algebra, c, r):
     """Retraction g: r -> c of a split embedding of c into r, or None.
 
-    Scans pairs of Hom basis maps f_j: c -> r and g_i: r -> c for one
-    whose composite g_i o f_j is invertible at every vertex; then g_i o f_j
-    is an automorphism of c and r = im f_j (+) ker g_i.  The scan is
-    complete because c is indecomposable: End(c) is local, so its non-units
-    form the subspace rad End(c).  If g o f = 1 for some f and g, expanding
-    both in the bases writes 1 as a combination of the g_i o f_j, so one of
-    them lies outside rad End(c) and is a unit.
+    Scans pairs of Hom basis maps f_j: c -> r and g_i: r -> c for a unit
+    g_i o f_j of End(c); then r = im f_j (+) ker g_i.  The scan is complete
+    because c is indecomposable: End(c) is local, so its non-units form the
+    subspace rad End(c).  If g o f = 1 for some f and g, expanding both in
+    the bases writes 1 as a combination of the g_i o f_j, so one of them
+    lies outside rad End(c) and is a unit.  A non-unit of the local ring
+    End(c) is nilpotent, hence singular at every vertex where c is nonzero,
+    so one such vertex, the first, tells units apart.
     """
     p = c.p
     fs = hom_rep_basis(algebra, c, r)
     if not fs:
         return None
+    v, d = next((v, d) for v, d in enumerate(c.dims) if d)
     for g in hom_rep_basis(algebra, r, c):
         for f in fs:
-            if all(
-                modp_rank(_mat_mul(p, g[v], f[v], d, r.dims[v], d), d, p) == d
-                for v, d in enumerate(c.dims)
-                if d
-            ):
+            if modp_rank(_mat_mul(p, g[v], f[v], d, r.dims[v], d), d, p) == d:
                 return g
     return None
 
 
-def _coords_in_rref(p, rref, pivs, vec):
-    """Coordinates of vec in the row span, or None if it falls outside."""
-    vec = [e % p for e in vec]
-    out = []
-    for row, pc in zip(rref, pivs):
-        c = vec[pc] % p
-        out.append(c)
+def _reduce(p, sub, vec):
+    """(coords, rest) with vec = sum of coords[i] * rows[i] + rest, for a
+    subspace sub = (pivot columns, rows) and vec reduced mod p.  rest is 0
+    at the pivots, so vec lies in the span exactly when rest is 0, and its
+    other entries are vec's coordinates in the quotient by the span.
+    """
+    pivs, rows = sub
+    coords = [vec[pc] for pc in pivs]
+    for c, row in zip(coords, rows):
         if c:
             vec = [(x - c * y) % p for x, y in zip(vec, row)]
-    if any(vec):
-        return None
-    return out
+    return coords, vec
+
+
+def _kernel(p, mat, d):
+    """Kernel of a matrix with d columns as a subspace: the modp_nullspace
+    vectors, each pivoted at its free column, which is its last nonzero
+    entry (the columns after it are free and 0 there)."""
+    rows = modp_nullspace(mat, d, p)
+    return [max(i for i, x in enumerate(u) if x) for u in rows], rows
 
 
 def _subrep_on_rows(algebra, rep, bases):
-    """Representation carried by per-vertex RREF row spans, assumed stable."""
+    """Representation carried by per-vertex subspaces (pivot columns,
+    rows), assumed arrow stable; the rows are its bases."""
     p = rep.p
     q = rep.algebra.quiver
     dims = tuple(len(rows) for _, rows in bases)
     mats = []
     for a in range(len(q.arrows)):
         s, t = q.arrow_source(a), q.arrow_target(a)
-        pivs_t, rows_t = bases[t]
         cols = []
         for u in bases[s][1]:
-            w = _mat_vec(p, rep.mats[a], u)
-            coord = _coords_in_rref(p, rows_t, pivs_t, w) if rows_t else ([] if not any(w) else None)
-            if coord is None:
+            coords, rest = _reduce(p, bases[t], _mat_vec(p, rep.mats[a], u))
+            if any(rest):
                 raise ValueError("subspace tuple is not arrow stable")
-            cols.append(coord)
+            cols.append(coords)
         mats.append(
             tuple(tuple(col[i] for col in cols) for i in range(dims[t]))
         )
@@ -425,12 +439,7 @@ def _subrep_on_rows(algebra, rep, bases):
 
 def _kernel_subrep(algebra, rep, hom_mats):
     """Kernel of a morphism out of rep, with its restricted arrow action."""
-    p = rep.p
-    bases = []
-    for v in range(len(rep.dims)):
-        null = modp_nullspace(hom_mats[v], rep.dims[v], p)
-        pivs, rref = modp_echelon(null, rep.dims[v], p)
-        bases.append((tuple(pivs), tuple(tuple(r) for r in rref)))
+    bases = [_kernel(rep.p, m, d) for m, d in zip(hom_mats, rep.dims)]
     return _subrep_on_rows(algebra, rep, bases)
 
 
@@ -527,13 +536,14 @@ def _resolve_bound(algebra, dim_bound):
         if bound is None:
             raise NotRepFiniteWithinBound(_CORPUS_BOUND_NOTE)
         return bound
-    if isinstance(dim_bound, int):
-        if dim_bound < 1:
-            raise ValueError("dim_bound must be positive")
-        return (dim_bound,) * n
-    bound = tuple(int(b) for b in dim_bound)
-    if len(bound) != n:
-        raise ValueError("dim_bound must give one cap per vertex")
+    if _is_int(dim_bound):
+        bound = (dim_bound,) * n
+    elif isinstance(dim_bound, (tuple, list)) and all(_is_int(b) for b in dim_bound):
+        bound = tuple(dim_bound)
+        if len(bound) != n:
+            raise ValueError("dim_bound must give one cap per vertex")
+    else:
+        raise ValueError("dim_bound must be an int or a tuple of ints, one per vertex")
     if any(b < 1 for b in bound):
         raise ValueError("dim_bound must be positive")
     return bound
@@ -828,22 +838,18 @@ def ext_dim(algebra, m, n):
                     pi[w][row][col[w]] = e
                 col[w] += 1
         del proj
-    omega = _kernel_subrep(algebra, cover, pi)
+    bases = [_kernel(p, pi[v], cover.dims[v]) for v in range(nv)]
+    omega = _subrep_on_rows(algebra, cover, bases)
     target_basis = hom_rep_basis(algebra, omega, n)
     if not target_basis:
         return 0
     # restrict each cover -> n map to the kernel and measure the span
-    inc = []
-    for v in range(nv):
-        null = modp_nullspace(pi[v], cover.dims[v], p)
-        _, rref = modp_echelon(null, cover.dims[v], p)
-        inc.append(rref)
     restricted = []
     for phi in hom_rep_basis(algebra, cover, n):
         flat = []
         for v in range(nv):
             for row in phi[v]:
-                for u in inc[v]:
+                for u in bases[v][1]:
                     flat.append(sum(a * b for a, b in zip(row, u)) % p)
         restricted.append(flat)
     width = len(restricted[0]) if restricted else 0
@@ -856,7 +862,7 @@ def ext_dim(algebra, m, n):
 
 
 def _subspaces(p, d):
-    """Every subspace of F_p^d as (pivot columns, RREF rows)."""
+    """Every subspace of F_p^d as (pivot columns, rows), the rows its RREF."""
     out = [((), ())]
     for k in range(1, d + 1):
         for pivs in combinations(range(d), k):
@@ -877,9 +883,8 @@ def _subspaces(p, d):
 
 
 def _inside(p, vecs, sub):
-    """Whether every vector lies in the subspace (pivot columns, RREF rows)."""
-    pivs, rows = sub
-    return all(_coords_in_rref(p, rows, pivs, w) is not None for w in vecs)
+    """Whether every vector lies in the subspace (pivot columns, rows)."""
+    return not any(any(_reduce(p, sub, w)[1]) for w in vecs)
 
 
 def _stable_tuples(algebra, rep):
@@ -933,23 +938,13 @@ def _quotient_rep(algebra, rep, choice):
     for v, (pivs, _) in enumerate(choice):
         comp.append([c for c in range(rep.dims[v]) if c not in pivs])
     dims = tuple(len(c) for c in comp)
-
-    def project(v, vec):
-        pivs, rows = choice[v]
-        vec = [e % p for e in vec]
-        for row, pc in zip(rows, pivs):
-            c = vec[pc]
-            if c:
-                vec = [(x - c * y) % p for x, y in zip(vec, row)]
-        return [vec[c] for c in comp[v]]
-
     mats = []
     for a in range(len(q.arrows)):
         s, t = q.arrow_source(a), q.arrow_target(a)
         cols = []
         for c in comp[s]:
-            w = [rep.mats[a][i][c] for i in range(rep.dims[t])]
-            cols.append(project(t, w))
+            _, rest = _reduce(p, choice[t], [row[c] for row in rep.mats[a]])
+            cols.append([rest[k] for k in comp[t]])
         mats.append(tuple(tuple(col[i] for col in cols) for i in range(dims[t])))
     return Representation(algebra, p, dims, mats, validate=False)
 

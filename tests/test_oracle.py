@@ -290,6 +290,14 @@ class TestEnumerate:
             brute_torsion_classes(A2, dim_bound=(1, 0))
         with pytest.raises(ValueError, match="positive"):
             brute_serre(A2, dim_bound=(0, 1))
+        # checked, not coerced: 2.9 is no field, (1.0, 2.7) no bound and
+        # True no cap
+        for field, bound in [
+            (2.9, "12"), (2.0, 1), (True, 1), (None, "12"), (None, (1.0, 2.7)),
+            (None, True), (None, (True, 1)), (None, 1.5),
+        ]:
+            with pytest.raises(ValueError):
+                enumerate_indecomposables(A2, field=field, dim_bound=bound)
 
     def test_cache_keeps_the_config(self):
         # a fresh algebra: the fixtures hand out cached singletons
@@ -460,17 +468,26 @@ class TestPrunedSweep:
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("make, bounds", SWEEP_INPUTS)
     def test_pair_scan_agrees_with_combination_sweep(self, make, bounds, p, monkeypatch):
-        met = []
-        real = oracle._splits_off
+        met, met_simple = [], []
+        real, real_simple = oracle._splits_off, oracle._simple_splits
 
         def recorded(alg, c, r):
             met.append((c, r))
             return real(alg, c, r)
 
+        def recorded_simple(r, v):
+            met_simple.append((r, v))
+            return real_simple(r, v)
+
         monkeypatch.setattr(oracle, "_splits_off", recorded)
+        monkeypatch.setattr(oracle, "_simple_splits", recorded_simple)
         alg = make()
         enumerate_indecomposables(alg, field=p, dim_bound=bounds)
         _unpruned_keys(alg, p, bounds)
+        simple_pairs = {(r.key(), v): (r, v) for r, v in met_simple}
+        assert simple_pairs
+        for r, v in simple_pairs.values():
+            assert real_simple(r, v) == _combination_sweep_splits(alg, simple_rep(alg, v, p), r)
         pairs = {(c.key(), r.key()): (c, r) for c, r in met}
         assert pairs
         for c, r in pairs.values():
@@ -856,6 +873,111 @@ class TestExtDim:
     def test_zero_source(self):
         zero = Representation(A2, 2, (0, 0), (((),) * 0,))
         assert ext_dim(A2, zero, simple_rep(A2, "1")) == 0
+
+
+@st.composite
+def small_maps(draw):
+    """(p, d, mat): a matrix over F_p with d <= 4 columns and at most 4 rows."""
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(min_value=0, max_value=4))
+    row = st.lists(st.integers(min_value=0, max_value=p - 1), min_size=d, max_size=d)
+    return p, d, draw(st.lists(row, max_size=4))
+
+
+def _combination(p, d, coords, rows):
+    return tuple(sum(c * row[i] for c, row in zip(coords, rows)) % p for i in range(d))
+
+
+def _span(p, d, rows):
+    return {_combination(p, d, cs, rows) for cs in product(range(p), repeat=len(rows))}
+
+
+def _in_subspace_form(sub):
+    pivs, rows = sub
+    return len(pivs) == len(rows) and all(
+        row[pc] == (1 if i == k else 0) for i, row in enumerate(rows) for k, pc in enumerate(pivs)
+    )
+
+
+def _count_modp_calls(monkeypatch):
+    """Calls of the modp_* front ends that oracle makes outside
+    hom_rep_basis, counted by name."""
+    calls = Counter()
+    in_hom = []
+    for name in [n for n in vars(oracle) if n.startswith("modp_")]:
+        def counted(*args, _name=name, _real=getattr(oracle, name)):
+            if not in_hom:
+                calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    real_hom = oracle.hom_rep_basis
+
+    def hom(*args):
+        in_hom.append(1)
+        try:
+            return real_hom(*args)
+        finally:
+            in_hom.pop()
+
+    monkeypatch.setattr(oracle, "hom_rep_basis", hom)
+    return calls
+
+
+class TestSubspaceForm:
+    @given(small_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_bases(self, case):
+        p, d, mat = case
+        sub = oracle._kernel(p, mat, d)
+        pivs, rows = sub
+        assert _in_subspace_form(sub)
+        # the pivot is the last nonzero entry
+        assert all(not any(row[pc + 1:]) for pc, row in zip(pivs, rows))
+        killed = {u for u in product(range(p), repeat=d) if not any(oracle._mat_vec(p, mat, u))}
+        # rows in the kernel, independent and spanning it
+        assert _span(p, d, rows) == killed and len(killed) == p ** len(rows)
+
+    @given(small_maps(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_splits_off_the_span(self, case, data):
+        p, d, mat = case
+        subs = [oracle._kernel(p, mat, d), data.draw(st.sampled_from(oracle._subspaces(p, d)))]
+        for sub in subs:
+            assert _in_subspace_form(sub)
+            span = _span(p, d, sub[1])
+            for vec in product(range(p), repeat=d):
+                coords, rest = oracle._reduce(p, sub, list(vec))
+                assert (not any(rest)) == (vec in span)
+                assert all(rest[pc] == 0 for pc in sub[0])
+                rebuilt = _combination(p, d, coords, sub[1])
+                assert rebuilt == tuple((v - r) % p for v, r in zip(vec, rest))
+
+    @pytest.mark.parametrize("make, field, bound", [
+        (algebra_beta_gamma, 2, None),
+        (algebra_beta_gamma, 3, (2, 2)),
+        (_nakayama3, 2, 1),
+        (_preprojective_a3, 2, (1, 2, 1)),
+    ])
+    def test_each_kernel_eliminated_once(self, monkeypatch, make, field, bound):
+        alg = make()
+        nv = len(alg.quiver.vertices)
+        classes = enumerate_indecomposables(alg, field=field, dim_bound=bound)
+        calls = _count_modp_calls(monkeypatch)
+        for x in classes:
+            for y in classes:
+                two = direct_sum_rep(alg, [x, y])
+                g = oracle._splits_off(alg, x, two)
+                calls.clear()
+                rest = oracle._kernel_subrep(alg, two, g)
+                assert rest.dims == y.dims
+                assert sum(calls.values()) == nv
+                calls.clear()
+                ext_dim(alg, x, y)
+                # one kernel per vertex of the cover, then at most the rank
+                # of the restricted maps
+                assert calls["modp_rank"] <= 1
+                assert sum(calls.values()) - calls["modp_rank"] == nv
 
 
 class TestBruteTorsion:
