@@ -10,6 +10,10 @@ Conventions (fixed package-wide):
     the corner e_i A e_j (right multiplication; see algebras module);
   * matrix composition "F then G": (r, c) entry = sum_m F[m][c] * G[r][m];
   * shift: P[k]^n = P^{n+k}, differential scaled by (-1)^k;
+  * Hom complex: Hom^k(X, Y) is the product of Hom(X^n, Y^{n+k}) over n,
+    with differential delta(f) = d_Y f - (-1)^k f d_X, so that
+    Hom_K(X, Y[k]) = H^k(Hom(X, Y)): the chain maps X -> Y are the kernel
+    of delta^0 and the null homotopic ones the image of delta^-1;
   * cone of f: X -> E has C^n = X^{n+1} (+) E^n with differential
     [[-d_X, 0], [f, d_E]].
 """
@@ -32,7 +36,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
-    Echelon,
     IntEchelon,
     det,
     exact_div,
@@ -97,6 +100,9 @@ class Complex:
 
     def _validate(self):
         A = self.algebra
+        vertices = range(len(A.quiver.vertices))
+        if any(v not in vertices for t in self.summands.values() for v in t):
+            raise ShapeMismatch("a summand sits at an unknown vertex")
         for n, rows in self.diff.items():
             cols = self.summands[n]
             tgts = self.summands[n + 1]
@@ -286,6 +292,9 @@ def lambda_shifted(algebra):
 
 
 def direct_sum(parts):
+    parts = list(parts)
+    if any(p.algebra is not parts[0].algebra for p in parts):
+        raise ShapeMismatch("direct sum of complexes over different algebras")
     parts = [p for p in parts if not p.is_zero()]
     if not parts:
         raise ValueError("direct_sum needs at least one nonzero part")
@@ -327,36 +336,12 @@ def g_vector(P):
 
 
 def h0_dim_vector(algebra, P):
-    """Dimension vector of coker(d^{-1}) by vertex."""
-    P = _as_complex(P)
-    nv = len(algebra.quiver.vertices)
-    zero_s = P.summands_at(0)
-    if not zero_s:
-        return (0,) * nv
-    coords = _degree_coords(algebra, zero_s)
-    dims = [0] * nv
-    for v in range(nv):
-        dims[v] = sum(
-            1 for (c, b) in coords if algebra.basis_target(b) == v
-        )
-    mat = P.diff_at(-1)
-    minus_s = P.summands_at(-1)
-    echs = [Echelon() for _ in range(nv)]
-    pos = {key: i for i, key in enumerate(coords)}
-    for c, vc in enumerate(minus_s):
-        for p in algebra.basis_by_source(vc):
-            vec = {}
-            for r in range(len(zero_s)):
-                e = mat[r][c]
-                if e:
-                    prod = algebra.mul_dicts({p: 1}, e)
-                    for b, x in prod.items():
-                        vec[pos[(r, b)]] = vec.get(pos[(r, b)], 0) + x
-            vec = {k: x for k, x in vec.items() if x}
-            if vec:
-                v = algebra.basis_target(p)
-                echs[v].insert(vec)
-    return tuple(dims[v] - echs[v].rank for v in range(nv))
+    """Dimension vector of H^0(P) by vertex: Hom_K(A e_v, P) = e_v H^0(P)."""
+    P = _as_complex(algebra, P)
+    return tuple(
+        _hom_dim(algebra, stalk(algebra, [v], 0), P, 0)
+        for v in range(len(algebra.quiver.vertices))
+    )
 
 
 def _degree_coords(algebra, vertex_tuple):
@@ -370,25 +355,26 @@ def _degree_coords(algebra, vertex_tuple):
 
 
 # ---------------------------------------------------------------------------
-# graded map spaces, chain maps, homotopies
+# the Hom complex: chain maps, null homotopies, Hom_K(X, Y[k])
 
 
-def _map_vars(algebra, X, Y):
-    """Variables of the graded map space: (deg, r, c, corner basis index)."""
-    out = []
-    for n in X.summands:
-        if n not in Y.summands:
-            continue
-        xs, ys = X.summands[n], Y.summands[n]
-        for r, vy in enumerate(ys):
-            for c, vx in enumerate(xs):
-                for b in algebra.corner_indices(vx, vy):
-                    out.append((n, r, c, b))
-    return out
+def _map_vars(algebra, X, Y, k):
+    """Variables of Hom^k(X, Y), the maps X^n -> Y^(n+k): (n, r, c, b) for
+    the corner basis index b from the c-th summand of X^n to the r-th
+    summand of Y^(n+k)."""
+    corner = algebra.corner_indices
+    return [
+        (n, r, c, b)
+        for n, xs in X.summands.items()
+        if n + k in Y.summands
+        for r, vy in enumerate(Y.summands[n + k])
+        for c, vx in enumerate(xs)
+        for b in corner(vx, vy)
+    ]
 
 
 def _materialize(algebra, X, Y, var_list, vec):
-    """Turn a coefficient vector over _map_vars into degree -> matrix."""
+    """Turn a coefficient vector over _map_vars(X, Y, 0) into degree -> matrix."""
     mats = {}
     for n in X.summands:
         if n in Y.summands:
@@ -408,154 +394,88 @@ def _materialize(algebra, X, Y, var_list, vec):
     return mats
 
 
-def _chain_equations(algebra, X, Y, var_idx):
-    """Sparse rows of the chain-map condition over _map_vars(X, Y).
+def _delta(algebra, X, Y, k):
+    """(var_list, images): the variables of Hom^k(X, Y) and the image of
+    each under delta(f) = d_Y f - (-1)^k f d_X, a sparse vector over the
+    variables of Hom^(k+1) (keys as in _map_vars, which lists them in
+    ascending order).
 
-    Products with differential entries depend on the row/column summand only
-    through its vertex, so they are computed once per vertex class and
-    distributed, not recomputed per matrix position.
+    The product of a variable with a differential entry depends on the
+    variable's row summand (d_Y) or column summand (d_X), not on both, so
+    it is computed once per (n, r, r2, b) or (n, c, c2, b) and shared.
+    The images of one variable never overlap: the d_Y terms land in degree
+    n, the d_X terms in degree n - 1.
     """
-    eqs = {}
-
-    def eq_row(key):
-        return eqs.setdefault(key, {})
-
-    for n in X.summands:
-        if (n + 1) not in Y.summands:
-            continue
-        xs = X.summands[n]
-        yt = Y.summands[n + 1]
-        # d_X then f^{n+1}
-        if (n + 1) in X.summands:
-            dX = X.diff_at(n)
-            xs1 = X.summands[n + 1]
-            by_vertex = {}
-            for vy in set(yt):
-                grouped = {}
-                for m, vm in enumerate(xs1):
-                    for c in range(len(xs)):
-                        e = dX[m][c]
-                        if not e:
-                            continue
-                        for b in algebra.corner_indices(vm, vy):
-                            prod = algebra.mul_dicts(e, {b: 1})
-                            if prod:
-                                grouped.setdefault((m, b), []).append(
-                                    (c, prod)
-                                )
-                by_vertex[vy] = list(grouped.items())
-            for r, vy in enumerate(yt):
-                for (m, b), clist in by_vertex[vy]:
-                    i = var_idx[(n + 1, r, m, b)]
-                    for c, prod in clist:
-                        for pb, x in prod.items():
-                            row = eq_row((n, r, c, pb))
-                            row[i] = row.get(i, 0) + x
-        # minus f^n then d_Y
-        if n in Y.summands:
-            dY = Y.diff_at(n)
-            ys = Y.summands[n]
-            by_vertex = {}
-            for vx in set(xs):
-                grouped = {}
-                for m, vm in enumerate(ys):
-                    for b in algebra.corner_indices(vx, vm):
-                        for r in range(len(yt)):
-                            e = dY[r][m]
-                            if not e:
-                                continue
-                            prod = algebra.mul_dicts({b: 1}, e)
-                            if prod:
-                                grouped.setdefault((m, b), []).append(
-                                    (r, prod)
-                                )
-                by_vertex[vx] = list(grouped.items())
-            for c, vx in enumerate(xs):
-                for (m, b), rlist in by_vertex[vx]:
-                    i = var_idx[(n, m, c, b)]
-                    for r, prod in rlist:
-                        for pb, x in prod.items():
-                            row = eq_row((n, r, c, pb))
-                            row[i] = row.get(i, 0) - x
-    rows = [eqs[k] for k in sorted(eqs)]
-    return [r for r in rows if r]
+    var_list = _map_vars(algebra, X, Y, k)
+    sign = 1 if k % 2 else -1
+    by_row = {}  # (n, r, b) -> [(r2, {b} * d_Y entry (r2, r))]
+    by_col = {}  # (n, c, b) -> [(c2, d_X entry (c, c2) * {b})]
+    images = []
+    for n, r, c, b in var_list:
+        vec = {}
+        dY = Y.diff.get(n + k)
+        if dY:
+            terms = by_row.get((n, r, b))
+            if terms is None:
+                terms = by_row[(n, r, b)] = [
+                    (r2, algebra.mul_dicts({b: 1}, row[r]))
+                    for r2, row in enumerate(dY)
+                    if row[r]
+                ]
+            for r2, prod in terms:
+                for pb, x in prod.items():
+                    vec[(n, r2, c, pb)] = x
+        dX = X.diff.get(n - 1)
+        if dX:
+            terms = by_col.get((n, c, b))
+            if terms is None:
+                terms = by_col[(n, c, b)] = [
+                    (c2, algebra.mul_dicts(e, {b: 1}))
+                    for c2, e in enumerate(dX[c])
+                    if e
+                ]
+            for c2, prod in terms:
+                for pb, x in prod.items():
+                    vec[(n - 1, r, c2, pb)] = sign * x
+        images.append(vec)
+    return var_list, images
 
 
-def _chain_system(algebra, X, Y):
-    """(var_list, var_idx, rows): the graded map variables X -> Y, their
-    positions, and the chain-map condition as integer sparse rows."""
-    var_list = _map_vars(algebra, X, Y)
-    var_idx = {v: i for i, v in enumerate(var_list)}
-    rows = int_rows(_chain_equations(algebra, X, Y, var_idx))
-    return var_list, var_idx, rows
+def _rank(vectors):
+    ech = IntEchelon()
+    for v in int_rows([v for v in vectors if v]):
+        ech.insert(v)
+    return ech.rank
 
 
-def chain_map_space(algebra, X, Y):
-    """Basis of chain maps X -> Y as (var_list, list of sparse vectors).
-
-    The vectors are int dicts: the nullspace basis times the least
-    positive integer that clears every denominator in it."""
-    var_list, _, rows = _chain_system(algebra, X, Y)
-    return var_list, int_scale(int_nullspace(rows, len(var_list)))[1]
+def _hom_dim(algebra, X, Y, k):
+    """dim Hom_K(X, Y[k]) = dim H^k(Hom(X, Y)) = |Hom^k| - rank delta^k -
+    rank delta^(k-1); no basis vectors and no shifted complex."""
+    var_list, images = _delta(algebra, X, Y, k)
+    return len(var_list) - _rank(images) - _rank(_delta(algebra, X, Y, k - 1)[1])
 
 
-def homotopy_boundaries(algebra, X, Y, var_list, var_idx):
-    """Images of all elementary null homotopies as chain-map vectors."""
-    out = []
-    cache_dy = {}   # (n, r2, r, b) -> {b} * dY entry, shared across columns
-    cache_dx = {}   # (n, c, c2, b) -> dX entry * {b}, shared across rows
-    for n in X.summands:
-        if (n - 1) not in Y.summands:
-            continue
-        xs, ys = X.summands[n], Y.summands[n - 1]
-        ny = len(Y.summands.get(n, ()))
-        nx1 = len(X.summands.get(n - 1, ()))
-        dY = Y.diff_at(n - 1) if ny else None
-        dX = X.diff_at(n - 1) if nx1 else None
-        for r, vy in enumerate(ys):
-            for c, vx in enumerate(xs):
-                for b in algebra.corner_indices(vx, vy):
-                    vec = {}
-                    # h^n then d_Y^{n-1}: contributes to f^n
-                    for r2 in range(ny):
-                        key = (n, r2, r, b)
-                        prod = cache_dy.get(key)
-                        if prod is None:
-                            e = dY[r2][r]
-                            prod = cache_dy[key] = (
-                                algebra.mul_dicts({b: 1}, e) if e else {}
-                            )
-                        for pb, x in prod.items():
-                            i = var_idx.get((n, r2, c, pb))
-                            if i is not None:
-                                vec[i] = vec.get(i, 0) + x
-                    # d_X^{n-1} then h^n: contributes to f^{n-1}
-                    for c2 in range(nx1):
-                        key = (n, c, c2, b)
-                        prod = cache_dx.get(key)
-                        if prod is None:
-                            e = dX[c][c2]
-                            prod = cache_dx[key] = (
-                                algebra.mul_dicts(e, {b: 1}) if e else {}
-                            )
-                        for pb, x in prod.items():
-                            i = var_idx.get((n - 1, r, c2, pb))
-                            if i is not None:
-                                vec[i] = vec.get(i, 0) + x
-                    vec = {k: x for k, x in vec.items() if x}
-                    if vec:
-                        out.append(vec)
-    return out
+def _chain_maps(algebra, X, Y):
+    """(var_list, basis): the variables of Hom^0(X, Y) and the kernel of
+    delta^0, from its rows (the transposed images) in variable order."""
+    var_list, images = _delta(algebra, X, Y, 0)
+    rows = {}
+    for i, vec in enumerate(images):
+        for v, x in vec.items():
+            rows.setdefault(v, {})[i] = x
+    return var_list, int_nullspace(int_rows([rows[v] for v in sorted(rows)]), len(var_list))
 
 
 def hom_k_basis(algebra, X, Y):
-    """Basis of Hom in the homotopy category as (var_list, vectors)."""
-    var_list, var_idx, rows = _chain_system(algebra, X, Y)
-    chains = int_nullspace(rows, len(var_list))
-    bound = homotopy_boundaries(algebra, X, Y, var_list, var_idx)
+    """Basis of Hom in the homotopy category as (var_list, vectors): chain
+    maps independent modulo the null homotopies, the images of delta^-1."""
+    X, Y = _as_complex(algebra, X), _as_complex(algebra, Y)
+    var_list, chains = _chain_maps(algebra, X, Y)
+    pos = {v: i for i, v in enumerate(var_list)}
     ech = IntEchelon()
-    for v in int_rows(bound):
-        ech.insert(v)
+    for vec in _delta(algebra, X, Y, -1)[1]:
+        if vec:
+            ech.insert(int_rows([{pos[v]: x for v, x in vec.items()}])[0])
     reps = []
     for z, zi in zip(chains, int_rows(chains)):
         if ech.insert(zi) is not None:
@@ -565,15 +485,7 @@ def hom_k_basis(algebra, X, Y):
 
 def hom_k_dim(algebra, X, Y):
     """dim Hom in the homotopy category; rank-only, no basis vectors."""
-    var_list, var_idx, rows = _chain_system(algebra, X, Y)
-    eq_ech = IntEchelon()
-    for r in rows:
-        eq_ech.insert(r)
-    bound_ech = IntEchelon()
-    for v in int_rows(homotopy_boundaries(algebra, X, Y, var_list, var_idx)):
-        bound_ech.insert(v)
-    # boundaries are chain maps, so the quotient dimension is a difference
-    return (len(var_list) - eq_ech.rank) - bound_ech.rank
+    return _hom_dim(algebra, _as_complex(algebra, X), _as_complex(algebra, Y), 0)
 
 
 def _euler_pairing(algebra, C, D):
@@ -595,12 +507,10 @@ def _euler_pairing(algebra, C, D):
 
 def hom_shift1_dim(algebra, P, Q):
     """dim Hom_K(P, Q[1]) for two-term P, Q."""
-    P, Q = _as_complex(P), _as_complex(Q)
-    if P.algebra is not algebra or Q.algebra is not algebra:
-        raise ShapeMismatch("complexes over a different algebra")
+    P, Q = _as_complex(algebra, P), _as_complex(algebra, Q)
     if not P.is_two_term() or not Q.is_two_term():
         raise ShapeMismatch("hom_shift1_dim needs two-term complexes")
-    return hom_k_dim(algebra, P, Q.shift(1))
+    return _hom_dim(algebra, P, Q, 1)
 
 
 def is_presilting(algebra, P):
@@ -618,7 +528,7 @@ def reduce_complex(algebra, P):
     Eliminated summands are tombstoned rather than deleted so candidate
     positions stay valid; new candidates created by a correction are pushed
     as they appear, so the matrix is never rescanned."""
-    P = _as_complex(P)
+    P = _as_complex(algebra, P)
     summands = {n: list(t) for n, t in P.summands.items()}
     diff = {
         n: [[dict(e) for e in row] for row in P.diff_at(n)]
@@ -693,6 +603,7 @@ def reduce_complex(algebra, P):
 
 def cone(algebra, f_mats, X, E):
     """Mapping cone of a chain map f: X -> E; C^n = X^{n+1} (+) E^n."""
+    X, E = _as_complex(algebra, X), _as_complex(algebra, E)
     degs = sorted(
         {n - 1 for n in X.summands} | set(E.summands)
     )
@@ -993,20 +904,20 @@ def decompose(algebra, P):
     returned whole.
 
     Coefficients are ints wherever they are integral.  The chain maps come
-    from chain_map_space as int vectors, their tops are int dicts, and the
+    from _chain_maps, scaled to int vectors, their tops are int dicts, and the
     search returns D e for an idempotent top e.  e is divided out once,
     when D e is written in the tops; the lift of e, its Newton iteration
     and the split then stay on ints unless a value is not integral, and
     only such a value is a Fraction.
     """
-    P = _as_complex(P)
+    P = _as_complex(algebra, P)
     if P.is_zero():
         return []
-    var_list, chains = chain_map_space(algebra, P, P)
+    var_list, chains = _chain_maps(algebra, P, P)
     ech = IntEchelon()
     tops = []
     lifts = []
-    for z in chains:
+    for z in int_scale(chains)[1]:
         top = {}
         for i, x in z.items():
             n, r, c, b = var_list[i]
@@ -1222,7 +1133,7 @@ def complexes_isomorphic(algebra, X, Y):
     reverse basis map to an invertible endomorphism.  Decomposable inputs
     fall back to summand-by-summand matching.
     """
-    X, Y = _as_complex(X), _as_complex(Y)
+    X, Y = _as_complex(algebra, X), _as_complex(algebra, Y)
     if _graded_counts(X) != _graded_counts(Y):
         return False
     if X.is_zero():
@@ -1263,7 +1174,7 @@ def _match_multisets(algebra, xs, ys):
 
 def is_silting(algebra, P):
     """Presilting with a full set of non-isomorphic indecomposable summands."""
-    P = _as_complex(P)
+    P = _as_complex(algebra, P)
     if not is_presilting(algebra, P):
         return False
     parts = decompose(algebra, reduce_complex(algebra, P))
@@ -1332,13 +1243,17 @@ def silting_lambda(algebra, validate=False):
 
 def summand_g_key(algebra, P):
     """Sorted multiset of summand g-vectors of a reduced two-term complex."""
-    if isinstance(P, SiltingObject):
+    if isinstance(P, SiltingObject) and P.algebra is algebra:
         return P.key
     parts = decompose(algebra, reduce_complex(algebra, P))
     return tuple(sorted(g_vector(p) for p in parts))
 
 
-def _as_complex(P):
+def _as_complex(algebra, P):
+    """P as a complex over algebra, a SiltingObject as its total; every public
+    entry point refuses a complex over another algebra here."""
+    if P.algebra is not algebra:
+        raise ShapeMismatch("complex over a different algebra")
     return P.total() if isinstance(P, SiltingObject) else P
 
 
@@ -1435,8 +1350,8 @@ def _new_class_from_cone(algebra, cone_red, keep_classes):
     # the cone sits inside the mutated object, so its self-homs into the
     # shift vanish and dim End is the euler pairing plus the backward maps;
     # dimension one certifies the cone indecomposable without a decompose
-    end = _euler_pairing(algebra, cone_red, cone_red) + hom_k_dim(
-        algebra, cone_red, cone_red.shift(-1)
+    end = _euler_pairing(algebra, cone_red, cone_red) + _hom_dim(
+        algebra, cone_red, cone_red, -1
     )
     if end == 1:
         return cone_red
@@ -1458,11 +1373,11 @@ def mutate(algebra, P, k, direction, validate=True, memo=None):
     """
     if not isinstance(P, SiltingObject):
         raise NotSilting("mutate needs a SiltingObject")
-    if not 0 <= k < len(P.summands):
-        raise IndexOutOfRange(f"summand index {k} out of range")
+    if type(k) is not int or not 0 <= k < len(P.summands):
+        raise IndexOutOfRange(f"summand index {k!r} out of range")
     if direction not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
-    X = P.summands[k]
+    X = _as_complex(algebra, P.summands[k])
     rest = [s for i, s in enumerate(P.summands) if i != k]
     C = _exchange_cone(algebra, X, rest, direction, {} if memo is None else memo)
     Y = _new_class_from_cone(algebra, C, rest)
@@ -1484,14 +1399,11 @@ def bongartz_complete(algebra, P, validate=True):
     remaining slots are filled by the right exchange cone of the shifted
     free module by those classes.
     """
-    P = _as_complex(P)
     red = reduce_complex(algebra, P)
     if not red.is_zero() and not is_presilting(algebra, red):
         raise NotPresilting("input is not presilting")
     classes = _summand_classes(algebra, decompose(algebra, red))
-    h0 = h0_dim_vector(algebra, red) if not red.is_zero() else (
-        (0,) * len(algebra.quiver.vertices)
-    )
+    h0 = h0_dim_vector(algebra, red)
     present = {v for n in red.summands for v in red.summands[n]}
     for v in range(len(algebra.quiver.vertices)):
         if v not in present and h0[v] == 0:
@@ -1514,7 +1426,7 @@ def check_silting_module(algebra, presentation):
     True iff the indecomposable summands with nonzero cohomology of the
     completed object match those of the (reduced) input presentation.
     """
-    red = reduce_complex(algebra, _as_complex(presentation))
+    red = reduce_complex(algebra, presentation)
     if not red.is_zero() and not is_presilting(algebra, red):
         return False
     try:

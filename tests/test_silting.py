@@ -24,11 +24,15 @@ from torslat.errors import (
     ShapeMismatch,
 )
 from torslat.fixtures import corpus
-from torslat.linalg import solve
+from torslat.linalg import Echelon, solve
 from torslat.posets import build_poset, lattice_ops
 from torslat.silting import (
+    Complex,
     SiltingObject,
+    _delta,
     _euler_pairing,
+    _hom_dim,
+    _materialize,
     _mat_compose,
     bongartz_complete,
     check_presilting_family,
@@ -308,6 +312,144 @@ class TestHomSpaces:
                 )
 
 
+def h0_by_cokernel_rank(algebra, P):
+    """Reference for h0_dim_vector: dim of e_v P^0 minus the rank of the
+    image of e_v P^-1 under d^-1, for each vertex v."""
+    nv = len(algebra.quiver.vertices)
+    zero_s = P.summands_at(0)
+    pos = {}
+    dims = [0] * nv
+    for c, vc in enumerate(zero_s):
+        for b in algebra.basis_by_source(vc):
+            pos[(c, b)] = len(pos)
+            dims[algebra.basis_target(b)] += 1
+    mat = P.diff_at(-1)
+    echs = [Echelon() for _ in range(nv)]
+    for c, vc in enumerate(P.summands_at(-1)):
+        for p in algebra.basis_by_source(vc):
+            vec = {}
+            for r in range(len(zero_s)):
+                if mat[r][c]:
+                    for b, x in algebra.mul_dicts({p: 1}, mat[r][c]).items():
+                        vec[pos[(r, b)]] = vec.get(pos[(r, b)], 0) + x
+            vec = {i: x for i, x in vec.items() if x}
+            if vec:
+                echs[algebra.basis_target(p)].insert(vec)
+    return tuple(dims[v] - echs[v].rank for v in range(nv))
+
+
+def nonzero_entries(mat):
+    return {(r, c): e for r, row in enumerate(mat) for c, e in enumerate(row) if e}
+
+
+def products_made(algebra, call):
+    """How many times call() multiplies two algebra elements."""
+    real = algebra.mul_dicts
+    made = []
+
+    def counted(a, b):
+        made.append(1)
+        return real(a, b)
+
+    algebra.mul_dicts = counted
+    try:
+        call()
+    finally:
+        del algebra.mul_dicts
+    return len(made)
+
+
+@st.composite
+def bg_pairs(draw):
+    """(X, Y) over beta-gamma: two two-term complexes, or a three-term one
+    (C + D[1], in degrees -2..0) and a two-term one."""
+    C, D = draw(bg_two_term()), draw(bg_two_term())
+    if draw(st.booleans()) and not (C.is_zero() and D.is_zero()):
+        return direct_sum([C, D.shift(1)]), C
+    return C, D
+
+
+class TestHomComplex:
+    @given(bg_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_delta_squares_to_zero(self, pair):
+        X, Y = pair
+        for k in range(-3, 2):
+            _, images = _delta(BG, X, Y, k)
+            after = dict(zip(*_delta(BG, X, Y, k + 1)))
+            for vec in images:
+                total = {}
+                for v, x in vec.items():
+                    for i, y in after[v].items():
+                        total[i] = total.get(i, 0) + x * y
+                assert not any(total.values())
+
+    @given(bg_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_kernel_of_delta0_is_chain_maps(self, pair):
+        # f d_X = d_Y f for every basis map, composed by _mat_compose
+        X, Y = pair
+        var_list, basis = hom_k_basis(BG, X, Y)
+        for vec in basis:
+            f = _materialize(BG, X, Y, var_list, vec)
+            for n in X.summands:
+                if (n + 1) not in Y.summands:
+                    continue
+                left = _mat_compose(BG, X.diff_at(n), f.get(n + 1, ()))
+                right = _mat_compose(BG, f.get(n, ()), Y.diff_at(n))
+                assert nonzero_entries(left) == nonzero_entries(right)
+
+    @given(bg_two_term(), bg_two_term())
+    @settings(max_examples=30, deadline=None)
+    def test_shifted_hom_without_shifting(self, X, Y):
+        for k in (-1, 0, 1):
+            assert _hom_dim(BG, X, Y, k) == hom_k_dim(BG, X, Y.shift(k))
+
+    @given(bg_two_term(), bg_two_term())
+    @settings(max_examples=20, deadline=None)
+    def test_products_shared_across_rows_and_columns(self, X, Y):
+        # a product with a d_Y entry is made once per row summand and one
+        # with a d_X entry once per column summand, so tripling both sides
+        # triples the products, where a product per variable would make
+        # nine times as many
+        assume(not X.is_zero() and not Y.is_zero())
+        X3, Y3 = direct_sum([X] * 3), direct_sum([Y] * 3)
+        for k in (-1, 0, 1):
+            once = products_made(BG, lambda: _delta(BG, X, Y, k))
+            assert products_made(BG, lambda: _delta(BG, X3, Y3, k)) == 3 * once
+
+    @pytest.mark.parametrize("A", [A3, N3, BG], ids=["A3", "N3", "beta-gamma"])
+    def test_h0_matches_cokernel_rank(self, A):
+        for obj in enumerate_2silt(A).objects.values():
+            for s in (obj.total(), *obj.summands):
+                assert h0_dim_vector(A, s) == h0_by_cokernel_rank(A, s)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: hom_k_dim(A2, lambda_complex(A3), lambda_complex(A2)), ShapeMismatch),
+        (lambda: decompose(A2, lambda_complex(A3)), ShapeMismatch),
+        (lambda: reduce_complex(A2, lambda_complex(A3)), ShapeMismatch),
+        (lambda: h0_dim_vector(A2, lambda_complex(A3)), ShapeMismatch),
+        (lambda: summand_g_key(A2, lambda_complex(A3)), ShapeMismatch),
+        (lambda: summand_g_key(A2, silting_lambda(A3)), ShapeMismatch),
+        (lambda: bongartz_complete(A2, lambda_complex(A3)), ShapeMismatch),
+        (lambda: Complex(A2, {0: (7,)}, {}), ShapeMismatch),
+        (lambda: direct_sum([lambda_complex(A2), lambda_complex(A3)]), ShapeMismatch),
+        (lambda: mutate(A2, silting_lambda(A2), True, "left"), IndexOutOfRange),
+    ],
+    ids=[
+        "hom_k_dim", "decompose", "reduce_complex", "h0_dim_vector", "summand_g_key",
+        "summand_g_key-object", "bongartz_complete", "bad-vertex", "mixed-direct-sum",
+        "bool-index",
+    ],
+)
+def test_foreign_or_malformed_input_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
 class TestReduce:
     def test_contractible_vanishes(self):
         assert reduce_complex(A2, contractible()).is_zero()
@@ -425,10 +567,16 @@ class TestDecompose:
         assert sorted(g_vector(p) for p in parts) == [(1, -1), (1, -1), (1, 0)]
 
     def test_splits_without_null_homotopies(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("decompose computed null homotopies")
+        # null homotopies are the images of delta^-1; decompose needs only
+        # the kernel of delta^0
+        real = silting_module._delta
 
-        monkeypatch.setattr(silting_module, "homotopy_boundaries", refuse)
+        def delta(algebra, X, Y, k):
+            if k < 0:
+                raise AssertionError("decompose computed null homotopies")
+            return real(algebra, X, Y, k)
+
+        monkeypatch.setattr(silting_module, "_delta", delta)
         X = s1_presentation()
         parts = decompose(A2, direct_sum([X, X]))
         assert [g_vector(p) for p in parts] == [(1, -1), (1, -1)]
@@ -930,3 +1078,20 @@ def test_torsion_lattices_are_semidistributive():
     lattices.append(cambrian_classification(A2, v))
     assert [len(l) for l in lattices] == [14, 42, 50, 14, 34, 43]
     assert all(semidistributive(l) for l in lattices)
+
+
+A5 = build_algebra(
+    Quiver([str(i) for i in range(1, 6)], [(f"a{i}", str(i), str(i + 1)) for i in range(1, 5)]),
+    [],
+)
+N5 = build_algebra(
+    Quiver([str(i) for i in range(1, 6)], [(f"a{i}", str(i), str(i % 5 + 1)) for i in range(1, 6)]),
+    [[(1, [f"a{i % 5 + 1}", f"a{i}"])] for i in range(1, 6)],
+)
+
+
+@pytest.mark.parametrize("A, size", [(A5, 132), (N5, 82), (D5, 182)], ids=["A5", "N5", "D5"])
+def test_larger_torsion_lattices_are_semidistributive(A, size):
+    lattice = tors_lattice(A)
+    assert len(lattice) == size
+    assert semidistributive(lattice)
