@@ -1031,13 +1031,40 @@ def _extensions(algebra, x, y, config):
         yield Representation(algebra, p, dims, mats, validate=False)
 
 
+def _splits(x_dims, choice):
+    """Whether a subspace tuple U of x (+) y, x's coordinates first as
+    direct_sum_rep lays them out, is the sum of its meets with x and y.
+    At a vertex the RREF rows pivoted in the y block lie in y and span
+    U meet y; the rows pivoted in the x block are 0 at those pivots, so
+    dim U - dim(U meet x) - dim(U meet y) is the rank of their y parts,
+    which is 0 exactly when every one of them is 0 on y."""
+    return not any(
+        pc < d and any(row[d:])
+        for d, (pivs, rows) in zip(x_dims, choice)
+        for pc, row in zip(pivs, rows)
+    )
+
+
 def _closure_requirements(algebra, classes, config, memo):
     """Tables [i][j] of the classes forced into a closed subset holding
     classes i and j: for torsion classes the quotients of their sum (at
-    i <= j) and the extensions of j by i; for Serre, the subobjects too."""
+    i <= j) and the extensions of j by i; for Serre, the subobjects too.
+
+    By Goursat's lemma a subrepresentation U of x (+) y is the graph of an
+    isomorphism between a subquotient of x and one of y, and U splits as
+    (U meet x) (+) (U meet y) exactly when both subquotients are 0.  A
+    split U with A = U meet x and B = U meet y gives the quotient
+    x/A (+) y/B and the subobject A (+) B, and every pair (A, B) of
+    subobjects arises so.  By Krull-Schmidt the parts of x/A (+) y/B are
+    those of x/A and those of y/B, so the split tuples of the pair add
+    exactly the union of x's and y's own quotient masks, and likewise for
+    subobjects.  So each class's stable tuples are swept once, the pair
+    tables start from that union, and a pair's sweep builds only the
+    tuples that do not split; a pair with disjoint supports has none and
+    is skipped.  A split quotient or subobject outside the classes still
+    raises, since its unknown part comes from a member's own sweep.
+    """
     n = len(classes)
-    tors = [[0] * n for _ in range(n)]
-    subs = [[0] * n for _ in range(n)]
 
     def parts_mask(rep):
         parts = _decompose(algebra, rep, classes, memo)
@@ -1051,10 +1078,22 @@ def _closure_requirements(algebra, classes, config, memo):
             mask |= 1 << idx
         return mask
 
-    for i in range(n):
+    own_q, own_s = [0] * n, [0] * n
+    for i, x in enumerate(classes):
+        for choice in _stable_tuples(algebra, x):
+            own_q[i] |= parts_mask(_quotient_rep(algebra, x, choice))
+            own_s[i] |= parts_mask(_subrep_on_rows(algebra, x, choice))
+    tors = [[own_q[i] | own_q[j] if i <= j else 0 for j in range(n)] for i in range(n)]
+    subs = [[own_s[i] | own_s[j] if i <= j else 0 for j in range(n)] for i in range(n)]
+    for i, x in enumerate(classes):
         for j in range(i, n):
-            two = direct_sum_rep(algebra, [classes[i], classes[j]])
+            y = classes[j]
+            if not any(a and b for a, b in zip(x.dims, y.dims)):
+                continue
+            two = direct_sum_rep(algebra, [x, y])
             for choice in _stable_tuples(algebra, two):
+                if _splits(x.dims, choice):
+                    continue
                 tors[i][j] |= parts_mask(_quotient_rep(algebra, two, choice))
                 subs[i][j] |= parts_mask(_subrep_on_rows(algebra, two, choice))
     for i in range(n):
@@ -1130,17 +1169,24 @@ def brute_torsion_classes(algebra, field=None, dim_bound=None, config=DEFAULTS):
     """Poset of subsets of indecomposable classes closed under quotients of
     two-member sums and under extensions, ordered by inclusion.
 
-    The requirement tables take the quotients of each two-member sum from
-    its arrow-stable subspace tuples, chosen vertex by vertex with each
-    arrow checked once both of its ends are chosen, and the extensions
-    from one middle term per class of Ext^1, solved for among the blocks
-    that vanish on the pivots of the coboundaries.  The two-member truncation
-    is validated by the cross-check suite.  The subsets are listed by
-    posets.closed_sets and each is checked against the requirement
-    tables.  The closures of each listed T plus one class must be listed
-    too, which makes the listing complete: every closed set is reached
-    from the closure of the empty set by such steps.  The minimal steps
-    are T's covers; the order built from them must be inclusion.
+    The requirement tables take the quotients of a two-member sum x (+) y
+    from arrow-stable subspace tuples, chosen vertex by vertex with each
+    arrow checked once both of its ends are chosen.  A tuple that is the
+    sum of its meets A with x and B with y gives x/A (+) y/B, whose parts
+    are those of a quotient of x and of one of y (Krull-Schmidt), and
+    every pair (A, B) gives such a tuple.  So each class's own quotients
+    are taken once, a pair's sweep builds only its tuples that do not
+    split, and a pair with disjoint supports, all of whose tuples split,
+    is skipped; the tables equal those of the sweep over every tuple.
+    The extensions come from one middle term per class of Ext^1, solved
+    for among the blocks that vanish on the pivots of the coboundaries.
+    The two-member truncation is validated by the cross-check suite.  The
+    subsets are listed by posets.closed_sets and each is checked against
+    the requirement tables.  The closures of each listed T plus one class
+    must be listed too, which makes the listing complete: every closed set
+    is reached from the closure of the empty set by such steps.  The
+    minimal steps are T's covers; the order built from them must be
+    inclusion.
     """
     return _brute_closed_subsets(algebra, field, dim_bound, config, False)
 

@@ -795,6 +795,138 @@ class TestClosureSweeps:
         assert oracle._closure_requirements(alg, classes, DEFAULTS, {}) == tables
 
 
+def _all_tuple_requirements(algebra, classes, config):
+    """The closure tables from every stable tuple of every two-member sum,
+    quotient and subobject, plus the extensions: the reference for the
+    sweep that takes each class's own tuples once and skips the tuples of
+    a pair that split."""
+    n = len(classes)
+    memo = {}
+    tors = [[0] * n for _ in range(n)]
+    subs = [[0] * n for _ in range(n)]
+
+    def mask(rep):
+        parts = oracle._decompose(algebra, rep, classes, memo)
+        if parts is None:
+            raise NotRepFiniteWithinBound("a part outside the classes")
+        return sum(1 << k for k in set(parts))
+
+    for i in range(n):
+        for j in range(i, n):
+            two = direct_sum_rep(algebra, [classes[i], classes[j]])
+            for choice in oracle._stable_tuples(algebra, two):
+                tors[i][j] |= mask(oracle._quotient_rep(algebra, two, choice))
+                subs[i][j] |= mask(oracle._subrep_on_rows(algebra, two, choice))
+    for i in range(n):
+        for j in range(n):
+            for mid in oracle._extensions(algebra, classes[i], classes[j], config):
+                tors[i][j] |= mask(mid)
+    serre = [[t | s for t, s in zip(*rows)] for rows in zip(tors, subs)]
+    return tors, serre
+
+
+def _meets_split(p, x_dims, y_dims, choice):
+    """Whether dim(U meet x) + dim(U meet y) = dim U for a subspace tuple U
+    of x (+) y, each meet's dimension read off the rank of U's rows with
+    the unit vectors of x or of y."""
+    for dx, dy, (_, rows) in zip(x_dims, y_dims, choice):
+        d = dx + dy
+        units = [[int(k == c) for k in range(d)] for c in range(d)]
+        rows = [list(r) for r in rows]
+        in_x = len(rows) + dx - modp_rank(rows + units[:dx], d, p)
+        in_y = len(rows) + dy - modp_rank(rows + units[dx:], d, p)
+        if in_x + in_y != len(rows):
+            return False
+    return True
+
+
+def _pair_tuples(alg, classes):
+    """(x, y, stable tuple of x (+) y) over the pairs i <= j of classes."""
+    for i, x in enumerate(classes):
+        for y in classes[i:]:
+            two = direct_sum_rep(alg, [x, y])
+            for choice in oracle._stable_tuples(alg, two):
+                yield x, y, choice
+
+
+class TestSplitPruning:
+    @reference_cases
+    def test_tables_match_the_all_tuple_loop(self, make, field, bound):
+        alg = make()
+        classes = enumerate_indecomposables(alg, field=field, dim_bound=bound)
+        tables = oracle._closure_requirements(alg, classes, DEFAULTS, {})
+        assert tables == _all_tuple_requirements(alg, classes, DEFAULTS)
+
+    @reference_cases
+    def test_split_rule_matches_the_meets(self, make, field, bound):
+        alg = make()
+        classes = enumerate_indecomposables(alg, field=field, dim_bound=bound)
+        p = classes[0].p
+        seen = Counter()
+        for x, y, choice in _pair_tuples(alg, classes):
+            split = oracle._splits(x.dims, choice)
+            assert split == _meets_split(p, x.dims, y.dims, choice)
+            seen[split] += 1
+        # x (+) x always has the diagonal, which does not split
+        assert seen[True] and seen[False]
+
+    # fresh algebras: the fixtures are shared, and so are their cached tables
+    @pytest.mark.parametrize("make, field, bound", [
+        (algebra_beta_gamma.__wrapped__, None, None),
+        (algebra_beta_gamma.__wrapped__, 3, (2, 1)),
+        (lambda: _linear(4), None, 1),
+        (_preprojective_a3, 2, (1, 2, 1)),
+    ], ids=["beta-gamma", "beta-gamma over F_3", "A4 linear", "preprojective A3"])
+    def test_one_quotient_per_own_and_non_split_tuple(self, monkeypatch, make, field, bound):
+        alg = make()
+        classes = enumerate_indecomposables(alg, field=field, dim_bound=bound)
+        p = classes[0].p
+        own = sum(len(oracle._stable_tuples(alg, x)) for x in classes)
+        non_split = sum(
+            not _meets_split(p, x.dims, y.dims, choice)
+            for x, y, choice in _pair_tuples(alg, classes)
+        )
+        calls = []
+        real = oracle._quotient_rep
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_quotient_rep", counted)
+        brute_torsion_classes(alg, field=field, dim_bound=bound)
+        assert non_split and len(calls) == own + non_split
+
+    def test_disjoint_supports_make_no_pair_sweep(self, monkeypatch):
+        alg = _linear(4)
+        classes = enumerate_indecomposables(alg, dim_bound=1)
+        swept = []
+        real = oracle.direct_sum_rep
+
+        def recorded(algebra, reps):
+            swept.append(tuple(r.dims for r in reps))
+            return real(algebra, reps)
+
+        monkeypatch.setattr(oracle, "direct_sum_rep", recorded)
+        oracle._closure_requirements(alg, classes, DEFAULTS, {})
+        ends = ((1, 0, 0, 0), (0, 0, 0, 1))
+        assert all(dims in [c.dims for c in classes] for dims in ends)
+        assert ends not in swept
+        assert swept == [
+            (x.dims, y.dims)
+            for i, x in enumerate(classes) for y in classes[i:]
+            if any(a and b for a, b in zip(x.dims, y.dims))
+        ]
+
+    @pytest.mark.parametrize("brute", [brute_torsion_classes, brute_serre])
+    def test_truncation_detected_on_quotients(self, monkeypatch, brute):
+        # without extensions only a quotient can leave the classes: the
+        # preinjective (2, 1) of M (+) M' over a shared 1-dim subspace
+        monkeypatch.setattr(oracle, "_extensions", lambda *args: iter(()))
+        with pytest.raises(NotRepFiniteWithinBound):
+            brute(algebra_kronecker(), dim_bound=(1, 1))
+
+
 BRICK_COUNTS = {
     "a1": 1,
     "a2": 3,
