@@ -1,17 +1,13 @@
-"""Builtin algebras and spectrum models for the golden suites and
-cross-checks.
+"""Builtin algebras for the cross-checks.
 
-Algebra builders hand back cached singletons, so per-object caches
+The builders hand back cached singletons, so per-object caches
 (multiplication tables, oracle sweeps) are shared by every caller in a
-process.  Spectrum builders return fresh models; they are cheap and
-callers sometimes derive broken variants from them.
+process.
 """
 
 from functools import lru_cache
 
 from .algebras import Quiver, build_algebra
-from .posets import build_poset
-from .spectra import SimPoset, SpecModel, SpectrumData
 
 
 @lru_cache(maxsize=None)
@@ -77,70 +73,3 @@ def corpus():
         ("beta-gamma", algebra_beta_gamma()),
     )
 
-
-# ---------------------------------------------------------------------------
-# spectrum fixtures
-
-
-def paper36_model():
-    """The builtin two-prime explicit model behind the golden suites.
-
-    One closed point pm over a generic prime p0; the pm fiber is a
-    six-element lattice of two parallel chains, the p0 fiber a diamond,
-    and the restriction table folds the chains onto the diamond's flanks.
-    """
-    spec = build_poset(["p0", "pm"], [("p0", "pm")])
-    top_fiber = build_poset(
-        ["FlL", "Fe1", "Fe2", "Fe1p", "S2", "0"],
-        [
-            ("Fe1", "FlL"),
-            ("Fe2", "FlL"),
-            ("Fe1p", "Fe1"),
-            ("S2", "Fe2"),
-            ("0", "Fe1p"),
-            ("0", "S2"),
-        ],
-    )
-    bottom_fiber = build_poset(
-        ["modL0", "T1", "T2", "0"],
-        [("T1", "modL0"), ("T2", "modL0"), ("0", "T1"), ("0", "T2")],
-    )
-    restrict = {
-        ("pm", "p0"): {
-            "FlL": "modL0",
-            "Fe1": "modL0",
-            "Fe1p": "T1",
-            "Fe2": "T2",
-            "S2": "0",
-            "0": "0",
-        }
-    }
-    return SpecModel(
-        spec, {"pm": top_fiber, "p0": bottom_fiber}, "explicit", restrict
-    )
-
-
-def paper36_sim():
-    """Four tagged simples for the builtin model's Serre lattice."""
-    spec = paper36_model().spec
-    poset = build_poset(
-        ["T1", "T2", "S1", "S2"],
-        [("S1", "T1"), ("S1", "T2"), ("S2", "T2")],
-    )
-    prime_of = {"T1": "p0", "T2": "p0", "S1": "pm", "S2": "pm"}
-    return SimPoset(spec, poset, prime_of)
-
-
-def algebra_fixture(name):
-    """Builtin algebra by CLI fixture name."""
-    table = {"dynkin-a2": algebra_a2, "kronecker": algebra_kronecker}
-    if name not in table:
-        raise ValueError(f"unknown algebra fixture {name!r}")
-    return table[name]()
-
-
-def spectrum_fixture(name):
-    """Builtin spectrum model (with its simple poset) by CLI fixture name."""
-    if name != "paper36":
-        raise ValueError(f"unknown spectrum fixture {name!r}")
-    return SpectrumData(paper36_model(), paper36_sim())

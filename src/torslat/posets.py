@@ -250,10 +250,9 @@ class SubsetLattice:
     enumerated far beyond what an explicit n x n order table can hold).
     """
 
-    def __init__(self, base, masks, kind):
+    def __init__(self, base, masks):
         self.base = base
         self.masks = list(masks)
-        self.kind = kind  # "down" | "up" | "all"
         self._poset = None
 
     def __len__(self):
@@ -347,14 +346,14 @@ def _closed_subsets(poset, closed_up, config):
 
 def down_sets(poset, config=DEFAULTS):
     """The lattice of down-closed subsets (includes the empty and full sets)."""
-    return SubsetLattice(poset, _closed_subsets(poset, False, config), "down")
+    return SubsetLattice(poset, _closed_subsets(poset, False, config))
 
 
 def specialization_closed(poset, config=DEFAULTS):
     """The lattice of up-closed subsets: reading the poset as a spectrum
     (q <= p iff q is contained in p), these are the specialization-closed
     subsets."""
-    return SubsetLattice(poset, _closed_subsets(poset, True, config), "up")
+    return SubsetLattice(poset, _closed_subsets(poset, True, config))
 
 
 def all_subsets(poset, config=DEFAULTS):
@@ -362,7 +361,7 @@ def all_subsets(poset, config=DEFAULTS):
     if 2 ** n > config.subset_cap:
         raise SizeCapExceeded(f"2^{n} subsets exceed the subset cap")
     masks = sorted(range(2 ** n), key=lambda m: (bin(m).count("1"), m))
-    return SubsetLattice(poset, masks, "all")
+    return SubsetLattice(poset, masks)
 
 
 # ---------------------------------------------------------------------------

@@ -336,12 +336,19 @@ def g_vector(P):
 
 
 def h0_dim_vector(algebra, P):
-    """Dimension vector of H^0(P) by vertex: Hom_K(A e_v, P) = e_v H^0(P)."""
+    """Dimension vector of H^0(P) by vertex: Hom_K(A e_v, P) = e_v H^0(P).
+
+    delta never mixes the summands A e_v of Lambda, which has no
+    differential, so one delta per degree of Hom(Lambda, P), its images
+    split by the vertex v of each variable, gives every entry as _hom_dim.
+    """
     P = _as_complex(algebra, P)
-    return tuple(
-        _hom_dim(algebra, stalk(algebra, [v], 0), P, 0)
-        for v in range(len(algebra.quiver.vertices))
-    )
+    lam = lambda_complex(algebra)
+    split = {k: [[] for _ in algebra.quiver.vertices] for k in (0, -1)}
+    for k, by_vertex in split.items():
+        for (_, _, v, _), vec in zip(*_delta(algebra, lam, P, k)):
+            by_vertex[v].append(vec)
+    return tuple(len(x) - _rank(x) - _rank(y) for x, y in zip(split[0], split[-1]))
 
 
 def _degree_coords(algebra, vertex_tuple):
@@ -661,24 +668,6 @@ def _compose_graded(algebra, X, Y, Z, f, g):
     return out
 
 
-def _poly_divmod(num, den):
-    num = list(num)
-    out = [0] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        if not num[-1]:
-            num.pop()
-            continue
-        k = len(num) - len(den)
-        q = exact_div(num[-1], den[-1])
-        out[k] = q
-        for i, d in enumerate(den):
-            num[k + i] -= q * d
-        num.pop()
-    while num and not num[-1]:
-        num.pop()
-    return out, num
-
-
 def _divisors(m):
     m = abs(m)
     out = set()
@@ -718,16 +707,17 @@ def _rational_roots(poly):
 
 class _TopAlgebra:
     """The tops of the chain endomorphisms of a reduced complex, with the
-    operations needed for idempotent hunting.
+    operations needed for idempotent hunting: a minimal polynomial, its
+    rational roots and one solve per split (_split_on).
 
     An element is a sparse dict (n, r, c) -> trivial-path coefficient of
     the (r, c) entry in degree n.  basis is a list of linearly independent
     tops spanning the algebra and unit is the identity.  All of them are
     int dicts: the basis may be the tops times one positive integer, which
-    changes no idempotent found (see _split_on).  Every element the search
-    forms is an int dict too.  Rationals appear only in the coefficients
-    of the small polynomials, and an idempotent e is returned as the int
-    dict D e with its positive integer D.
+    changes no idempotent found (see _split_on).  Fractions appear only
+    where a solve returns them, in the minimal polynomial and the c of
+    _split_on, and an idempotent e is returned as the int dict D e with
+    its positive integer D.
     """
 
     def __init__(self, basis, unit):
@@ -811,84 +801,44 @@ class _TopAlgebra:
                     yield prods[i][j]
 
     def _split_on(self, s):
-        """The Chinese-remainder idempotent e of s as (D e, D), or None.
+        """The Fitting idempotent e of s as (D e, D), or None.
 
-        For the first rational root lam of the minimal polynomial with
-        poly = (x - lam)^k g, g(lam) != 0 and g not constant, this is
-        e = (a (x - lam)^k)(s) with a (x - lam)^k = 1 mod g, which is 0 on
-        the generalised lam-eigenspace of s and 1 on the rest.  On a central
-        s it is the complement of the eigenprojection onto lam, also where
-        lam is a repeated root.
-
-        A positive multiple t s has the roots t lam in the same order and
-        the same generalised eigenspaces, so it gives the same e.  The
-        polynomial a (x - lam)^k has degree below that of poly; D is the
-        least positive integer that clears its denominators, so D e is an
-        int combination of the powers of s, and D e is checked idempotent
-        exactly as (D e)^2 = D (D e).
+        Let lam = a / q (q > 0) be the first rational root of the minimal
+        polynomial of s, of degree n, and u = (q s - a)^m, m >= n.  By
+        Fitting's lemma Q[s] is the product of the generalised lam-part,
+        where u = 0, and the rest, where u is a unit.  So u^2 c = u has a
+        solution c in Q[s], found by one exact solve over the columns
+        u^2 s^i (where Fractions appear), and e = u c is 0 on the generalised
+        lam-eigenspace and 1 on the rest, whichever c is taken.  u = 0
+        exactly when the minimal polynomial is a power of x - lam: then s
+        has one eigenvalue and gives no split.  A positive multiple t s has
+        the roots t lam in the same order and the same eigenspaces, so it
+        gives the same e.  D is the least positive integer that makes D e
+        an int dict, and D e is checked idempotent as (D e)^2 = D (D e).
         """
         poly, powers = self.min_poly(s)
-        if len(poly) <= 2:
+        roots = _rational_roots(poly)
+        if not roots:
             return None
-        for lam in _rational_roots(poly):
-            g, k = poly, 0
-            while True:
-                q, rem = _poly_divmod(g, [-lam, 1])
-                if rem:
-                    break
-                g, k = q, k + 1
-            if len(g) <= 1:
-                continue
-            lam_k = _poly_power([-lam, 1], k)
-            crt = _poly_mul(_poly_inverse(lam_k, g), lam_k)
-            d, (ints,) = int_scale([dict(enumerate(crt))])
-            e = {}
-            for i, x in ints.items():
-                vec_add_scaled(e, powers[i], x)
-            if e and e != {key: d * x for key, x in self.unit.items()} and (
-                self.mul(e, e) == {key: d * x for key, x in e.items()}
-            ):
-                return e, d
-        return None
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
-def _poly_power(p, k):
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _poly_inverse(f, g):
-    """a with a f = 1 mod g, for coprime f and g."""
-    r0, r1 = list(f), list(g)
-    a0, a1 = [1], [0]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        a0, a1 = a1, _poly_sub(a0, _poly_mul(q, a1))
-    return [exact_div(x, r0[0]) for x in a0]
-
-
-def _poly_sub(p, q):
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
-    while out and not out[-1]:
-        out.pop()
-    return out
+        lam = roots[0]
+        u = {key: lam.denominator * x for key, x in s.items()}
+        vec_add_scaled(u, self.unit, -lam.numerator)
+        m = 1
+        while m < len(powers) and u:
+            u, m = self.mul(u, u), 2 * m
+        if not u:
+            return None
+        u2 = self.mul(u, u)
+        c = express_in_span([self.mul(u2, x) for x in powers], u)
+        if c is None:
+            raise CertificationFailed("u^2 c = u has no solution in Q[s]")
+        c_el = {}
+        for i, x in c.items():
+            vec_add_scaled(c_el, powers[i], x)
+        d, (e,) = int_scale([self.mul(u, c_el)])
+        if self.mul(e, e) != {key: d * x for key, x in e.items()}:
+            raise CertificationFailed("Fitting idempotent is not idempotent")
+        return e, d
 
 
 def decompose(algebra, P):
@@ -898,17 +848,18 @@ def decompose(algebra, P):
     coefficients in each degree.  Taking tops is multiplicative, kills every
     null homotopy (the differential is radical) and has a nilpotent kernel,
     so P splits exactly when the algebra of tops has an idempotent other
-    than 0 and 1.  One found by the search of _TopAlgebra is lifted to a
-    chain map with that top, made exact by Newton iteration and split
-    degreewise.  If no splitting idempotent is found the complex is
-    returned whole.
+    than 0 and 1.  The search of _TopAlgebra splits Q[s] for candidate
+    tops s at a rational eigenvalue, one solve per split (Fitting's lemma).
+    The idempotent is lifted to a chain map with that top, made exact by
+    Newton iteration and split degreewise.  If no splitting idempotent is
+    found the complex is returned whole.
 
     Coefficients are ints wherever they are integral.  The chain maps come
     from _chain_maps, scaled to int vectors, their tops are int dicts, and the
-    search returns D e for an idempotent top e.  e is divided out once,
-    when D e is written in the tops; the lift of e, its Newton iteration
-    and the split then stay on ints unless a value is not integral, and
-    only such a value is a Fraction.
+    search returns D e for an idempotent top e, its Fractions kept inside its
+    solves.  e is divided out once, when D e is written in the tops; the
+    lift of e, its Newton iteration and the split then stay on ints unless
+    a value is not integral, and only such a value is a Fraction.
     """
     P = _as_complex(algebra, P)
     if P.is_zero():

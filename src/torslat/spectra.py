@@ -197,6 +197,8 @@ def _validate_explicit(model, known):
                 f"contain {q!r}"
             )
 
+    # the tables that cover their fiber and map inside the target fiber
+    ok_pairs = set()
     for p, q in sorted(pairs):
         table = model.restrictions.get((p, q))
         if table is None:
@@ -212,6 +214,7 @@ def _validate_explicit(model, known):
             bad = True
         if bad:
             continue
+        ok_pairs.add((p, q))
         for a in fp.ids:
             for b in fp.ids:
                 if fp.leq(a, b) and not fq.leq(table[a], table[b]):
@@ -231,16 +234,6 @@ def _validate_explicit(model, known):
             )
 
     # composing two steps of a chain may only enlarge the direct image
-    ok_pairs = {
-        (p, q)
-        for p, q in pairs
-        if (p, q) in model.restrictions
-        and sorted(model.restrictions[p, q]) == sorted(model.fibers[p].ids)
-        and all(
-            v in model.fibers[q].index
-            for v in model.restrictions[p, q].values()
-        )
-    }
     for p, q in sorted(ok_pairs):
         for q2, r in sorted(ok_pairs):
             if q2 != q or (p, r) not in ok_pairs:

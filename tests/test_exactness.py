@@ -18,8 +18,6 @@ from torslat.linalg import (
     solve,
 )
 from torslat.silting import (
-    _poly_divmod,
-    _poly_inverse,
     _rational_roots,
     complexes_isomorphic,
     decompose,
@@ -151,20 +149,6 @@ class TestKernelsOnInts:
 
 
 class TestPolynomialsOnInts:
-    def test_divmod_of_int_polynomials(self):
-        # x^2 - 1 = (x - 1)(x + 1)
-        q, r = _poly_divmod([-1, 0, 1], [-1, 1])
-        assert q == [1, 1] and r == []
-        assert all(type(x) is int for x in q)
-        q, r = _poly_divmod([1, 0, 1], [0, 2])
-        assert q == [0, Fraction(1, 2)] and r == [1]
-        assert all(type(x) in EXACT for x in q + r)
-
-    def test_inverse_is_exact(self):
-        # (x - 1) a = 1 mod (x - 3): a = 1/2
-        assert _poly_inverse([-1, 1], [-3, 1]) == [Fraction(1, 2)]
-        assert type(_poly_inverse([-1, 1], [-3, 1])[0]) is Fraction
-
     def test_rational_roots(self):
         # (2x - 1)(x + 3) x = 2x^3 + 5x^2 - 3x
         roots = _rational_roots([0, -3, 5, 2])

@@ -1,5 +1,6 @@
 """Every private helper of the library is used somewhere in the library,
-and so is every public entry point of the linear-algebra kernel.
+and so is every public entry point of the linear-algebra kernel; every
+builtin fixture is used by the library or the tests.
 
 A helper is a module-level function or class, or a method, whose name
 starts with one underscore.  A definition counts as used when some
@@ -120,3 +121,15 @@ def test_guard_sees_an_uncalled_public_method(tmp_path):
     (tmp_path / "b.py").write_text("from .a import Kernel\nKernel().insert()\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert list(_unused_helpers(paths, _is_public)) == [("a.py", 4, "contains")]
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def test_every_fixture_is_used():
+    sites = [
+        f"{name}:{line}: {fixture} is never used"
+        for name, line, fixture in _unused_helpers(SOURCES + TESTS, _is_public)
+        if name == "fixtures.py"
+    ]
+    assert not sites, "\n".join(sites)

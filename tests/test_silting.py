@@ -24,11 +24,12 @@ from torslat.errors import (
     ShapeMismatch,
 )
 from torslat.fixtures import corpus
-from torslat.linalg import Echelon, solve
+from torslat.linalg import Echelon, express_in_span, solve
 from torslat.posets import build_poset, lattice_ops
 from torslat.silting import (
     Complex,
     SiltingObject,
+    _TopAlgebra,
     _delta,
     _euler_pairing,
     _hom_dim,
@@ -105,6 +106,20 @@ A4 = build_algebra(
         [("a", "1", "2"), ("b", "3", "2"), ("c", "3", "4")],
     ),
     [],
+)
+# cyclic 1 -> 2 -> 3 -> 4 -> 1 with every length-two path killed
+N4 = build_algebra(
+    Quiver([str(i) for i in range(1, 5)], [(f"a{i}", str(i), str(i % 4 + 1)) for i in range(1, 5)]),
+    [[(1, [f"a{i % 4 + 1}", f"a{i}"])] for i in range(1, 5)],
+)
+# the preprojective algebra of 1 - 2 - 3: the double quiver, the reverse of
+# x named xs, with as a, a as - bs b and b bs killed
+PI_A3 = build_algebra(
+    Quiver(
+        ["1", "2", "3"],
+        [("a", "1", "2"), ("as", "2", "1"), ("b", "2", "3"), ("bs", "3", "2")],
+    ),
+    [[(1, ["as", "a"])], [(1, ["a", "as"]), (-1, ["bs", "b"])], [(1, ["b", "bs"])]],
 )
 EXCHANGE_CASES = [A for _, A in corpus()] + [N3, A3_SINK, D4]
 EXCHANGE_IDS = [n for n, _ in corpus()] + ["N3", "A3-sink", "D4"]
@@ -338,6 +353,15 @@ def h0_by_cokernel_rank(algebra, P):
     return tuple(dims[v] - echs[v].rank for v in range(nv))
 
 
+def h0_by_stalks(algebra, P):
+    """Reference for h0_dim_vector: dim Hom_K(A e_v, P), one stalk complex
+    and two deltas per vertex v."""
+    return tuple(
+        _hom_dim(algebra, stalk(algebra, [v], 0), P, 0)
+        for v in range(len(algebra.quiver.vertices))
+    )
+
+
 def nonzero_entries(mat):
     return {(r, c): e for r, row in enumerate(mat) for c, e in enumerate(row) if e}
 
@@ -422,7 +446,14 @@ class TestHomComplex:
     def test_h0_matches_cokernel_rank(self, A):
         for obj in enumerate_2silt(A).objects.values():
             for s in (obj.total(), *obj.summands):
-                assert h0_dim_vector(A, s) == h0_by_cokernel_rank(A, s)
+                h0 = h0_dim_vector(A, s)
+                assert h0 == h0_by_cokernel_rank(A, s) == h0_by_stalks(A, s)
+
+    @given(bg_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_h0_from_one_delta_matches_the_stalks_off_two_terms(self, pair):
+        X, _ = pair
+        assert h0_dim_vector(BG, X) == h0_by_stalks(BG, X)
 
 
 @pytest.mark.parametrize(
@@ -609,6 +640,86 @@ class TestDecompose:
             assert any(
                 complexes_isomorphic(algebra, p, s) for s in chosen if g_vector(s) == g_vector(p)
             )
+
+
+def top(rows):
+    """A _TopAlgebra element in degree 0 from a matrix, rows[r][c] the
+    (r, c) entry."""
+    return {(0, r, c): x for r, row in enumerate(rows) for c, x in enumerate(row) if x}
+
+
+def identity_top(n):
+    return top([[int(r == c) for c in range(n)] for r in range(n)])
+
+
+def fitting_u(tops, s):
+    """(q s - a)^n for the first rational root a / q of the minimal
+    polynomial of s, of degree n, by n - 1 products."""
+    poly, powers = tops.min_poly(s)
+    lam = silting_module._rational_roots(poly)[0]
+    t = {key: lam.denominator * x for key, x in s.items()}
+    for key, x in tops.unit.items():
+        t[key] = t.get(key, 0) - lam.numerator * x
+    t = {key: x for key, x in t.items() if x}
+    u = t
+    for _ in range(len(powers) - 1):
+        u = tops.mul(u, t)
+    return u, powers
+
+
+class TestFittingIdempotent:
+    @pytest.mark.parametrize(
+        "rows, expected, d",
+        [
+            # two eigenvalues, both rational
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]], 1),
+            # a Jordan block at 1 and the eigenvalue 3: e = (s - 1)^2 / 4
+            ([[1, 1, 1], [0, 1, 1], [0, 0, 3]], [[0, 0, 3], [0, 0, 2], [0, 0, 4]], 4),
+            # minimal polynomial (x - 1)(x^2 - 2): e = s^2 - 1 is 1 on the
+            # irrational rest
+            ([[1, 0, 0], [0, 0, 2], [0, 1, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+        ],
+        ids=["diagonal", "jordan-block", "irrational-rest"],
+    )
+    def test_hand_built_idempotents(self, rows, expected, d):
+        tops = _TopAlgebra([], identity_top(len(rows)))
+        assert tops._split_on(top(rows)) == (top(expected), d)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[2, 1], [0, 2]], [[3, 0], [0, 3]], [[0, 2], [1, 0]]],
+        ids=["single-eigenvalue", "scalar", "no-rational-root"],
+    )
+    def test_no_split(self, rows):
+        assert _TopAlgebra([], identity_top(len(rows)))._split_on(top(rows)) is None
+
+    @pytest.mark.parametrize(
+        "A", [A3, D4, N4, PI_A3], ids=["A3", "D4", "N4", "preprojective A3"]
+    )
+    def test_idempotents_found_while_decomposing(self, A, monkeypatch):
+        # e in Q[s], u (1 - e) = 0 and e in u Q[s] pin e: it is 1 where u is
+        # a unit and 0 on the generalised eigenspace, where u = 0
+        real = _TopAlgebra._split_on
+        seen = []
+
+        def checked(tops, s):
+            found = real(tops, s)
+            if found is not None:
+                e, d = found
+                u, powers = fitting_u(tops, s)
+                assert u
+                assert express_in_span(powers, e) is not None
+                one_minus = {key: d * x for key, x in tops.unit.items()}
+                for key, x in e.items():
+                    one_minus[key] = one_minus.get(key, 0) - x
+                assert tops.mul(u, {k: x for k, x in one_minus.items() if x}) == {}
+                assert express_in_span([tops.mul(u, p) for p in powers], e) is not None
+                seen.append(d)
+            return found
+
+        monkeypatch.setattr(_TopAlgebra, "_split_on", checked)
+        enumerate_2silt(A)
+        assert seen
 
 
 class TestIsomorphism:

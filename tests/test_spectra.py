@@ -351,6 +351,42 @@ def test_compatible_tuples_match_all_pairs(model):
     assert list(compat.up) == all_pairs_up(fib, expected)
 
 
+def test_explicit_validation_reports_every_broken_table():
+    """Primes g < m < n and g < w, x, y, z; every fiber is 0 < a < b < 1.
+    m > g and n > m are identities, n > g sends a to b (above the
+    composite), w > g has no table, x > g misses a and b, y > g sends a
+    outside the fiber and z > g swaps a and b.  Three more tables name an
+    unknown prime, a non-identity self map and a pair in the wrong order."""
+    spec = build_poset(
+        ["g", "m", "n", "w", "x", "y", "z"],
+        [("g", "m"), ("m", "n"), ("g", "w"), ("g", "x"), ("g", "y"), ("g", "z")],
+    )
+    fiber = build_poset(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "1")])
+    ident = {v: v for v in fiber.ids}
+    tables = {
+        ("m", "g"): ident,
+        ("n", "m"): ident,
+        ("n", "g"): {**ident, "a": "b"},
+        ("x", "g"): {"0": "0", "1": "1"},
+        ("y", "g"): {**ident, "a": "zz"},
+        ("z", "g"): {**ident, "a": "b", "b": "a"},
+        ("q", "g"): ident,
+        ("m", "m"): {**ident, "a": "b"},
+        ("g", "n"): ident,
+    }
+    model = SpecModel(spec, {p: fiber for p in spec.ids}, "explicit", tables)
+    assert validate(model) == (
+        "restriction 'g'->'n' given although 'g' does not contain 'n'",
+        "restriction 'm'->'m' is not the identity",
+        "restriction 'q'->'g' references unknown primes",
+        "no restriction table for 'w' over 'g'",
+        "restriction 'x'->'g' does not cover the fiber",
+        "restriction 'y'->'g' maps outside the fiber",
+        "restriction 'z'->'g' is not order-preserving at 'a' <= 'b'",
+        "restrictions along 'n' > 'm' > 'g' compose below the direct map at 'a'",
+    )
+
+
 def test_identity_enumeration_is_not_recursive():
     # one search level per prime, past the recursion limit
     spec = antichain(1200)
