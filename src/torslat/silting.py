@@ -14,6 +14,11 @@ Conventions (fixed package-wide):
     with differential delta(f) = d_Y f - (-1)^k f d_X, so that
     Hom_K(X, Y[k]) = H^k(Hom(X, Y)): the chain maps X -> Y are the kernel
     of delta^0 and the null homotopic ones the image of delta^-1;
+  * a graded map f: X -> Y (degree 0) is a sparse dict (n, r, c, b) ->
+    coefficient, b a corner basis index from the c-th summand of X^n to the
+    r-th summand of Y^n: the keys of _map_vars, the form delta returns.
+    Chain maps, idempotents and cone maps all take this form, and "f then
+    g" is _compose; only differentials are matrices;
   * cone of f: X -> E has C^n = X^{n+1} (+) E^n with differential
     [[-d_X, 0], [f, d_E]].
 """
@@ -234,6 +239,22 @@ def _mat_compose(algebra, first, second):
     return tuple(out)
 
 
+def _compose(algebra, f, g):
+    """The graded map "f then g": (n, r, c) is the sum over m of f(n, m, c)
+    times g(n, r, m), products taken as in _mat_compose."""
+    by_source = {}
+    for (n, r, m, b), y in g.items():
+        by_source.setdefault((n, m), []).append((r, b, y))
+    mul = algebra.mul_basis
+    out = {}
+    for (n, m, c, a), x in f.items():
+        for r, b, y in by_source.get((n, m), ()):
+            for p, z in mul(a, b).items():
+                key = (n, r, c, p)
+                out[key] = out.get(key, 0) + x * y * z
+    return {key: x for key, x in out.items() if x}
+
+
 def _vertex_of(algebra, token):
     if token in algebra.quiver.vertex_index:
         return algebra.quiver.vertex_index[token]
@@ -351,16 +372,6 @@ def h0_dim_vector(algebra, P):
     return tuple(len(x) - _rank(x) - _rank(y) for x, y in zip(split[0], split[-1]))
 
 
-def _degree_coords(algebra, vertex_tuple):
-    """Vector-space coordinates of a direct sum of projectives: pairs
-    (summand index, algebra basis index with matching source)."""
-    out = []
-    for c, v in enumerate(vertex_tuple):
-        for b in algebra.basis_by_source(v):
-            out.append((c, b))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the Hom complex: chain maps, null homotopies, Hom_K(X, Y[k])
 
@@ -378,27 +389,6 @@ def _map_vars(algebra, X, Y, k):
         for c, vx in enumerate(xs)
         for b in corner(vx, vy)
     ]
-
-
-def _materialize(algebra, X, Y, var_list, vec):
-    """Turn a coefficient vector over _map_vars(X, Y, 0) into degree -> matrix."""
-    mats = {}
-    for n in X.summands:
-        if n in Y.summands:
-            mats[n] = [
-                [{} for _ in X.summands[n]] for _ in Y.summands[n]
-            ]
-    for i, (n, r, c, b) in enumerate(var_list):
-        x = vec.get(i)
-        if x:
-            cell = mats[n][r][c]
-            cell[b] = cell.get(b, 0) + x
-    for n, rows in mats.items():
-        mats[n] = tuple(
-            tuple({b: x for b, x in e.items() if x} for e in row)
-            for row in rows
-        )
-    return mats
 
 
 def _delta(algebra, X, Y, k):
@@ -463,31 +453,28 @@ def _hom_dim(algebra, X, Y, k):
 
 
 def _chain_maps(algebra, X, Y):
-    """(var_list, basis): the variables of Hom^0(X, Y) and the kernel of
+    """Basis of the chain maps X -> Y as graded maps: the kernel of
     delta^0, from its rows (the transposed images) in variable order."""
     var_list, images = _delta(algebra, X, Y, 0)
     rows = {}
     for i, vec in enumerate(images):
         for v, x in vec.items():
             rows.setdefault(v, {})[i] = x
-    return var_list, int_nullspace(int_rows([rows[v] for v in sorted(rows)]), len(var_list))
+    basis = int_nullspace(int_rows([rows[v] for v in sorted(rows)]), len(var_list))
+    return [{var_list[i]: x for i, x in z.items()} for z in basis]
 
 
 def hom_k_basis(algebra, X, Y):
-    """Basis of Hom in the homotopy category as (var_list, vectors): chain
-    maps independent modulo the null homotopies, the images of delta^-1."""
+    """Basis of Hom in the homotopy category as a list of graded maps X -> Y:
+    chain maps independent modulo the null homotopies.  Those are the images
+    of delta^-1, keyed like the chain maps by the variables of Hom^0, so
+    they enter the echelon as they are."""
     X, Y = _as_complex(algebra, X), _as_complex(algebra, Y)
-    var_list, chains = _chain_maps(algebra, X, Y)
-    pos = {v: i for i, v in enumerate(var_list)}
+    chains = _chain_maps(algebra, X, Y)
     ech = IntEchelon()
-    for vec in _delta(algebra, X, Y, -1)[1]:
-        if vec:
-            ech.insert(int_rows([{pos[v]: x for v, x in vec.items()}])[0])
-    reps = []
-    for z, zi in zip(chains, int_rows(chains)):
-        if ech.insert(zi) is not None:
-            reps.append(z)
-    return var_list, reps
+    for vec in int_rows([v for v in _delta(algebra, X, Y, -1)[1] if v]):
+        ech.insert(vec)
+    return [z for z, zi in zip(chains, int_rows(chains)) if ech.insert(zi) is not None]
 
 
 def hom_k_dim(algebra, X, Y):
@@ -528,6 +515,24 @@ def is_presilting(algebra, P):
 # reduction, cones
 
 
+def _unit_entries(algebra, summands, diff):
+    """(n, r, c) of each differential entry between two summands at one
+    vertex with a nonzero trivial-path coefficient, in ascending order."""
+    idem = algebra.idempotent_index
+    for n in sorted(diff):
+        cols, tgts = summands[n], summands[n + 1]
+        for r, row in enumerate(diff[n]):
+            for c, e in enumerate(row):
+                if cols[c] == tgts[r] and e.get(idem(cols[c])):
+                    yield n, r, c
+
+
+def _require_reduced(algebra, P):
+    """Refuse a complex with a unit entry, which is not reduced."""
+    if next(_unit_entries(algebra, P.summands, P.diff), None) is not None:
+        raise ShapeMismatch("complex is not reduced: a differential entry is a unit")
+
+
 def reduce_complex(algebra, P):
     """Homotopy-equivalent complex with radical differential: repeatedly
     eliminate entries with invertible trivial-path coefficient.
@@ -545,15 +550,8 @@ def reduce_complex(algebra, P):
     alive = {n: [True] * len(t) for n, t in summands.items()}
     idem = algebra.idempotent_index
 
-    candidates = []
-    for n in sorted(diff, reverse=True):
-        rows = diff[n]
-        cols = summands[n]
-        tgts = summands[n + 1]
-        for r in reversed(range(len(tgts))):
-            for c in reversed(range(len(cols))):
-                if cols[c] == tgts[r] and rows[r][c].get(idem(cols[c])):
-                    candidates.append((n, r, c))
+    # popped from the end: lowest degree, row and column first
+    candidates = list(_unit_entries(algebra, summands, diff))[::-1]
     while candidates:
         n, r0, c0 = candidates.pop()
         if not (alive[n][c0] and alive[n + 1][r0]):
@@ -608,64 +606,41 @@ def reduce_complex(algebra, P):
     return Complex(algebra, out_summands, out_diff, validate=False, copy=False)
 
 
-def cone(algebra, f_mats, X, E):
-    """Mapping cone of a chain map f: X -> E; C^n = X^{n+1} (+) E^n."""
+def cone(algebra, f, X, E):
+    """Mapping cone of a chain map f: X -> E, given as a graded map;
+    C^n = X^{n+1} (+) E^n.
+
+    The cone is validated, and its differential squares to zero exactly
+    when f is a chain map, so any other graded map raises ShapeMismatch,
+    as does a key outside X^n x E^n."""
     X, E = _as_complex(algebra, X), _as_complex(algebra, E)
-    degs = sorted(
-        {n - 1 for n in X.summands} | set(E.summands)
-    )
-    summands = {}
-    for n in degs:
-        summands[n] = tuple(X.summands_at(n + 1)) + tuple(E.summands_at(n))
+    degs = sorted({n - 1 for n in X.summands} | set(E.summands))
+    summands = {n: X.summands_at(n + 1) + E.summands_at(n) for n in degs}
     diff = {}
     for n in degs:
         if (n + 1) not in summands:
             continue
-        xs = X.summands_at(n + 1)
-        es = E.summands_at(n)
-        xt = X.summands_at(n + 2)
-        et = E.summands_at(n + 1)
-        rows = [
-            [{} for _ in range(len(xs) + len(es))]
-            for _ in range(len(xt) + len(et))
-        ]
-        dX = X.diff_at(n + 1)
-        for r in range(len(xt)):
-            for c in range(len(xs)):
-                e = dX[r][c]
+        rows = [[{} for _ in summands[n]] for _ in summands[n + 1]]
+        for r, row in enumerate(X.diff_at(n + 1)):
+            for c, e in enumerate(row):
                 if e:
                     rows[r][c] = {b: -x for b, x in e.items()}
-        fmat = f_mats.get(n + 1)
-        if fmat:
-            for r in range(len(et)):
-                for c in range(len(xs)):
-                    e = fmat[r][c]
-                    if e:
-                        rows[len(xt) + r][c] = dict(e)
-        dE = E.diff_at(n)
-        for r in range(len(et)):
-            for c in range(len(es)):
-                e = dE[r][c]
+        xs, xt = len(X.summands_at(n + 1)), len(X.summands_at(n + 2))
+        for r, row in enumerate(E.diff_at(n)):
+            for c, e in enumerate(row):
                 if e:
-                    rows[len(xt) + r][len(xs) + c] = dict(e)
+                    rows[xt + r][xs + c] = dict(e)
         diff[n] = rows
-    # chain-map inputs guarantee the square-zero identity; the reduced
-    # output is validated instead
-    return Complex(algebra, summands, diff, validate=False, copy=False)
+    for (n, r, c, b), x in f.items():
+        if not (0 <= r < len(E.summands_at(n)) and 0 <= c < len(X.summands_at(n))):
+            raise ShapeMismatch(f"map entry {(n, r, c, b)} lies outside X^{n} x E^{n}")
+        if x:
+            diff[n - 1][len(X.summands_at(n + 1)) + r][c][b] = x
+    return Complex(algebra, summands, diff, copy=False)
 
 
 # ---------------------------------------------------------------------------
 # decomposition
-
-
-def _compose_graded(algebra, X, Y, Z, f, g):
-    """(f: X->Y) then (g: Y->Z), all degreewise maps."""
-    out = {}
-    for n in X.summands:
-        if n not in Y.summands or n not in Z.summands:
-            continue
-        out[n] = _mat_compose(algebra, f[n], g[n])
-    return out
 
 
 def _divisors(m):
@@ -842,7 +817,8 @@ class _TopAlgebra:
 
 
 def decompose(algebra, P):
-    """Indecomposable summands of a reduced complex.
+    """Indecomposable summands of a reduced complex; a complex that is not
+    reduced raises ShapeMismatch.
 
     The top of a chain endomorphism is its matrix of trivial-path
     coefficients in each degree.  Taking tops is multiplicative, kills every
@@ -855,55 +831,58 @@ def decompose(algebra, P):
     found the complex is returned whole.
 
     Coefficients are ints wherever they are integral.  The chain maps come
-    from _chain_maps, scaled to int vectors, their tops are int dicts, and the
-    search returns D e for an idempotent top e, its Fractions kept inside its
-    solves.  e is divided out once, when D e is written in the tops; the
-    lift of e, its Newton iteration and the split then stay on ints unless
-    a value is not integral, and only such a value is a Fraction.
+    from _chain_maps, scaled to int graded maps, their tops are int dicts,
+    and the search returns D e for an idempotent top e, its Fractions kept
+    inside its solves.  e is divided out once, when D e is written in the
+    tops; the lift of e, its Newton iteration and the split then stay on
+    ints unless a value is not integral, and only such a value is a
+    Fraction.
     """
     P = _as_complex(algebra, P)
+    _require_reduced(algebra, P)
     if P.is_zero():
         return []
-    var_list, chains = _chain_maps(algebra, P, P)
     ech = IntEchelon()
     tops = []
     lifts = []
-    for z in int_scale(chains)[1]:
-        top = {}
-        for i, x in z.items():
-            n, r, c, b = var_list[i]
-            if algebra.basis_length(b) == 0:
-                top[(n, r, c)] = x
+    for z in int_scale(_chain_maps(algebra, P, P))[1]:
+        top = {(n, r, c): x for (n, r, c, b), x in z.items() if algebra.basis_length(b) == 0}
         if ech.insert(top) is not None:
             tops.append(top)
             lifts.append(z)
     if len(tops) <= 1:
         return [P]
-    unit = {(n, r, r): 1 for n, t in P.summands.items() for r in range(len(t))}
-    found = _TopAlgebra(tops, unit).find_idempotent()
+    one = {
+        (n, r, r, algebra.idempotent_index(v)): 1
+        for n, t in P.summands.items()
+        for r, v in enumerate(t)
+    }
+    found = _TopAlgebra(tops, {key[:3]: 1 for key in one}).find_idempotent()
     if found is None:
         return [P]
     e_top, d = found
     coeffs = express_in_span(tops, e_top)
     if coeffs is None:
         raise CertificationFailed("idempotent outside the algebra of tops")
-    e_vec = {}
+    e = {}
     for i, x in coeffs.items():
-        vec_add_scaled(e_vec, lifts[i], x)
-    e_vec = {i: exact_div(x, d) for i, x in e_vec.items()}
-    e_mat = _materialize(algebra, P, P, var_list, e_vec)
-    # Newton iteration to an exact idempotent in the genuine endo ring
+        vec_add_scaled(e, lifts[i], x)
+    e = {key: exact_div(x, d) for key, x in e.items()}
+    # Newton iteration e <- 3 e^2 - 2 e^3 to an exact idempotent in the
+    # genuine endomorphism ring
     for _ in range(60):
-        sq = _compose_graded(algebra, P, P, P, e_mat, e_mat)
-        if sq == e_mat:
+        sq = _compose(algebra, e, e)
+        if sq == e:
             break
-        cube = _compose_graded(algebra, P, P, P, sq, e_mat)
-        e_mat = _mats_combine(sq, cube)
+        cube = _compose(algebra, sq, e)
+        e = {key: 3 * x for key, x in sq.items()}
+        vec_add_scaled(e, cube, -2)
     else:
         raise CertificationFailed("idempotent lifting did not converge")
-    one_minus = _one_minus(algebra, P, e_mat)
-    left = _split_part(algebra, P, e_mat)
-    right = _split_part(algebra, P, one_minus)
+    one_minus = dict(one)
+    vec_add_scaled(one_minus, e, -1)
+    left = _split_part(P, e)
+    right = _split_part(P, one_minus)
     if left.size() + right.size() != P.size():
         raise CertificationFailed("split lost summands")
     if not left.size() or not right.size():
@@ -911,92 +890,32 @@ def decompose(algebra, P):
     return decompose(algebra, left) + decompose(algebra, right)
 
 
-def _mats_combine(sq, cube):
-    """3 e^2 - 2 e^3."""
-    out = {}
-    for n in sq:
-        rows = []
-        for r1, r2 in zip(sq[n], cube[n]):
-            row = []
-            for e1, e2 in zip(r1, r2):
-                cell = {b: 3 * x for b, x in e1.items()}
-                vec_add_scaled(cell, e2, -2)
-                row.append({b: x for b, x in cell.items() if x})
-            rows.append(tuple(row))
-        out[n] = tuple(rows)
-    return out
-
-
-def _one_minus(algebra, P, e_mat):
-    out = {}
-    for n, t in P.summands.items():
-        rows = []
-        mat = e_mat.get(n)
-        for r in range(len(t)):
-            row = []
-            for c in range(len(t)):
-                cell = {}
-                if mat:
-                    cell = {b: -x for b, x in mat[r][c].items()}
-                if r == c:
-                    b = algebra.idempotent_index(t[r])
-                    cell[b] = cell.get(b, 0) + 1
-                row.append({b: x for b, x in cell.items() if x})
-            rows.append(tuple(row))
-        out[n] = tuple(rows)
-    return out
-
-
-def _apply_to_element(algebra, mat, element, n_rows):
-    """Module-map action: element is {summand index: coefficient dict}."""
-    out = {}
-    for c, xc in element.items():
-        for r in range(n_rows):
-            e = mat[r][c]
-            if e and xc:
-                prod = algebra.mul_dicts(xc, e)
-                if prod:
-                    cell = out.setdefault(r, {})
-                    vec_add_scaled(cell, prod, 1)
-    return {
-        r: {b: x for b, x in cell.items() if x}
-        for r, cell in out.items()
-        if any(cell.values())
-    }
-
-
-def _element_to_vec(element, coord_pos):
-    vec = {}
-    for r, cell in element.items():
-        for b, x in cell.items():
-            if x:
-                vec[coord_pos[(r, b)]] = x
-    return vec
-
-
-def _split_part(algebra, P, e_mat):
+def _split_part(P, e):
     """Subcomplex carried by an exact idempotent chain endomorphism e.
 
     Im e is a summand of P, so rad(Im e) is the intersection of Im e with
-    rad P, and no element of rad P has a trivial-path coefficient.  A set of columns of e therefore
-    generates Im e minimally exactly when their tops (trivial-path
-    coefficients) are independent.  In each degree the columns are taken
-    vertex by vertex, then by index, and one becomes a generator when its
-    top is independent of the tops already chosen.  The differential is
-    read off by writing the image of each generator in the generators of
-    the next degree.
+    rad P, and no element of rad P has a trivial-path coefficient.  A set of
+    columns of e therefore generates Im e minimally exactly when their tops
+    (trivial-path coefficients) are independent.  In each degree the columns
+    are taken vertex by vertex, then by index, and one becomes a generator
+    when its top is independent of the tops already chosen.  The
+    differential is read off by writing the image of each generator in the
+    generators of the next degree, as vectors over (summand, basis index).
     """
-    gens = {}  # degree -> list of (vertex, element)
+    algebra = P.algebra
+    columns = {}  # (n, c) -> column c of e in degree n, {r: coefficient dict}
+    for (n, r, c, b), x in e.items():
+        columns.setdefault((n, c), {}).setdefault(r, {})[b] = x
+    gens = {}  # degree -> list of (vertex, column)
     for n, t in P.summands.items():
-        mat = e_mat[n]
         # a top lies on the rows of its column's vertex, so one echelon
         # keeps the vertices apart
         ech = IntEchelon()
         chosen = []
         for c in sorted(range(len(t)), key=t.__getitem__):
             unit = algebra.idempotent_index(t[c])
-            col = {r: row[c] for r, row in enumerate(mat) if row[c]}
-            top = {r: e[unit] for r, e in col.items() if unit in e}
+            col = columns.get((n, c), {})
+            top = {r: cell[unit] for r, cell in col.items() if unit in cell}
             if top and ech.insert(int_rows([top])[0]) is not None:
                 chosen.append((t[c], col))
         if chosen:
@@ -1006,28 +925,28 @@ def _split_part(algebra, P, e_mat):
     for n, g in gens.items():
         if (n + 1) not in gens:
             continue
-        t = P.summands[n]
-        t1 = P.summands[n + 1]
-        coords1 = _degree_coords(algebra, t1)
-        pos1 = {key: i for i, key in enumerate(coords1)}
         dmat = P.diff_at(n)
         g1 = gens[n + 1]
         rows_out = [[{} for _ in g] for _ in g1]
         for ci, (vc, wc) in enumerate(g):
-            dw = _apply_to_element(algebra, dmat, wc, len(t1))
-            target_vec = _element_to_vec(dw, pos1)
+            image = {}
+            for m, xm in wc.items():
+                for r, row in enumerate(dmat):
+                    if row[m]:
+                        for b, x in algebra.mul_dicts(xm, row[m]).items():
+                            image[(r, b)] = image.get((r, b), 0) + x
+            image = {key: x for key, x in image.items() if x}
             cols = []
             meta = []
             for k, (vk, wk) in enumerate(g1):
                 for b in algebra.corner_indices(vc, vk):
-                    moved = {}
-                    for r, cell in wk.items():
-                        prod = algebra.mul_dicts({b: 1}, cell)
-                        if prod:
-                            moved[r] = prod
-                    cols.append(_element_to_vec(moved, pos1))
+                    cols.append({
+                        (r, pb): x
+                        for r, cell in wk.items()
+                        for pb, x in algebra.mul_dicts({b: 1}, cell).items()
+                    })
                     meta.append((k, b))
-            coeffs = express_in_span(cols, target_vec)
+            coeffs = express_in_span(cols, image)
             if coeffs is None:
                 raise CertificationFailed("image of generator left the subcomplex")
             for i, (k, b) in enumerate(meta):
@@ -1050,34 +969,22 @@ def _graded_counts(P):
     return out
 
 
-def _graded_invertible(algebra, X, Y, mats):
-    """Is a chain map between reduced complexes an isomorphism?  Exactly
-    when each trivial-coefficient block (per degree, per vertex) is an
+def _graded_invertible(algebra, X, f):
+    """Is a chain endomorphism f of a reduced complex an automorphism?
+    Exactly when each block of tops (per degree, per vertex) is an
     invertible matrix."""
     for n, t in X.summands.items():
-        t2 = Y.summands_at(n)
         for v in set(t):
-            xs = [i for i, w in enumerate(t) if w == v]
-            ys = [i for i, w in enumerate(t2) if w == v]
-            if len(xs) != len(ys):
-                return False
+            at_v = [i for i, w in enumerate(t) if w == v]
             b = algebra.idempotent_index(v)
-            mat = mats.get(n)
-            rows = []
-            for r in ys:
-                rows.append(
-                    [
-                        (mat[r][c].get(b, 0) if mat else 0)
-                        for c in xs
-                    ]
-                )
-            if det(rows) == 0:
+            if det([[f.get((n, r, c, b), 0) for c in at_v] for r in at_v]) == 0:
                 return False
     return True
 
 
 def complexes_isomorphic(algebra, X, Y):
-    """Isomorphism test for reduced complexes via an invertible chain map.
+    """Isomorphism test for reduced complexes via an invertible chain map;
+    a complex that is not reduced raises ShapeMismatch.
 
     The basis-pair scan is complete for indecomposables (local endomorphism
     rings): if the two are isomorphic, some basis map composes with some
@@ -1085,20 +992,19 @@ def complexes_isomorphic(algebra, X, Y):
     fall back to summand-by-summand matching.
     """
     X, Y = _as_complex(algebra, X), _as_complex(algebra, Y)
+    _require_reduced(algebra, X)
+    _require_reduced(algebra, Y)
     if _graded_counts(X) != _graded_counts(Y):
         return False
     if X.is_zero():
         return True
-    var_xy, fwd = hom_k_basis(algebra, X, Y)
+    fwd = hom_k_basis(algebra, X, Y)
     if not fwd:
         return False
-    var_yx, back = hom_k_basis(algebra, Y, X)
-    fwd_mats = [_materialize(algebra, X, Y, var_xy, f) for f in fwd]
-    back_mats = [_materialize(algebra, Y, X, var_yx, g) for g in back]
-    for fm in fwd_mats:
-        for gm in back_mats:
-            comp = _compose_graded(algebra, X, Y, X, fm, gm)
-            if _graded_invertible(algebra, X, X, comp):
+    back = hom_k_basis(algebra, Y, X)
+    for f in fwd:
+        for g in back:
+            if _graded_invertible(algebra, X, _compose(algebra, f, g)):
                 return True
     xparts = decompose(algebra, X)
     yparts = decompose(algebra, Y)
@@ -1238,8 +1144,8 @@ def _exchange_cone(algebra, X, classes, direction, memo):
 
     "left": the cone of f: X -> (+) R^{dim Hom_K(X, R)}; "right": the
     cocone of g: (+) R^{dim Hom_K(R, X)} -> X.  Every Hom basis map is one
-    block of the stacked map, at rows (left) or columns (right) offset by
-    the summands of the blocks before it.  This is where a minimal
+    block of the stacked graded map, its row (left) or column (right)
+    indices shifted by the summands of the blocks before it.  This is where a minimal
     approximation would go: the cone here is the exchange summand plus
     copies of classes.  Raises ConeNotTwoTerm if the reduced cone is not
     two-term.  The Hom bases come from memo; a class with an empty basis
@@ -1249,28 +1155,16 @@ def _exchange_cone(algebra, X, classes, direction, memo):
     blocks = []
     for R in classes:
         A, B = (X, R) if left else (R, X)
-        var_list, basis = _memoised(algebra, A, B, memo)
-        blocks.extend((R, _materialize(algebra, A, B, var_list, v)) for v in basis)
+        blocks.extend((R, g) for g in _memoised(algebra, A, B, memo))
     if not blocks:
         C = X.shift(1 if left else -1)
     else:
         E = direct_sum([R for R, _ in blocks])
-        src, tgt = (X, E) if left else (E, X)
-        f = {
-            n: [[{} for _ in src.summands[n]] for _ in tgt.summands[n]]
-            for n in X.summands
-            if n in E.summands
-        }
+        f = {}
         off = dict.fromkeys(E.summands, 0)
-        for R, mats in blocks:
-            for n, mat in mats.items():
-                for r, row in enumerate(mat):
-                    for c, e in enumerate(row):
-                        if e:
-                            if left:
-                                f[n][off[n] + r][c] = e
-                            else:
-                                f[n][r][off[n] + c] = e
+        for R, g in blocks:
+            for (n, r, c, b), x in g.items():
+                f[(n, r + off[n], c, b) if left else (n, r, c + off[n], b)] = x
             for n, t in R.summands.items():
                 off[n] += len(t)
         C = cone(algebra, f, X, E) if left else cone(algebra, f, E, X).shift(-1)
@@ -1342,7 +1236,7 @@ def mutate(algebra, P, k, direction, validate=True, memo=None):
     return out
 
 
-def bongartz_complete(algebra, P, validate=True):
+def bongartz_complete(algebra, P):
     """Silting object containing the given presilting complex as summands.
 
     Support-aware: vertices absent from the (reduced) complex whose
@@ -1361,13 +1255,10 @@ def bongartz_complete(algebra, P, validate=True):
             classes.append(stalk(algebra, [v], -1))
     D = _exchange_cone(algebra, lambda_shifted(algebra), classes, "right", {})
     all_parts = classes + _summand_classes(algebra, decompose(algebra, D), classes)
-    out = SiltingObject(algebra, all_parts, validate=validate)
-    if validate:
-        for c in classes:
-            if not any(
-                complexes_isomorphic(algebra, c, s) for s in out.summands
-            ):
-                raise CertificationFailed("completion lost an input summand")
+    out = SiltingObject(algebra, all_parts)
+    for c in classes:
+        if not any(complexes_isomorphic(algebra, c, s) for s in out.summands):
+            raise CertificationFailed("completion lost an input summand")
     return out
 
 

@@ -30,15 +30,17 @@ from torslat.silting import (
     Complex,
     SiltingObject,
     _TopAlgebra,
+    _compose,
     _delta,
     _euler_pairing,
     _hom_dim,
-    _materialize,
+    _map_vars,
     _mat_compose,
     bongartz_complete,
     check_presilting_family,
     check_silting_module,
     complexes_isomorphic,
+    cone,
     decompose,
     direct_sum,
     enumerate_2silt,
@@ -301,8 +303,7 @@ class TestHomSpaces:
     @given(bg_two_term(), bg_two_term())
     @settings(max_examples=30, deadline=None)
     def test_dim_agrees_with_basis_length(self, C, D):
-        _, basis = hom_k_basis(BG, C, D)
-        assert hom_k_dim(BG, C, D) == len(basis)
+        assert hom_k_dim(BG, C, D) == len(hom_k_basis(BG, C, D))
 
     @given(bg_two_term(), bg_two_term())
     @settings(max_examples=30, deadline=None)
@@ -366,6 +367,35 @@ def nonzero_entries(mat):
     return {(r, c): e for r, row in enumerate(mat) for c, e in enumerate(row) if e}
 
 
+def materialize(X, Y, f):
+    """The graded map f: X -> Y as degree -> matrix (rows over Y^n, columns
+    over X^n), the form _mat_compose takes."""
+    mats = {
+        n: [[{} for _ in X.summands[n]] for _ in Y.summands[n]]
+        for n in X.summands
+        if n in Y.summands
+    }
+    for (n, r, c, b), x in f.items():
+        mats[n][r][c][b] = x
+    return mats
+
+
+def graded_maps(X, Y):
+    """Strategy: a graded map X -> Y over beta-gamma, each variable of
+    Hom^0(X, Y) with a coefficient in -2..2."""
+    keys = _map_vars(BG, X, Y, 0)
+    return st.lists(st.integers(-2, 2), min_size=len(keys), max_size=len(keys)).map(
+        lambda xs: {k: x for k, x in zip(keys, xs) if x}
+    )
+
+
+def identity_map(P):
+    A = P.algebra
+    return {
+        (n, r, r, A.idempotent_index(v)): 1 for n, t in P.summands.items() for r, v in enumerate(t)
+    }
+
+
 def products_made(algebra, call):
     """How many times call() multiplies two algebra elements."""
     real = algebra.mul_dicts
@@ -413,15 +443,28 @@ class TestHomComplex:
     def test_kernel_of_delta0_is_chain_maps(self, pair):
         # f d_X = d_Y f for every basis map, composed by _mat_compose
         X, Y = pair
-        var_list, basis = hom_k_basis(BG, X, Y)
-        for vec in basis:
-            f = _materialize(BG, X, Y, var_list, vec)
+        for g in hom_k_basis(BG, X, Y):
+            f = materialize(X, Y, g)
             for n in X.summands:
                 if (n + 1) not in Y.summands:
                     continue
                 left = _mat_compose(BG, X.diff_at(n), f.get(n + 1, ()))
                 right = _mat_compose(BG, f.get(n, ()), Y.diff_at(n))
                 assert nonzero_entries(left) == nonzero_entries(right)
+
+    @given(bg_pairs(), bg_two_term(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_compose_is_the_matrix_product(self, pair, Z, data):
+        # pairs X -> Y -> X and triples X -> Y -> Z of graded maps
+        X, Y = pair
+        f = data.draw(graded_maps(X, Y))
+        for W in (X, Z):
+            g = data.draw(graded_maps(Y, W))
+            composed = materialize(X, W, _compose(BG, f, g))
+            F, G = materialize(X, Y, f), materialize(Y, W, g)
+            for n, mat in composed.items():
+                expected = _mat_compose(BG, F[n], G[n]) if n in Y.summands else ()
+                assert nonzero_entries(mat) == nonzero_entries(expected)
 
     @given(bg_two_term(), bg_two_term())
     @settings(max_examples=30, deadline=None)
@@ -479,6 +522,34 @@ class TestHomComplex:
 def test_foreign_or_malformed_input_refused(call, error):
     with pytest.raises(error):
         call()
+
+
+class TestCone:
+    def test_cone_of_the_identity_is_contractible(self):
+        X = s1_presentation()
+        C = cone(A2, identity_map(X), X, X)
+        assert C.size() == 2 * X.size()
+        assert reduce_complex(A2, C).is_zero()
+
+    def test_refuses_a_map_that_is_not_a_chain_map(self):
+        # the identity on e1 in degree 0 sends d_X = a to a, but the stalk
+        # P1 has nothing in degree -1: not a chain map, so d^2 != 0 on the cone
+        X = s1_presentation()
+        f = {(0, 0, 0, A2.idempotent_index(0)): 1}
+        with pytest.raises(ShapeMismatch):
+            cone(A2, f, X, stalk(A2, ["1"], 0))
+
+    @pytest.mark.parametrize(
+        "n, r, c", [(0, -1, 0), (0, 0, -1), (0, 1, 0), (0, 0, 1), (1, 0, 0), (-2, 0, 0)]
+    )
+    def test_refuses_a_key_outside_the_summands(self, n, r, c):
+        # added to a chain map: unchecked, the row index -1 would wrap onto
+        # the identity's own entry and pass unnoticed
+        X = s1_presentation()
+        f = identity_map(X)
+        f[(n, r, c, A2.idempotent_index(0))] = 1
+        with pytest.raises(ShapeMismatch):
+            cone(A2, f, X, X)
 
 
 class TestReduce:
@@ -584,6 +655,30 @@ class TestDecompose:
 
     def test_zero_complex(self):
         assert decompose(A2, two_term(A2, [], [], [])) == []
+
+    def test_refuses_a_complex_that_is_not_reduced(self):
+        with pytest.raises(ShapeMismatch):
+            decompose(A2, contractible())
+        with pytest.raises(ShapeMismatch):
+            decompose(A2, direct_sum([s1_presentation(), contractible()]))
+
+    @pytest.mark.parametrize(
+        "A", [A3, D4, N4, PI_A3], ids=["A3", "D4", "N4", "preprojective A3"]
+    )
+    def test_split_idempotents_are_exact(self, A, monkeypatch):
+        # every e that splits a complex, and its complement 1 - e, is an
+        # idempotent chain endomorphism: e then e is e
+        real = silting_module._split_part
+        seen = []
+
+        def checked(P, e):
+            assert _compose(A, e, e) == e
+            seen.append(e)
+            return real(P, e)
+
+        monkeypatch.setattr(silting_module, "_split_part", checked)
+        enumerate_2silt(A)
+        assert seen
 
     def test_triangular_tops_split(self):
         # the tops of X + P1 are triangular: the identity on P1 in degree 0
@@ -738,6 +833,15 @@ class TestIsomorphism:
         X = s1_presentation()
         assert not complexes_isomorphic(A2, X, stalk(A2, [0], 0))
         assert not complexes_isomorphic(A2, X, X.shift(1))
+
+    def test_refuses_a_complex_that_is_not_reduced(self):
+        # X + C is homotopy equivalent to X for the contractible C
+        X = s1_presentation()
+        padded = direct_sum([X, contractible()])
+        with pytest.raises(ShapeMismatch):
+            complexes_isomorphic(A2, padded, X)
+        with pytest.raises(ShapeMismatch):
+            complexes_isomorphic(A2, X, padded)
 
 
 class TestSiltingPredicates:
