@@ -323,7 +323,8 @@ def det(rows):
     """Determinant of a small dense matrix (lists of ints/Fractions).
 
     Fraction-free (Bareiss) elimination on the rows scaled to integers, so
-    the determinant of an integral matrix is an int.
+    the determinant of an integral matrix is an int; a row of ints is
+    taken as it is.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -331,6 +332,9 @@ def det(rows):
     scale = 1
     m = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            m.append(list(row))
+            continue
         d, (r,) = int_scale([dict(enumerate(row))])
         scale *= d
         m.append([r[j] for j in range(n)])

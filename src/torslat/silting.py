@@ -26,6 +26,8 @@ Conventions (fixed package-wide):
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebras import AlgebraElement, _signed_terms
@@ -168,19 +170,11 @@ class Complex:
     def shift(self, k):
         """P[k]^n = P^{n+k}; odd shifts negate the differential."""
         summands = {n - k: v for n, v in self.summands.items()}
-        if k % 2:
-            diff = {
-                n - k: [
-                    [{b: -x for b, x in e.items()} for e in row]
-                    for row in rows
-                ]
-                for n, rows in self.diff.items()
-            }
-        else:
-            diff = {
-                n - k: [[dict(e) for e in row] for row in rows]
-                for n, rows in self.diff.items()
-            }
+        sign = -1 if k % 2 else 1
+        diff = {
+            n - k: [[{b: sign * x for b, x in e.items()} for e in row] for row in rows]
+            for n, rows in self.diff.items()
+        }
         return Complex(self.algebra, summands, diff, validate=False, copy=False)
 
     def key(self):
@@ -202,20 +196,9 @@ class Complex:
         return hash(self.key())
 
     def __repr__(self):
-        parts = []
-        for n in self.summands:
-            names = ",".join(
-                "e" + self.algebra.quiver.vertices[v] for v in self.summands[n]
-            )
-            parts.append(f"{n}:[{names}]")
+        names = self.algebra.quiver.vertices
+        parts = (f"{n}:[{','.join('e' + names[v] for v in t)}]" for n, t in self.summands.items())
         return "Complex(" + " ".join(parts) + ")"
-
-
-def _multiplicity(algebra, vertex_tuple):
-    out = [0] * len(algebra.quiver.vertices)
-    for v in vertex_tuple:
-        out[v] += 1
-    return tuple(out)
 
 
 def _mat_compose(algebra, first, second):
@@ -351,9 +334,11 @@ def g_vector(P):
     """[P^0] - [P^{-1}] as a vector over vertices."""
     if not P.is_two_term():
         raise ShapeMismatch("g-vector needs a two-term complex")
-    plus = _multiplicity(P.algebra, P.summands_at(0))
-    minus = _multiplicity(P.algebra, P.summands_at(-1))
-    return tuple(a - b for a, b in zip(plus, minus))
+    out = [0] * len(P.algebra.quiver.vertices)
+    for n, t in P.summands.items():
+        for v in t:
+            out[v] += 1 if n == 0 else -1
+    return tuple(out)
 
 
 def h0_dim_vector(algebra, P):
@@ -962,11 +947,7 @@ def _split_part(P, e):
 
 
 def _graded_counts(P):
-    out = {}
-    for n, t in P.summands.items():
-        for v in t:
-            out[(n, v)] = out.get((n, v), 0) + 1
-    return out
+    return Counter((n, v) for n, t in P.summands.items() for v in t)
 
 
 def _graded_invertible(algebra, X, f):
@@ -1054,21 +1035,30 @@ class SiltingObject:
     __slots__ = ("algebra", "summands", "key", "_h0")
 
     def __init__(self, algebra, summands, validate=True):
-        self.algebra = algebra
         summands = tuple(summands)
         # the index breaks ties as a stable sort by g-vector would
         order = sorted((g_vector(s), i) for i, s in enumerate(summands))
+        self.algebra, self._h0 = algebra, None
         self.summands = tuple(summands[i] for _, i in order)
         self.key = tuple(g for g, _ in order)
-        self._h0 = None
         if validate:
-            n = len(algebra.quiver.vertices)
-            if len(self.summands) != n:
-                raise NotSilting("summand count != vertex count")
-            if len(set(self.key)) != n:
-                raise NotSilting("summand g-vectors not distinct")
-            if not is_presilting(algebra, self.total()):
-                raise NotPresilting("object is not presilting")
+            self._validate()
+
+    @classmethod
+    def _keyed(cls, algebra, summands, key):
+        """The object of summands already sorted by their g-vectors, key."""
+        out = cls.__new__(cls)
+        out.algebra, out.summands, out.key, out._h0 = algebra, summands, key, None
+        return out
+
+    def _validate(self):
+        n = len(self.algebra.quiver.vertices)
+        if len(self.summands) != n:
+            raise NotSilting("summand count != vertex count")
+        if len(set(self.key)) != n:
+            raise NotSilting("summand g-vectors not distinct")
+        if not is_presilting(self.algebra, self.total()):
+            raise NotPresilting("object is not presilting")
 
     def total(self):
         return direct_sum(self.summands)
@@ -1130,15 +1120,6 @@ def _h0_key(algebra, summands, memo):
     return tuple(sorted(d for d in dims if any(d)))
 
 
-def _memoised(algebra, X, Y, memo):
-    """hom_k_basis(algebra, X, Y), kept in memo under the keys of X, Y."""
-    k = (X.key(), Y.key())
-    out = memo.get(k)
-    if out is None:
-        out = memo[k] = hom_k_basis(algebra, X, Y)
-    return out
-
-
 def _exchange_cone(algebra, X, classes, direction, memo):
     """Reduced two-term cone of the all-basis approximation of X by classes.
 
@@ -1148,14 +1129,17 @@ def _exchange_cone(algebra, X, classes, direction, memo):
     indices shifted by the summands of the blocks before it.  This is where a minimal
     approximation would go: the cone here is the exchange summand plus
     copies of classes.  Raises ConeNotTwoTerm if the reduced cone is not
-    two-term.  The Hom bases come from memo; a class with an empty basis
-    adds no block.
+    two-term.  The Hom bases are kept in memo under the keys of their
+    complexes; a class with an empty basis adds no block.
     """
     left = direction == "left"
     blocks = []
     for R in classes:
         A, B = (X, R) if left else (R, X)
-        blocks.extend((R, g) for g in _memoised(algebra, A, B, memo))
+        pair = (A.key(), B.key())
+        if pair not in memo:
+            memo[pair] = hom_k_basis(algebra, A, B)
+        blocks.extend((R, g) for g in memo[pair])
     if not blocks:
         C = X.shift(1 if left else -1)
     else:
@@ -1208,13 +1192,103 @@ def _new_class_from_cone(algebra, cone_red, keep_classes):
     return fresh[0]
 
 
+def _sign_masks(g):
+    """(positive, negative) vertex bitmasks of a vector."""
+    return tuple(sum(1 << v for v, x in enumerate(g) if s * x > 0) for s in (1, -1))
+
+
+class _SummandTable:
+    """The summands met by the mutations sharing one memo, interned by
+    g-vector and named by their place in `complexes`; the objects made of
+    them, with `index` mapping each set of n - 1 ids of an object to the
+    ids completing it; and Hom(i, j[1]) = 0 by id pair, when first asked."""
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        self.ids = {}  # g-vector -> id
+        self.complexes = []
+        self.g = []
+        self.signs = []  # (positive, negative) vertex bitmask of each g-vector
+        self.objects = {}  # object key -> ids of its summands
+        self.index = {}
+        self.vanishing = {}
+
+    def add(self, P):
+        """The ids of P's summands, interning the new ones; P is indexed by
+        its almost complete parts."""
+        if P.key in self.objects:
+            return self.objects[P.key]
+        ids = []
+        for C, g in zip(P.summands, P.key):
+            i = self.ids.get(g)
+            if i is None:
+                i = self.ids[g] = len(self.g)
+                self.complexes.append(C)
+                self.g.append(g)
+                self.signs.append(_sign_masks(g))
+            ids.append(i)
+        whole = frozenset(ids)
+        for i in ids:
+            self.index.setdefault(whole - {i}, set()).add(i)
+        self.objects[P.key] = ids
+        return ids
+
+    def ext_vanishes(self, i, j):
+        """Is Hom(i, j[1]) zero?"""
+        out = self.vanishing.get((i, j))
+        if out is None:
+            C = self.complexes
+            out = self.vanishing[(i, j)] = not _hom_dim(self.algebra, C[i], C[j], 1)
+        return out
+
+    def partner(self, ids, k):
+        """The known id completing U = ids without ids[k], or None.
+
+        First a known object containing U; else every interned summand Y
+        outside ids with g(Y) sign-coherent with g(U) (the summands of a
+        presilting T^0 and T^-1 share no vertex, AIR section 2, so the signs
+        of g(U) are those of its sum) and det[g(U); g(Y)] = +-1 (the
+        g-vectors of a silting object are a Z-basis, AIR section 5), and
+        only then Hom(Y, u[1]) = Hom(u, Y[1]) = 0 for each u in U.  The
+        determinant is the dot product of g(Y) with the cofactors of g(U),
+        taken once.
+        """
+        rest = ids[:k] + ids[k + 1:]
+        found = self.index.get(frozenset(rest), set()) - {ids[k]}
+        if not found:
+            rows = [self.g[u] for u in rest]
+            pos, neg = _sign_masks([sum(column) for column in zip(*rows)])
+            cof = [(-1) ** j * det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)]
+            found = {
+                y
+                for y, (g, (p, m)) in enumerate(zip(self.g, self.signs))
+                if not (p & neg or m & pos)
+                and abs(sum(a * b for a, b in zip(cof, g))) == 1
+                and y not in ids
+                and all(self.ext_vanishes(y, u) and self.ext_vanishes(u, y) for u in rest)
+            }
+        if len(found) > 1:
+            raise CertificationFailed(f"{len(found)} exchange partners of one almost complete object")
+        return next(iter(found), None)
+
+
 def mutate(algebra, P, k, direction, validate=True, memo=None):
-    """Replace the k-th summand by its exchange partner.
+    """Replace the k-th summand X by its exchange partner Y.
 
     direction "left": cone over the approximation into the rest (moves down
     in the silting order); "right": cocone from the rest (moves up).
     Raises ConeNotTwoTerm when there is no two-term silting object on the
     requested side.
+
+    memo is a dict kept across the mutations over one algebra; None starts
+    a fresh one.  Its _SummandTable looks Y up before any cone is built: as
+    the other completion of a known object with the same rest (there are
+    exactly two, Adachi-Iyama-Reiten Thm. 2.18), else as a known summand
+    that completes the rest (a summand is determined by its g-vector, Thm.
+    5.5).  A known Y lies below exactly when Hom(X, Y[1]) = 0 and above
+    exactly when Hom(Y, X[1]) = 0, and one of them must hold.  Only an
+    unknown Y comes from the exchange cone, whose Hom bases memo keeps too;
+    a cone that gives a known summand raises CertificationFailed.
     """
     if not isinstance(P, SiltingObject):
         raise NotSilting("mutate needs a SiltingObject")
@@ -1223,16 +1297,37 @@ def mutate(algebra, P, k, direction, validate=True, memo=None):
     if direction not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
     X = _as_complex(algebra, P.summands[k])
-    rest = [s for i, s in enumerate(P.summands) if i != k]
-    C = _exchange_cone(algebra, X, rest, direction, {} if memo is None else memo)
-    Y = _new_class_from_cone(algebra, C, rest)
-    out = SiltingObject(algebra, rest + [Y], validate=validate)
-    if out.key == P.key:
-        raise CertificationFailed("mutation returned the same object")
+    rest = P.summands[:k] + P.summands[k + 1:]
+    memo = {} if memo is None else memo
+    table = memo.get(_SummandTable)
+    if table is None:
+        table = memo[_SummandTable] = _SummandTable(algebra)
+    elif table.algebra is not algebra:
+        raise ShapeMismatch("memo holds the summands of a different algebra")
+    ids = table.add(P)
+    y = table.partner(ids, k)
+    if y is None:
+        C = _exchange_cone(algebra, X, rest, direction, memo)
+        Y = _new_class_from_cone(algebra, C, rest)
+        g = g_vector(Y)
+        if g in table.ids:
+            raise CertificationFailed("the exchange cone gave a known summand")
+    else:
+        down, up = table.ext_vanishes(ids[k], y), table.ext_vanishes(y, ids[k])
+        if down == up:
+            raise CertificationFailed("a known exchange partner is not on exactly one side")
+        if down != (direction == "left"):
+            raise ConeNotTwoTerm(f"the exchange partner is not on the {direction}")
+        Y, g = table.complexes[y], table.g[y]
+    key = P.key[:k] + P.key[k + 1:]
+    i = bisect_right(key, g)
+    out = SiltingObject._keyed(algebra, rest[:i] + (Y,) + rest[i:], key[:i] + (g,) + key[i:])
     if validate:
+        out._validate()
         upper, lower = (P, out) if direction == "left" else (out, P)
         if hom_shift1_dim(algebra, upper.total(), lower.total()):
             raise CertificationFailed("mutation did not move in its direction")
+    table.add(out)
     return out
 
 
@@ -1301,17 +1396,9 @@ def check_presilting_family(algebra, indices):
     y = algebra.arrow_element(n1)
     out = []
     for i in indices:
-        entries = []
-        for r in range(i + 1):
-            row = []
-            for c in range(i):
-                if r == c:
-                    row.append(y)
-                elif r == c + 1:
-                    row.append(-x)
-                else:
-                    row.append(0)
-            entries.append(row)
+        entries = [
+            [y if r == c else -x if r == c + 1 else 0 for c in range(i)] for r in range(i + 1)
+        ]
         C = two_term(algebra, [1] * i, [0] * (i + 1), entries)
         out.append(is_presilting(algebra, C))
     return out
@@ -1342,9 +1429,14 @@ def enumerate_2silt(algebra, config=DEFAULTS):
     exactly two silting completions, one the left and the other the right
     mutation of the object (Adachi-Iyama-Reiten, tau-tilting theory, Thm.
     2.18).  So each (object, summand) pair is mutated once: left, and right
-    only if the left cone is not two-term; a pair whose edge was already
-    found from its other end is skipped.  A pair refused in both
-    directions raises CertificationFailed.
+    only if the left one is refused; a pair whose edge was already found
+    from its other end is skipped.  A pair refused in both directions
+    raises CertificationFailed.  The mutations share one memo, so mutate
+    finds a partner that is already known in its summand table: the other
+    completion of a known object, else a known summand completing the rest
+    (a summand is determined by its g-vector, Thm. 5.5).  So a cone is
+    built once per summand outside the free module, and once more for each
+    left cone refused while its partner is still unknown.
 
     Every mutation found is recorded as an edge pointing down.  For a
     tau-tilting finite algebra these edges form the Hasse quiver of the

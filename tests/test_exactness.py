@@ -147,6 +147,16 @@ class TestKernelsOnInts:
         assert det([[Fraction(1, 2), 0], [0, 3]]) == Fraction(3, 2)
         assert det([]) == 1
 
+    def test_det_leaves_its_rows_alone(self):
+        # int rows are eliminated as they are, a Fraction row is scaled
+        rows = [[2, 1, 0], [Fraction(1, 3), 1, 1], [0, 4, 1]]
+        copy = [list(r) for r in rows]
+        assert det(rows) == Fraction(-19, 3)
+        assert rows == copy
+        ints = [[1, 3, -2], [0, 1, 5], [2, 0, 1]]
+        assert det(ints) == 35 and type(det(ints)) is int
+        assert ints == [[1, 3, -2], [0, 1, 5], [2, 0, 1]]
+
 
 class TestPolynomialsOnInts:
     def test_rational_roots(self):

@@ -1310,3 +1310,131 @@ def test_larger_torsion_lattices_are_semidistributive(A, size):
     lattice = tors_lattice(A)
     assert len(lattice) == size
     assert semidistributive(lattice)
+
+
+# 1 -> 2 -> 3 -> 4 -> 5 with 3 -> 6
+E6 = build_algebra(
+    Quiver(
+        [str(i) for i in range(1, 7)],
+        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "5"), ("e", "3", "6")],
+    ),
+    [],
+)
+
+
+def preprojective_a(n):
+    """Pi(A_n) named as PI_A3 is: xi: i -> i + 1 and its reverse xis, with
+    xis xi killed at 1, x(n-1) x(n-1)s at n and the difference of the two
+    two-cycles at every other vertex."""
+    arrows = []
+    for i in range(1, n):
+        arrows += [(f"x{i}", str(i), str(i + 1)), (f"x{i}s", str(i + 1), str(i))]
+    relations = [
+        [(1, [f"x{v}s", f"x{v}"])] * (v < n) + [(-1, [f"x{v - 1}", f"x{v - 1}s"])] * (v > 1)
+        for v in range(1, n + 1)
+    ]
+    return build_algebra(Quiver([str(i) for i in range(1, n + 1)], arrows), relations)
+
+
+PI_A4 = preprojective_a(4)
+TABLE_CASES = [A3, D4, N4, PI_A3, BG, DUAL]
+TABLE_IDS = ["A3", "D4", "N4", "Pi(A3)", "beta-gamma", "dual-numbers"]
+
+
+def counting(monkeypatch, name):
+    """Count the calls of a module-level function of silting."""
+    real = getattr(silting_module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(silting_module, name, counted)
+    return calls
+
+
+class TestSummandTable:
+    @pytest.mark.parametrize("A", TABLE_CASES, ids=TABLE_IDS)
+    def test_table_agrees_with_the_cone(self, A):
+        # memo=None builds every exchange cone; a shared memo finds known
+        # partners in its summand table: as it goes, with every object
+        # known, and with every summand but no other object known
+        objects = list(enumerate_2silt(A).objects.values())
+        calls = [
+            (obj, k, direction)
+            for obj in objects
+            for k in range(len(obj.summands))
+            for direction in ("left", "right")
+        ]
+
+        def outcome(obj, k, direction, memo):
+            try:
+                return mutate(A, obj, k, direction, validate=False, memo=memo).key
+            except ConeNotTwoTerm:
+                return None
+
+        want = [outcome(*call, None) for call in calls]
+        assert None in want and want.count(None) < len(want)
+        memo = {}
+        for _ in range(2):
+            assert [outcome(*call, memo) for call in calls] == want
+        table = silting_module._SummandTable(A)
+        for obj in objects:
+            table.add(obj)
+        summands_only = []
+        for call in calls:
+            table.objects.clear()
+            table.index.clear()
+            summands_only.append(outcome(*call, {silting_module._SummandTable: table}))
+        assert summands_only == want
+
+    @pytest.mark.parametrize(
+        "A, cones", [(A3, 6), (D4, 12), (N4, 8), (PI_A3, 11)], ids=["A3", "D4", "N4", "Pi(A3)"]
+    )
+    def test_one_cone_per_new_summand(self, monkeypatch, A, cones):
+        built = counting(monkeypatch, "_exchange_cone")
+        r = enumerate_2silt(A)
+        summands = {g for obj in r.objects.values() for g in obj.key}
+        assert len(built) == len(summands) - len(A.quiver.vertices) == cones
+
+    @pytest.mark.parametrize(
+        "A, size, cones", [(E6, 833, 36), (PI_A4, 120, 26)], ids=["E6", "Pi(A4)"]
+    )
+    def test_larger_inputs(self, monkeypatch, A, size, cones):
+        # E6 has one summand per positive root besides the six projectives;
+        # Pi(A4) gives the weak order of S5
+        built = counting(monkeypatch, "_exchange_cone")
+        r = enumerate_2silt(A)
+        summands = {g for obj in r.objects.values() for g in obj.key}
+        assert len(r.objects) == size
+        assert len(built) == len(summands) - len(A.quiver.vertices) == cones
+
+    def test_kronecker_computes_few_homs(self, monkeypatch):
+        # the cone path makes one _hom_dim call per two-term cone, 31 before
+        # the cap; the sign and determinant filters leave almost no known
+        # summand for a Hom test
+        homs = counting(monkeypatch, "_hom_dim")
+        with pytest.raises(CapExceeded):
+            enumerate_2silt(KRON, config=Config(silting_cap=30))
+        assert len(homs) <= 31 + 5
+
+    def test_known_partner_needs_no_g_vector(self, monkeypatch):
+        # the new key is the old one with one entry replaced, so once every
+        # partner is known no g-vector is computed
+        objects = list(enumerate_2silt(D4).objects.values())
+        memo = {}
+
+        def mutate_all():
+            for obj in objects:
+                for k in range(4):
+                    for direction in ("left", "right"):
+                        try:
+                            mutate(D4, obj, k, direction, validate=False, memo=memo)
+                        except ConeNotTwoTerm:
+                            pass
+
+        mutate_all()
+        computed = counting(monkeypatch, "g_vector")
+        mutate_all()
+        assert computed == []
