@@ -1023,8 +1023,13 @@ def is_silting(algebra, P):
 # silting objects
 
 
-def _fmt_vecs(vecs):
-    return "[" + ",".join("(" + ",".join(str(x) for x in v) + ")" for v in vecs) + "]"
+def _fmt_vecs(vecs, memo=None):
+    """"[(1,0),(0,-1)]"; memo maps each vector to its text, as it goes."""
+    memo = {} if memo is None else memo
+    for v in vecs:
+        if v not in memo:
+            memo[v] = "(" + ",".join(map(str, v)) + ")"
+    return "[" + ",".join(memo[v] for v in vecs) + "]"
 
 
 class SiltingObject:
@@ -1200,8 +1205,13 @@ def _sign_masks(g):
 class _SummandTable:
     """The summands met by the mutations sharing one memo, interned by
     g-vector and named by their place in `complexes`; the objects made of
-    them, with `index` mapping each set of n - 1 ids of an object to the
-    ids completing it; and Hom(i, j[1]) = 0 by id pair, when first asked."""
+    them, with `index` mapping each set of n - 1 ids of an object, or of
+    ids whose partner a scan found, to the ids completing it; and
+    Hom(i, j[1]) = 0 by id pair, when first asked.  Bit j of coherent[i]
+    says that g(i) and g(j) are sign-coherent, set as the later of the two
+    is interned; bit j of clash[i] that Hom(i, j[1]) or Hom(j, i[1]) was
+    found nonzero.  No Hom is asked ahead of a scan: over the Kronecker
+    algebra every preprojective is sign-coherent with every other."""
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -1209,6 +1219,8 @@ class _SummandTable:
         self.complexes = []
         self.g = []
         self.signs = []  # (positive, negative) vertex bitmask of each g-vector
+        self.coherent = []
+        self.clash = []
         self.objects = {}  # object key -> ids of its summands
         self.index = {}
         self.vanishing = {}
@@ -1226,6 +1238,13 @@ class _SummandTable:
                 self.complexes.append(C)
                 self.g.append(g)
                 self.signs.append(_sign_masks(g))
+                self.coherent.append(0)
+                self.clash.append(0)
+                pos, neg = self.signs[i]
+                for j, (p, m) in enumerate(self.signs):
+                    if not (p & neg or m & pos):
+                        self.coherent[i] |= 1 << j
+                        self.coherent[j] |= 1 << i
             ids.append(i)
         whole = frozenset(ids)
         for i in ids:
@@ -1234,42 +1253,51 @@ class _SummandTable:
         return ids
 
     def ext_vanishes(self, i, j):
-        """Is Hom(i, j[1]) zero?"""
+        """Is Hom(i, j[1]) zero?  A nonzero one marks the pair in clash."""
         out = self.vanishing.get((i, j))
         if out is None:
             C = self.complexes
             out = self.vanishing[(i, j)] = not _hom_dim(self.algebra, C[i], C[j], 1)
+            if not out:
+                self.clash[i] |= 1 << j
+                self.clash[j] |= 1 << i
         return out
 
     def partner(self, ids, k):
-        """The known id completing U = ids without ids[k], or None.
-
-        First a known object containing U; else every interned summand Y
-        outside ids with g(Y) sign-coherent with g(U) (the summands of a
-        presilting T^0 and T^-1 share no vertex, AIR section 2, so the signs
-        of g(U) are those of its sum) and det[g(U); g(Y)] = +-1 (the
-        g-vectors of a silting object are a Z-basis, AIR section 5), and
-        only then Hom(Y, u[1]) = Hom(u, Y[1]) = 0 for each u in U.  The
-        determinant is the dot product of g(Y) with the cofactors of g(U),
-        taken once.
-        """
+        """The known id completing U = ids without ids[k], or None, for ids
+        as add returned them: from the index, else from _scan, whose partner
+        joins index[U], so the right mutation after a refused left one finds
+        it with no second scan."""
         rest = ids[:k] + ids[k + 1:]
-        found = self.index.get(frozenset(rest), set()) - {ids[k]}
-        if not found:
-            rows = [self.g[u] for u in rest]
-            pos, neg = _sign_masks([sum(column) for column in zip(*rows)])
-            cof = [(-1) ** j * det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)]
-            found = {
-                y
-                for y, (g, (p, m)) in enumerate(zip(self.g, self.signs))
-                if not (p & neg or m & pos)
-                and abs(sum(a * b for a, b in zip(cof, g))) == 1
-                and y not in ids
-                and all(self.ext_vanishes(y, u) and self.ext_vanishes(u, y) for u in rest)
-            }
+        U = frozenset(rest)
+        found = self.index[U] - {ids[k]} or self._scan(ids, rest)
         if len(found) > 1:
             raise CertificationFailed(f"{len(found)} exchange partners of one almost complete object")
+        self.index[U] |= found
         return next(iter(found), None)
+
+    def _scan(self, ids, rest):
+        """The known ids Y outside ids that complete rest.  Candidates are
+        sign-coherent with each u in rest (the summands of a presilting T^0
+        and T^-1 share no vertex, AIR section 2) and clash with none; for
+        them c . g(Y) = det[g(rest); g(Y)] must be +-1 (the g-vectors of a
+        silting object are a Z-basis, AIR section 5), c the primitive kernel
+        vector of g(rest), and Hom(Y, u[1]) = Hom(u, Y[1]) = 0 certifies Y."""
+        cand = (1 << len(self.g)) - 1 - sum(1 << i for i in ids)
+        for u in rest:
+            cand &= self.coherent[u] & ~self.clash[u]
+        if not cand:
+            return set()
+        (kernel,) = int_nullspace([dict(enumerate(self.g[u])) for u in rest], len(ids))
+        # a 1 at its free column makes its least integral multiple primitive
+        cof = int_scale([kernel])[1][0].items()
+        return {
+            y
+            for y in range(cand.bit_length())
+            if cand >> y & 1
+            and abs(sum(x * self.g[y][c] for c, x in cof)) == 1
+            and all(self.ext_vanishes(y, u) and self.ext_vanishes(u, y) for u in rest)
+        }
 
 
 def mutate(algebra, P, k, direction, validate=True, memo=None):
@@ -1434,9 +1462,11 @@ def enumerate_2silt(algebra, config=DEFAULTS):
     raises CertificationFailed.  The mutations share one memo, so mutate
     finds a partner that is already known in its summand table: the other
     completion of a known object, else a known summand completing the rest
-    (a summand is determined by its g-vector, Thm. 5.5).  So a cone is
-    built once per summand outside the free module, and once more for each
-    left cone refused while its partner is still unknown.
+    (a summand is determined by its g-vector, Thm. 5.5), scanned with
+    bitmasks and one kernel vector, no determinant.  So a cone is built
+    once per summand outside the free module, and once more for each left
+    cone refused while its partner is still unknown; a partner the scan
+    finds for a refused left mutation is indexed for the right one.
 
     Every mutation found is recorded as an edge pointing down.  For a
     tau-tilting finite algebra these edges form the Hasse quiver of the
@@ -1482,20 +1512,21 @@ def enumerate_2silt(algebra, config=DEFAULTS):
                     )
                 queue.append(nxt)
     keys = sorted(objects)
-    ids = {k: objects[k].id_string() for k in keys}
-    # neighbouring objects share summands: one H0 per distinct summand
-    h0_memo = {}
+    # neighbouring objects share summands: one H0 and one text per distinct
+    # summand, g-vector and H0 vector
+    h0_memo, text = {}, {}
+    ids = {k: _fmt_vecs(k, text) for k in keys}
     for obj in objects.values():
         obj._h0 = _h0_key(algebra, obj.summands, h0_memo)
-    elements = [(ids[k], objects[k].label()) for k in keys]
+    elements = [(ids[k], f"g={ids[k]};H0={_fmt_vecs(objects[k]._h0, text)}") for k in keys]
     edge_ids = tuple(sorted((ids[a], ids[b]) for a, b in edges))
     poset = build_poset(elements, [(lower, upper) for upper, lower in edge_ids])
     if edge_ids != tuple(sorted(poset.covers)):
         raise CertificationFailed("mutation edges are not the covers of their order")
-    if poset.top() != start.id_string():
+    if poset.top() != ids[start.key]:
         raise CertificationFailed("free module is not the unique maximum")
     shifted_key = tuple(sorted(g_vector(s.shift(1)) for s in start.summands))
-    if poset.bottom() != _fmt_vecs(shifted_key):
+    if poset.bottom() != _fmt_vecs(shifted_key, text):
         raise CertificationFailed("shifted free module is not the unique minimum")
     return EnumerationResult(
         poset=poset,
@@ -1507,11 +1538,9 @@ def enumerate_2silt(algebra, config=DEFAULTS):
 def tors_lattice(algebra, config=DEFAULTS):
     """The silting order relabeled by cohomology data: for tau-tilting
     finite algebras this is the lattice of torsion classes."""
-    result = enumerate_2silt(algebra, config)
-    poset = result.poset
-    return poset.relabeled(
-        "H0=" + _fmt_vecs(result.objects[i].h0_key()) for i in poset.ids
-    )
+    poset = enumerate_2silt(algebra, config).poset
+    # each label is "g=[...];H0=[...]", and a g-vector text holds no ";"
+    return poset.relabeled(label.partition(";")[2] for label in poset.labels)
 
 
 def is_tau_tilting_finite(algebra, config=DEFAULTS):
@@ -1542,10 +1571,7 @@ def parse_complex(algebra, text):
     zero = _parse_summands(algebra, m.group("zero"))
     rows = _parse_matrix(m.group("d").strip())
     if len(rows) != len(zero):
-        if not (len(zero) == 0 and rows == []):
-            raise ParseError(
-                f"matrix has {len(rows)} rows for {len(zero)} summands"
-            )
+        raise ParseError(f"matrix has {len(rows)} rows for {len(zero)} summands")
     entries = []
     for r, row in enumerate(rows):
         if len(row) != len(minus):

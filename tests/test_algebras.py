@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torslat.algebras import (
+    ASSOCIATIVITY_FULL_DIM,
     Quiver,
     build_algebra,
     cartan_matrix,
@@ -14,11 +15,13 @@ from torslat.algebras import (
 )
 from torslat.config import Config
 from torslat.errors import (
+    CertificationFailed,
     DuplicateId,
     NotAdmissible,
     NotFiniteDimensional,
     ParseError,
 )
+from torslat.fixtures import corpus
 
 
 def a2():
@@ -245,6 +248,99 @@ class TestMultiplication:
         left = A.mul_dicts(A.mul_dicts(x, y), z)
         right = A.mul_dicts(x, A.mul_dicts(y, z))
         assert left == right
+
+
+def path_algebra(n, edges, relations=()):
+    """Vertices 1..n and one arrow x<k> per (source, target) edge."""
+    arrows = [(f"x{k}", str(a), str(b)) for k, (a, b) in enumerate(edges)]
+    return build_algebra(Quiver([str(v) for v in range(1, n + 1)], arrows), relations)
+
+
+def linear(n):
+    return path_algebra(n, [(v, v + 1) for v in range(1, n)])
+
+
+def preprojective_a(n):
+    # x<2i> : i -> i + 1 and x<2i+1> its reverse, named by path_algebra
+    edges = [e for i in range(1, n) for e in ((i, i + 1), (i + 1, i))]
+    relations = []
+    for v in range(1, n + 1):
+        terms = []
+        if v < n:
+            terms.append((1, [f"x{2 * v - 1}", f"x{2 * v - 2}"]))
+        if v > 1:
+            terms.append((-1, [f"x{2 * v - 4}", f"x{2 * v - 3}"]))
+        relations.append(terms)
+    return path_algebra(n, edges, relations)
+
+
+def nakayama(n):
+    # the cycle x<v-1> : v -> v + 1 with every path of length two killed
+    relations = [[(1, [f"x{v % n}", f"x{v - 1}"])] for v in range(1, n + 1)]
+    return path_algebra(n, [(v, v % n + 1) for v in range(1, n + 1)], relations)
+
+
+ASSOCIATIVITY_CASES = {
+    "A3": linear(3),
+    "A4": path_algebra(4, [(1, 2), (3, 2), (3, 4)]),
+    "D4": path_algebra(4, [(1, 3), (3, 2), (3, 4)]),
+    "A5": linear(5),
+    "D5": path_algebra(5, [(1, 3), (2, 3), (3, 4), (4, 5)]),
+    "N3": nakayama(3),
+    "N4": nakayama(4),
+    "N5": nakayama(5),
+    **dict(corpus()),
+    "E6": path_algebra(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]),
+    "Pi(A4)": preprojective_a(4),
+    # above ASSOCIATIVITY_FULL_DIM: the sampled triples
+    "A9": linear(9),
+}
+
+
+def associative_on_all_triples(A):
+    """The reference check: every triple of the basis, or of the sample
+    above ASSOCIATIVITY_FULL_DIM, composable or not."""
+    if A.dim <= ASSOCIATIVITY_FULL_DIM:
+        idxs = range(A.dim)
+    else:
+        idxs = range(0, A.dim, A.dim // 16 + 1)
+    for i in idxs:
+        for j in idxs:
+            ij = A.mul_basis(i, j)
+            for k in idxs:
+                if A.mul_dicts(ij, {k: 1}) != A.mul_dicts({i: 1}, A.mul_basis(j, k)):
+                    raise CertificationFailed("associativity failure")
+
+
+class TestAssociativityCheck:
+    @pytest.mark.parametrize("name", list(ASSOCIATIVITY_CASES))
+    def test_same_verdict_as_all_triples(self, name):
+        A = ASSOCIATIVITY_CASES[name]
+        A._check_associativity()
+        associative_on_all_triples(A)
+
+    def test_covers_both_rules(self):
+        dims = [A.dim for A in ASSOCIATIVITY_CASES.values()]
+        assert min(dims) <= ASSOCIATIVITY_FULL_DIM < max(dims)
+        assert ASSOCIATIVITY_CASES["Pi(A4)"].dim == 20
+
+    @staticmethod
+    def corrupted(leak):
+        """Linear A4 with the cached product x1 * x0 (1 -> 3) replaced: by
+        the arrow x2, which starts at 3 and so leaves the corner, or by
+        twice the path, which breaks x2 (x1 x0) = (x2 x1) x0."""
+        A = linear(4)
+        (a,), (b,), (c,) = (A.arrow_element(f"x{k}").coeffs for k in range(3))
+        (ba,) = A.mul_basis(b, a)
+        A._mul_cache[(b, a)] = {c: 1} if leak else {ba: 2}
+        return A
+
+    @pytest.mark.parametrize("leak", [True, False], ids=["leaves-corner", "not-associative"])
+    def test_corrupted_constant_is_caught(self, leak):
+        with pytest.raises(CertificationFailed):
+            self.corrupted(leak)._check_associativity()
+        with pytest.raises(CertificationFailed):
+            associative_on_all_triples(self.corrupted(leak))
 
 
 class TestHomProjectives:

@@ -1410,10 +1410,43 @@ class TestSummandTable:
         assert len(r.objects) == size
         assert len(built) == len(summands) - len(A.quiver.vertices) == cones
 
+    def test_e6_scan_takes_no_determinants(self, monkeypatch):
+        # one kernel vector per scan gives the cofactors, so the only
+        # determinants left are complexes_isomorphic's (35)
+        dets = counting(monkeypatch, "det")
+        enumerate_2silt(E6)
+        assert len(dets) <= 40
+
+    def test_e6_scan_computes_no_more_homs(self, monkeypatch):
+        # the clash bitmasks only skip Hom tests whose answer is known, so
+        # the scan asks no more than the 1 642 a scan without them asks
+        homs = counting(monkeypatch, "_hom_dim")
+        built = counting(monkeypatch, "_exchange_cone")
+        enumerate_2silt(E6)
+        assert len(homs) <= 1642
+        assert len(built) == 36
+
+    def test_scanned_partner_is_indexed(self, monkeypatch):
+        # a partner found by the scan joins the index, so the right mutation
+        # after a refused left one is not scanned again (without the index
+        # entry, D4 scans two almost complete objects twice)
+        scan = silting_module._SummandTable._scan
+        found = []
+
+        def counted(table, ids, rest):
+            out = scan(table, ids, rest)
+            if out:
+                found.append(frozenset(rest))
+            return out
+
+        monkeypatch.setattr(silting_module._SummandTable, "_scan", counted)
+        enumerate_2silt(D4)
+        assert found and len(set(found)) == len(found)
+
     def test_kronecker_computes_few_homs(self, monkeypatch):
         # the cone path makes one _hom_dim call per two-term cone, 31 before
-        # the cap; the sign and determinant filters leave almost no known
-        # summand for a Hom test
+        # the cap; the sign-coherence and clash bitmasks and the kernel
+        # cofactor leave almost no known summand for a Hom test
         homs = counting(monkeypatch, "_hom_dim")
         with pytest.raises(CapExceeded):
             enumerate_2silt(KRON, config=Config(silting_cap=30))
