@@ -369,9 +369,6 @@ class PathAlgebra:
 
     # -- elements ------------------------------------------------------------
 
-    def zero(self, target, source):
-        return AlgebraElement(self, target, source, {})
-
     def idempotent(self, v):
         return AlgebraElement(self, v, v, {self._e_index[v]: 1})
 

@@ -17,10 +17,11 @@ front ends each hide a format: ``Echelon``, ``nullspace``, ``solve`` and
 oracle's dense lists.  They stay separate entry points, not aliases,
 because the benchmark (``perfbench/``) traces each of them by name.
 
-``det`` eliminates fraction-free too (Bareiss).  Sparse vectors are dicts
-column -> nonzero coefficient.  Everything is deterministic: rows are
-processed in the order given and pivots are always the lowest-index column
-available, so every route returns the same pivots and the same vectors.
+``det`` multiplies the pivot entries of ``Echelon`` normal forms.  Sparse
+vectors are dicts column -> nonzero coefficient.  Everything is
+deterministic: rows are processed in the order given and pivots are always
+the lowest-index column available, so every route returns the same pivots
+and the same vectors.
 """
 
 import heapq
@@ -322,38 +323,26 @@ def express_in_span(columns, target):
 def det(rows):
     """Determinant of a small dense matrix (lists of ints/Fractions).
 
-    Fraction-free (Bareiss) elimination on the rows scaled to integers, so
-    the determinant of an integral matrix is an int; a row of ints is
-    taken as it is.
+    Row by row, the Echelon normal form of a row is it less a combination
+    of the rows before, and it is 0 at their pivots.  In the pivot-column
+    order these forms make a triangular matrix, so the determinant is the
+    product of their pivot entries, each negated when an odd number of
+    earlier pivot columns lie above its own.  An integral matrix gives an
+    int.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    scale = 1
-    m = []
+    ech = Echelon()
+    out = Fraction(1)
     for row in rows:
-        if all(type(x) is int for x in row):
-            m.append(list(row))
-            continue
-        d, (r,) = int_scale([dict(enumerate(row))])
-        scale *= d
-        m.append([r[j] for j in range(n)])
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
+        form = ech.reduce({j: x for j, x in enumerate(row) if x})
+        if not form:
             return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pk = m[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pk[k] - mi[k] * pk[j]) // prev
-        prev = pk[k]
-    return exact_div(sign * prev, scale)
+        c = min(form)
+        out *= -form[c] if sum(d > c for d in ech.pivots) % 2 else form[c]
+        ech.insert(form)
+    return intify(out)
 
 
 # ---------------------------------------------------------------------------

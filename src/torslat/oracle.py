@@ -277,55 +277,99 @@ def _same_setting(algebra, m, n):
 
 
 # ---------------------------------------------------------------------------
-# hom spaces and splitting
+# Hom and Ext^1 from one differential
 
 
-def hom_rep_basis(algebra, m, n):
-    """Basis of the intertwiner space m -> n: tuples of per-vertex matrices."""
-    _same_setting(algebra, m, n)
-    p = m.p
-    q = algebra.quiver
-    nv = len(q.vertices)
-    offs = []
-    nvars = 0
-    for v in range(nv):
-        offs.append(nvars)
-        nvars += n.dims[v] * m.dims[v]
-    if nvars == 0:
-        return []
+def _hom_delta(p, q, m, n):
+    """The differential delta(h)_a = n_a h_s - h_t m_a on the maps h: m -> n,
+    as (vertex offsets, rows).  Entry (i, k) of h_v is the variable
+    offs[v] + i * m_v + k, and the rows are the entries of the blocks
+    delta(h)_a, arrow by arrow, each row-major.  Its kernel is Hom(m, n);
+    with m = y and n = x its columns span the coboundaries of Ext^1(y, x).
+    """
+    offs = [0]
+    for v in range(len(m.dims)):
+        offs.append(offs[-1] + n.dims[v] * m.dims[v])
     rows = []
     for a in range(len(q.arrows)):
         s, t = q.arrow_source(a), q.arrow_target(a)
         ma, na = m.mats[a], n.mats[a]
         for i in range(n.dims[t]):
             for j in range(m.dims[s]):
-                row = [0] * nvars
-                for k in range(m.dims[t]):
-                    if ma[k][j]:
-                        row[offs[t] + i * m.dims[t] + k] += ma[k][j]
+                row = [0] * offs[-1]
                 for l in range(n.dims[s]):
                     if na[i][l]:
-                        row[offs[s] + l * m.dims[s] + j] -= na[i][l]
-                row = [e % p for e in row]
-                if any(row):
-                    rows.append(row)
-    out = []
-    for vec in modp_nullspace(rows, nvars, p):
-        per_vertex = []
-        for v in range(nv):
-            o = offs[v]
-            per_vertex.append(
-                tuple(
-                    tuple(vec[o + i * m.dims[v] + j] for j in range(m.dims[v]))
-                    for i in range(n.dims[v])
-                )
+                        row[offs[s] + l * m.dims[s] + j] += na[i][l]
+                for k in range(m.dims[t]):
+                    if ma[k][j]:
+                        row[offs[t] + i * m.dims[t] + k] -= ma[k][j]
+                rows.append([e % p for e in row])
+    return offs, rows
+
+
+def hom_rep_basis(algebra, m, n):
+    """Basis of the intertwiner space m -> n: tuples of per-vertex matrices."""
+    _same_setting(algebra, m, n)
+    offs, rows = _hom_delta(m.p, algebra.quiver, m, n)
+    return [
+        tuple(
+            tuple(
+                tuple(vec[offs[v] + i * m.dims[v] + j] for j in range(m.dims[v]))
+                for i in range(n.dims[v])
             )
-        out.append(tuple(per_vertex))
-    return out
+            for v in range(len(m.dims))
+        )
+        for vec in modp_nullspace(rows, offs[-1], m.p)
+    ]
 
 
 def hom_rep_dim(algebra, m, n):
     return len(hom_rep_basis(algebra, m, n))
+
+
+def _cocycles(algebra, x, y):
+    """The cocycle system of Ext^1(y, x): (offs, free, rows).
+
+    A middle term of a short exact sequence with sub x and quotient y has
+    the arrow matrices [[x_a, c_a], [0, y_a]]; the connecting block c_a
+    starts at offs[a] of a flat vector, row-major.  The blocks on which
+    the relations vanish are the cocycles Z.  Changing the basis by
+    [[1, h], [0, 1]] adds the coboundary x_a h_s - h_t y_a to c, so
+    cohomologous cocycles give isomorphic middle terms and
+    Ext^1(y, x) = Z/B.  Every coset of B meets the blocks that vanish on
+    the pivot columns of B's echelon form exactly once; free lists the
+    other columns, and rows are the relations, linear in c, on them.  So
+    the solutions of rows are one cocycle per class.
+    """
+    p = x.p
+    q = algebra.quiver
+    offs = [0]  # where each arrow's block starts in the flat vector
+    for a in range(len(q.arrows)):
+        offs.append(offs[-1] + x.dims[q.arrow_target(a)] * y.dims[q.arrow_source(a)])
+    _, delta = _hom_delta(p, q, y, x)
+    pivots = set(modp_echelon(zip(*delta), offs[-1], p)[0])
+    free = [k for k in range(offs[-1]) if k not in pivots]
+    # the (1, 2) block of a product of the middle term's matrices has one
+    # c factor per term: x's path before it, y's path after
+    every = {a: offs[a] for a in range(len(q.arrows))}
+    rows = [
+        [row[k] for k in free]
+        for rel in algebra.relation_terms
+        for row in _relation_rows(p, q, rel, x, y, every, offs[-1])
+    ]
+    return offs, free, rows
+
+
+def ext_dim(algebra, m, n):
+    """Dimension of Ext^1(m, n) over F_p: the cocycles of _cocycles(n, m),
+    one per class, counted as the free columns less the relations' rank."""
+    _same_setting(algebra, m, n)
+    _, free, rows = _cocycles(algebra, n, m)
+    return len(free) - modp_rank(rows, len(free), m.p)
+
+
+# ---------------------------------------------------------------------------
+# splitting
 
 
 def _hom_combo(p, basis, coeffs):
@@ -500,33 +544,13 @@ def _certified_bound(algebra):
     if n == 2 and shape == [(0, 1), (1, 0)] and len(rels) == 1 and quadratic:
         # one composite of the two opposite arrows killed
         return (3, 3)
-    if n == 3 and not rels and _is_directed_path(q):
-        # interval modules only; keeps the subset machinery cheap
-        return (1, 1, 1)
+    if n == 3 and not rels and len(shape) == 2:
+        (s, t), (u, w) = shape
+        if len({s, t, u, w}) == 3 and (t == u or w == s):
+            # a directed path, so interval modules only; keeps the subset
+            # machinery cheap
+            return (1, 1, 1)
     return None
-
-
-def _is_directed_path(q):
-    n = len(q.vertices)
-    arrows = [(q.arrow_source(a), q.arrow_target(a)) for a in range(len(q.arrows))]
-    if len(arrows) != n - 1:
-        return False
-    outs = {}
-    ins = {}
-    for s, t in arrows:
-        if s in outs or t in ins or s == t:
-            return False
-        outs[s] = t
-        ins[t] = s
-    starts = [v for v in range(n) if v not in ins]
-    if len(starts) != 1:
-        return False
-    v = starts[0]
-    seen = 1
-    while v in outs:
-        v = outs[v]
-        seen += 1
-    return seen == n
 
 
 def _resolve_bound(algebra, dim_bound):
@@ -797,67 +821,6 @@ def _assert_indecomposable(algebra, rep, config):
 
 
 # ---------------------------------------------------------------------------
-# Ext^1 from a projective presentation
-
-
-def ext_dim(algebra, m, n):
-    """Dimension of Ext^1(m, n), by exact linear algebra over F_p.
-
-    Covers m by one projective per basis vector, takes the kernel with its
-    restricted arrow action, and counts the maps kernel -> n that do not
-    extend over the cover.
-    """
-    _same_setting(algebra, m, n)
-    p = m.p
-    q = algebra.quiver
-    nv = len(q.vertices)
-    if m.is_zero():
-        return 0
-    summands = []
-    gens = []  # (vertex, basis index in m)
-    for v in range(nv):
-        for i in range(m.dims[v]):
-            summands.append(projective_rep(algebra, v, p))
-            gens.append((v, i))
-    cover = direct_sum_rep(algebra, summands)
-    # the covering map, one vertex matrix at a time
-    pi = [[[0] * cover.dims[w] for _ in range(m.dims[w])] for w in range(nv)]
-    col = [0] * nv
-    for proj, (v, i) in zip(summands, gens):
-        by_vertex, _ = _projective_layout(algebra, v)
-        target = [0] * m.dims[v]
-        target[i] = 1
-        for w in range(nv):
-            for bidx in by_vertex[w]:
-                arrows = algebra.basis_keys[bidx][1]
-                if arrows:
-                    vec = _mat_vec(p, m.path_matrix(arrows), target)
-                else:
-                    vec = target
-                for row, e in enumerate(vec):
-                    pi[w][row][col[w]] = e
-                col[w] += 1
-        del proj
-    bases = [_kernel(p, pi[v], cover.dims[v]) for v in range(nv)]
-    omega = _subrep_on_rows(algebra, cover, bases)
-    target_basis = hom_rep_basis(algebra, omega, n)
-    if not target_basis:
-        return 0
-    # restrict each cover -> n map to the kernel and measure the span
-    restricted = []
-    for phi in hom_rep_basis(algebra, cover, n):
-        flat = []
-        for v in range(nv):
-            for row in phi[v]:
-                for u in bases[v][1]:
-                    flat.append(sum(a * b for a, b in zip(row, u)) % p)
-        restricted.append(flat)
-    width = len(restricted[0]) if restricted else 0
-    rank = modp_rank(restricted, width, p) if width else 0
-    return len(target_basis) - rank
-
-
-# ---------------------------------------------------------------------------
 # subsets of classes closed under literal module operations
 
 
@@ -949,78 +912,28 @@ def _quotient_rep(algebra, rep, choice):
     return Representation(algebra, p, dims, mats, validate=False)
 
 
-def _coboundary_pivots(p, q, x, y, offs):
-    """Pivot columns of the echelon form of the coboundaries: the blocks
-    x_a h_s - h_t y_a, spanned one unit map h: y_v -> x_v at a time."""
-    nvars = offs[-1]
-    rows = []
-    for v in range(len(x.dims)):
-        for i in range(x.dims[v]):
-            for j in range(y.dims[v]):
-                # h has a single 1, at (i, j) of vertex v
-                row = [0] * nvars
-                for a in range(len(q.arrows)):
-                    s, t = q.arrow_source(a), q.arrow_target(a)
-                    cols = y.dims[s]
-                    if s == v:  # x_a h_s: column i of x_a, at column j
-                        for r in range(x.dims[t]):
-                            row[offs[a] + r * cols + j] += x.mats[a][r][i]
-                    if t == v:  # h_t y_a: row j of y_a, at row i
-                        for c in range(cols):
-                            row[offs[a] + i * cols + c] -= y.mats[a][j][c]
-                row = [e % p for e in row]
-                if any(row):
-                    rows.append(row)
-    return modp_echelon(rows, nvars, p)[0]
-
-
 def _extensions(algebra, x, y, config):
     """Middle terms of short exact sequences with sub x and quotient y,
-    one for each class of Ext^1(y, x).
-
-    A middle term has the arrow matrices [[x_a, c_a], [0, y_a]], and the
-    connecting blocks c on which the relations vanish are the cocycles Z.
-    Changing the basis by [[1, h], [0, 1]] adds the coboundary
-    x_a h_s - h_t y_a to c, so cohomologous cocycles give isomorphic middle
-    terms and Ext^1(y, x) = Z/B.  Every coset of B meets the blocks that
-    vanish on the pivot columns of B's echelon form exactly once.  The
-    relations are linear in c, so the cocycles among those blocks are
-    solved for, one per class, in the order of the full sweep.  The cap
-    still applies to all p^nvars blocks.
+    one for each class of Ext^1(y, x): the solutions of _cocycles, in the
+    order of the full sweep.  The cap still applies to all p^nvars blocks.
     """
     p = x.p
     q = algebra.quiver
-    shapes = [
-        (x.dims[q.arrow_target(a)], y.dims[q.arrow_source(a)])
-        for a in range(len(q.arrows))
-    ]
-    offs = [0]  # where each arrow's block starts in the flat vector
-    for r, c in shapes:
-        offs.append(offs[-1] + r * c)
+    offs, free, rows = _cocycles(algebra, x, y)
     nvars = offs[-1]
     if p ** nvars > config.oracle_cocycle_cap:
         raise SearchSpaceExceeded(
             f"{p ** nvars} connecting blocks exceed the cap of {config.oracle_cocycle_cap}"
         )
-    pivots = set(_coboundary_pivots(p, q, x, y, offs))
-    free = [k for k in range(nvars) if k not in pivots]
-    # the (1, 2) block of a product of the middle term's matrices has one
-    # c factor per term: x's path before it, y's path after
-    every = {a: offs[a] for a in range(len(q.arrows))}
-    rows = [
-        [row[k] for k in free] + [0]
-        for rel in algebra.relation_terms
-        for row in _relation_rows(p, q, rel, x, y, every, nvars)
-    ]
     dims = tuple(xd + yd for xd, yd in zip(x.dims, y.dims))
     flat = [0] * nvars
-    for vals in _affine_solutions(rows, len(free), p):
+    for vals in _affine_solutions([row + [0] for row in rows], len(free), p):
         for k, val in zip(free, vals):
             flat[k] = val
         mats = []
         for a in range(len(q.arrows)):
             s, t = q.arrow_source(a), q.arrow_target(a)
-            pos, cols_y = offs[a], shapes[a][1]
+            pos, cols_y = offs[a], y.dims[s]
             m = []
             for i in range(x.dims[t]):
                 block_row = flat[pos + i * cols_y : pos + (i + 1) * cols_y]

@@ -157,14 +157,6 @@ class Complex:
             for _ in self.summands_at(n + 1)
         )
 
-    def entry(self, n, r, c):
-        """Differential entry as an AlgebraElement."""
-        cols = self.summands[n]
-        tgts = self.summands[n + 1]
-        return AlgebraElement(
-            self.algebra, cols[c], tgts[r], dict(self.diff_at(n)[r][c])
-        )
-
     # -- constructions ------------------------------------------------------
 
     def shift(self, k):
@@ -958,7 +950,8 @@ def _graded_invertible(algebra, X, f):
         for v in set(t):
             at_v = [i for i, w in enumerate(t) if w == v]
             b = algebra.idempotent_index(v)
-            if det([[f.get((n, r, c, b), 0) for c in at_v] for r in at_v]) == 0:
+            block = [{j: f.get((n, r, c, b), 0) for j, c in enumerate(at_v)} for r in at_v]
+            if _rank(block) < len(at_v):
                 return False
     return True
 

@@ -1,7 +1,9 @@
 """Exact arithmetic: coefficients are ints where integral and Fractions
 otherwise, and no float appears anywhere between input and output."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -156,6 +158,28 @@ class TestKernelsOnInts:
         ints = [[1, 3, -2], [0, 1, 5], [2, 0, 1]]
         assert det(ints) == 35 and type(det(ints)) is int
         assert ints == [[1, 3, -2], [0, 1, 5], [2, 0, 1]]
+
+    def test_det_is_the_leibniz_expansion(self):
+        rng = random.Random(0)
+        for k in range(300):
+            n = rng.randint(1, 4)
+            draw = [
+                lambda: rng.randint(-3, 3),
+                lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+                lambda: rng.choice([0, 0, 1, -1]),
+            ][k % 3]
+            rows = [[draw() for _ in range(n)] for _ in range(n)]
+            if k % 5 == 0:
+                rows[-1] = [2 * x for x in rows[0]]  # singular
+            want = 0
+            for perm in permutations(range(n)):
+                term = -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+                for i, j in enumerate(perm):
+                    term *= rows[i][j]
+                want += term
+            assert det(rows) == want
+            if k % 3 != 1:
+                assert type(det(rows)) is int
 
 
 class TestPolynomialsOnInts:

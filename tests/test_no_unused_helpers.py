@@ -1,6 +1,8 @@
 """Every private helper of the library is used somewhere in the library,
 and so is every public entry point of the linear-algebra kernel; every
-builtin fixture is used by the library or the tests.
+public function and method of the library is named by the library, the
+tests or the benchmark, and every builtin fixture is used by the library
+or the tests.
 
 A helper is a module-level function or class, or a method, whose name
 starts with one underscore.  A definition counts as used when some
@@ -55,10 +57,12 @@ def _helpers(tree, wanted=_is_private):
                         yield member, True
 
 
-def _unused_helpers(paths, wanted=_is_private):
+def _unused_helpers(paths, wanted=_is_private, readers=()):
+    """(file name, line, name) of each wanted definition in paths that no
+    file of paths or readers names outside its own body."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
     total = {False: Counter(), True: Counter()}
-    for tree in trees.values():
+    for tree in [*trees.values(), *(ast.parse(path.read_text()) for path in readers)]:
         for method in total:
             total[method] += _references(tree, method)
     for path, tree in trees.items():
@@ -124,6 +128,40 @@ def test_guard_sees_an_uncalled_public_method(tmp_path):
 
 
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+
+
+def test_every_public_definition_is_named():
+    sites = [
+        f"{name}:{line}: {entry} is named nowhere"
+        for name, line, entry in _unused_helpers(SOURCES, _is_public, TESTS + PERFBENCH)
+    ]
+    assert not sites, "\n".join(sites)
+
+
+def test_guard_sees_an_unnamed_public_definition(tmp_path):
+    lib, tests = tmp_path / "lib", tmp_path / "tests"
+    lib.mkdir()
+    tests.mkdir()
+    (lib / "a.py").write_text(
+        "def tested():\n"
+        "    pass\n"
+        "def orphan():\n"
+        "    return orphan\n"
+        "class Box:\n"
+        "    def read(self):\n"
+        "        return self.read\n"
+        "    def write(self):\n"
+        "        pass\n"
+    )
+    (tests / "test_a.py").write_text(
+        "from lib.a import tested, Box\n"
+        "def test_it():\n"
+        "    tested()\n"
+        "    Box().write()\n"
+    )
+    found = _unused_helpers([lib / "a.py"], _is_public, [tests / "test_a.py"])
+    assert list(found) == [("a.py", 3, "orphan"), ("a.py", 6, "read")]
 
 
 def test_every_fixture_is_used():
