@@ -8,8 +8,9 @@ conditions, listed by NextClosure.  The searches are exhaustive and capped
 everywhere; relations affine in a matrix are solved for, not filtered.
 They skip only what provably adds nothing: matrix assignments
 that cannot be the first of their class, subspace tuples with an unstable
-part, cocycles cohomologous to one already taken, and combinations of Hom
-basis maps when testing whether an indecomposable class splits off.  The
+part, cocycles cohomologous to one already taken, classes whose arrow
+ranks do not fit in a module being split, and combinations of Hom basis
+maps when testing whether an indecomposable class splits off.  The
 last rests on locality: the endomorphism ring of an indecomposable is
 local and its non-units form a subspace, so if some g o f is the
 identity, the composite of one pair of basis maps is already invertible.
@@ -26,6 +27,7 @@ as they come; _reduce serves membership, coordinates and quotients.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from .config import DEFAULTS
@@ -487,17 +489,41 @@ def _kernel_subrep(algebra, rep, hom_mats):
     return _subrep_on_rows(algebra, rep, bases)
 
 
+def _arrow_ranks(rep):
+    """The arrow-rank profile of rep: its dimension vector, then the rank,
+    kernel dimension and cokernel dimension of each arrow's matrix."""
+    q = rep.algebra.quiver
+    out = list(rep.dims)
+    for a, m in enumerate(rep.mats):
+        d = rep.dims[q.arrow_source(a)]
+        r = modp_rank(m, d, rep.p) if any(map(any, m)) else 0
+        out += (r, d - r, len(m) - r)
+    return tuple(out)
+
+
 def _decompose(algebra, rep, classes, memo):
-    """Sorted class indices of the summands, or None if a piece is unknown."""
+    """Sorted class indices of the summands, or None if a piece is unknown.
+
+    The matrix of an arrow on c (+) r is block diagonal, so its rank,
+    kernel and cokernel dimensions are the sums of those on c and on r,
+    and a class can split off only if no entry of its arrow-rank profile
+    exceeds rep's.  The filter never drops a class that splits, so the
+    scan meets the same first class as without it.  The classes' profiles
+    are computed once per memo, which holds them beside the results.
+    """
     key = rep.key()
     if key in memo:
         return memo[key]
     if rep.is_zero():
         memo[key] = ()
         return ()
+    profiles = memo.get("profiles")
+    if profiles is None:
+        profiles = memo["profiles"] = [_arrow_ranks(c) for c in classes]
+    own = _arrow_ranks(rep)
     out = None
     for idx, c in enumerate(classes):
-        if any(cd > rd for cd, rd in zip(c.dims, rep.dims)):
+        if any(cv > rv for cv, rv in zip(profiles[idx], own)):
             continue
         g = _splits_off(algebra, c, rep)
         if g is None:
@@ -824,6 +850,7 @@ def _assert_indecomposable(algebra, rep, config):
 # subsets of classes closed under literal module operations
 
 
+@lru_cache(maxsize=None)
 def _subspaces(p, d):
     """Every subspace of F_p^d as (pivot columns, rows), the rows its RREF."""
     out = [((), ())]
@@ -842,12 +869,32 @@ def _subspaces(p, d):
                 for (ri, c), val in zip(free, assign):
                     rows[ri][c] = val
                 out.append((pivs, tuple(tuple(r) for r in rows)))
-    return out
+    return tuple(out)
 
 
-def _inside(p, vecs, sub):
-    """Whether every vector lies in the subspace (pivot columns, rows)."""
-    return not any(any(_reduce(p, sub, w)[1]) for w in vecs)
+def _code_mask(p, vecs):
+    """The bitmask of the base-p codes sum of v[i] * p^i of vectors v
+    reduced mod p."""
+    mask = 0
+    for v in vecs:
+        code = 0
+        for x in reversed(v):
+            code = code * p + x
+        mask |= 1 << code
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _vector_masks(p, d):
+    """For each subspace of _subspaces(p, d), the bitmask of the codes of
+    all p^k of its vectors."""
+    out = []
+    for _, rows in _subspaces(p, d):
+        vecs = [(0,) * d]
+        for row in rows:
+            vecs = [tuple((x + a * y) % p for x, y in zip(v, row)) for v in vecs for a in range(p)]
+        out.append(_code_mask(p, vecs))
+    return tuple(out)
 
 
 def _stable_tuples(algebra, rep):
@@ -858,18 +905,22 @@ def _stable_tuples(algebra, rep):
     order of the full product sweep.  An arrow is checked as soon as both
     of its ends are chosen; its condition involves only those two
     subspaces, so a partial tuple that fails it is cut with every
-    completion, none of which is stable.  The images of each source
-    subspace's basis are computed once per arrow.
+    completion, none of which is stable.  Containment is a bitmask test:
+    per arrow, each source subspace gets the mask of the codes of its basis
+    vectors' images, computed once, and the images lie in a target
+    subspace exactly when that mask is inside the target's vector-set mask
+    (_vector_masks).
     """
     p = rep.p
     q = algebra.quiver
     nv = len(rep.dims)
     per_vertex = [_subspaces(p, d) for d in rep.dims]
+    vsets = [_vector_masks(p, d) for d in rep.dims]
     due = [[] for _ in range(nv)]  # arrows whose later end is the vertex
     for a in range(len(q.arrows)):
         s, t = q.arrow_source(a), q.arrow_target(a)
         images = [
-            [w for w in (_mat_vec(p, rep.mats[a], u) for u in rows) if any(w)]
+            _code_mask(p, (_mat_vec(p, rep.mats[a], u) for u in rows))
             for _, rows in per_vertex[s]
         ]
         due[max(s, t)].append((images, s, t))
@@ -882,9 +933,8 @@ def _stable_tuples(algebra, rep):
             v -= 1
             continue
         nxt[v] += 1
-        if not all(
-            _inside(p, images[nxt[s] - 1], per_vertex[t][nxt[t] - 1])
-            for images, s, t in due[v]
+        if any(
+            images[nxt[s] - 1] & ~vsets[t][nxt[t] - 1] for images, s, t in due[v]
         ):
             continue
         if v == nv - 1:
@@ -1028,6 +1078,7 @@ def _brute_closed_subsets(algebra, field, dim_bound, config, with_subs):
     if key not in cache:
         cache[key] = _closure_requirements(algebra, classes, config, {})
     req = cache[key][1 if with_subs else 0]
+    both = [[a | b for a, b in zip(row, col)] for row, col in zip(req, zip(*req))]
 
     def closure(mask):
         # a round applies only the pairs with a member added in the round
@@ -1035,11 +1086,12 @@ def _brute_closed_subsets(algebra, field, dim_bound, config, with_subs):
         done = 0
         while mask != done:
             grown = mask
-            for i in range(n):
-                if mask >> i & 1 and not done >> i & 1:
-                    for j in range(n):
-                        if mask >> j & 1:
-                            grown |= req[i][j] | req[j][i]
+            members = [i for i in range(n) if mask >> i & 1]
+            for i in members:
+                if not done >> i & 1:
+                    row = both[i]
+                    for j in members:
+                        grown |= row[j]
             done, mask = mask, grown
         return mask
 
@@ -1084,7 +1136,8 @@ def brute_torsion_classes(algebra, field=None, dim_bound=None, config=DEFAULTS):
 
     The requirement tables take the quotients of a two-member sum x (+) y
     from arrow-stable subspace tuples, chosen vertex by vertex with each
-    arrow checked once both of its ends are chosen.  A tuple that is the
+    arrow checked once both of its ends are chosen, by a bitmask test of
+    its images' codes against the target's vector set.  A tuple that is the
     sum of its meets A with x and B with y gives x/A (+) y/B, whose parts
     are those of a quotient of x and of one of y (Krull-Schmidt), and
     every pair (A, B) gives such a tuple.  So each class's own quotients

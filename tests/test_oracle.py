@@ -2,7 +2,10 @@
 subset-sweep torsion classes, cross-checked against the complex engine."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
@@ -938,6 +941,113 @@ class TestSplitPruning:
         monkeypatch.setattr(oracle, "_extensions", lambda *args: iter(()))
         with pytest.raises(NotRepFiniteWithinBound):
             brute(algebra_kronecker(), dim_bound=(1, 1))
+
+
+@pytest.mark.parametrize("p, d", [(2, d) for d in range(5)] + [(3, d) for d in range(4)])
+def test_vector_masks_hold_the_span(p, d):
+    vecs = list(product(range(p), repeat=d))
+    subs, masks = oracle._subspaces(p, d), oracle._vector_masks(p, d)
+    assert len(subs) == len(masks)
+    for sub, mask in zip(subs, masks):
+        assert bin(mask).count("1") == p ** len(sub[1])
+        inside = [v for v in vecs if not any(oracle._reduce(p, sub, list(v))[1])]
+        assert mask == sum(1 << sum(x * p ** i for i, x in enumerate(v)) for v in inside)
+
+
+def _unfiltered_decompose(algebra, rep, classes, memo):
+    """Split off the first class that fits by dimension and splits: the
+    reference for the scan that filters by arrow-rank profiles."""
+    key = rep.key()
+    if key in memo:
+        return memo[key]
+    if rep.is_zero():
+        memo[key] = ()
+        return ()
+    out = None
+    for idx, c in enumerate(classes):
+        if any(cd > rd for cd, rd in zip(c.dims, rep.dims)):
+            continue
+        g = oracle._splits_off(algebra, c, rep)
+        if g is None:
+            continue
+        rest = oracle._kernel_subrep(algebra, rep, g)
+        sub = _unfiltered_decompose(algebra, rest, classes, memo)
+        if sub is not None:
+            out = tuple(sorted((idx,) + sub))
+        break
+    memo[key] = out
+    return out
+
+
+class TestRankFilter:
+    @reference_cases
+    def test_same_parts_as_the_unfiltered_scan(self, monkeypatch, make, field, bound):
+        alg = make()
+        classes = enumerate_indecomposables(alg, field=field, dim_bound=bound)
+        p = classes[0].p
+        memo = {}
+        oracle._closure_requirements(alg, classes, DEFAULTS, memo)
+        accepted = []
+        real = oracle._splits_off
+
+        def recorded(algebra, c, r):
+            g = real(algebra, c, r)
+            if g is not None:
+                accepted.append((c, r))
+            return g
+
+        monkeypatch.setattr(oracle, "_splits_off", recorded)
+        reference = {}
+        decomposed = [(key, parts) for key, parts in memo.items() if key != "profiles"]
+        for (dims, mats), parts in decomposed:
+            rep = Representation(alg, p, dims, mats, validate=False, copy=False)
+            assert _unfiltered_decompose(alg, rep, classes, reference) == parts
+        assert decomposed and accepted
+        for c, r in accepted:
+            assert all(
+                a <= b for a, b in zip(oracle._arrow_ranks(c), oracle._arrow_ranks(r))
+            )
+
+    def test_repeat_runs_make_the_same_rank_calls(self):
+        # a fresh interpreter, so that no earlier test has warmed a cache:
+        # a traced benchmark pass must count what the pass before it did
+        run = subprocess.run(
+            [sys.executable, "-c", _RANK_CALLS],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True, text=True, check=True,
+        )
+        counts = json.loads(run.stdout)
+        assert all(first and first == second for first, second in counts)
+
+
+# two brute_torsion_classes runs on fresh copies of beta-gamma and of D4,
+# printing the modp_rank calls of each run
+_RANK_CALLS = """
+import json
+from torslat import oracle
+from torslat.algebras import Quiver, build_algebra
+from torslat.fixtures import algebra_beta_gamma
+
+real = oracle.modp_rank
+calls = []
+oracle.modp_rank = lambda *args: calls.append(1) or real(*args)
+
+
+def d4():
+    arrows = [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")]
+    return build_algebra(Quiver(["1", "2", "3", "4"], arrows), [])
+
+
+counts = []
+for make, bound in [(algebra_beta_gamma.__wrapped__, None), (d4, (1, 1, 2, 1))]:
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        oracle.brute_torsion_classes(make(), dim_bound=bound)
+        runs.append(len(calls))
+    counts.append(runs)
+print(json.dumps(counts))
+"""
 
 
 BRICK_COUNTS = {
