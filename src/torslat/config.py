@@ -6,7 +6,7 @@ parameters: raising them never changes a result, only how large an input is
 allowed to get before SizeCapExceeded / CapExceeded / SearchSpaceExceeded.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,13 @@ class Config:
     oracle_cocycle_cap: int = 2 ** 14
 
     def __post_init__(self):
-        for name in (
-            "subset_cap", "map_cap", "silting_cap", "length_cap",
-            "path_cap", "oracle_search_cap", "oracle_cocycle_cap",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # bool is an int subclass, but True is no cap
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{field.name} must be an int, not {value!r}")
+            if value <= 0:
+                raise ValueError(f"{field.name} must be positive")
 
 
 DEFAULTS = Config()

@@ -177,12 +177,21 @@ class FinitePoset:
 
     @classmethod
     def from_json_dict(cls, data):
+        """The poset of a to_json_dict dict: ids and labels are strings and
+        each cover is a list of two ids; ParseError otherwise."""
         try:
             elements = [(e["id"], e.get("label", e["id"])) for e in data["elements"]]
-            covers = [(a, b) for a, b in data["covers"]]
+            covers = data["covers"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad poset JSON: {exc}") from exc
-        return cls(elements, covers)
+        if not all(isinstance(x, str) for pair in elements for x in pair):
+            raise ParseError("bad poset JSON: an id or label is not a string")
+        if not isinstance(covers, list) or not all(
+            isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)
+            for c in covers
+        ):
+            raise ParseError("bad poset JSON: a cover is not a list of two ids")
+        return cls(elements, [tuple(c) for c in covers])
 
     @classmethod
     def from_json(cls, text):
@@ -263,9 +272,6 @@ class SubsetLattice:
 
     def mask_id(self, mask):
         return "{" + ",".join(self.members(mask)) + "}"
-
-    def __contains__(self, mask):
-        return mask in set(self.masks)
 
     def poset(self):
         """Materialize the inclusion order from its one-element steps.

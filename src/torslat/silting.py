@@ -5,10 +5,11 @@ enumeration, and silting-module checks.
 Conventions (fixed package-wide):
   * cohomological complexes, d^n: C^n -> C^{n+1}; "two-term" means support
     inside degrees {-1, 0};
-  * a differential entry (r, c) maps the c-th summand A e_{i} of the source
-    degree to the r-th summand A e_{j} of the target degree and is stored in
-    the corner e_i A e_j (right multiplication; see algebras module);
-  * matrix composition "F then G": (r, c) entry = sum_m F[m][c] * G[r][m];
+  * a differential is a sparse dict (n, r, c) -> entry: the entry of d^n
+    maps the c-th summand A e_{i} of degree n to the r-th summand A e_{j} of
+    degree n+1 and is a nonzero coefficient dict in the corner e_i A e_j
+    (right multiplication; see algebras module); an absent key is zero;
+  * composition "F then G": (r, c) entry = sum_m F(m, c) * G(r, m);
   * shift: P[k]^n = P^{n+k}, differential scaled by (-1)^k;
   * Hom complex: Hom^k(X, Y) is the product of Hom(X^n, Y^{n+k}) over n,
     with differential delta(f) = d_Y f - (-1)^k f d_X, so that
@@ -18,7 +19,8 @@ Conventions (fixed package-wide):
     coefficient, b a corner basis index from the c-th summand of X^n to the
     r-th summand of Y^n: the keys of _map_vars, the form delta returns.
     Chain maps, idempotents and cone maps all take this form, and "f then
-    g" is _compose; only differentials are matrices;
+    g" is _compose; a differential is the same form with the basis index
+    folded into a coefficient dict per entry;
   * cone of f: X -> E has C^n = X^{n+1} (+) E^n with differential
     [[-d_X, 0], [f, d_E]].
 """
@@ -63,45 +65,28 @@ from .posets import FinitePoset, build_poset
 class Complex:
     """Bounded complex of indecomposable projectives over a path algebra.
 
-    summands: dict degree -> tuple of vertex indices (one per summand).
-    diff: dict degree n -> matrix (rows over degree n+1 summands, columns
-    over degree n summands) of sparse coefficient dicts over the algebra
-    basis.  Only nonempty degrees are stored.  Coefficients are ints where
-    integral and Fractions otherwise; copied entries are brought to that
-    form, so complexes built from integral data compute on ints.
+    summands: dict degree -> tuple of vertex indices (one per summand);
+    only nonempty degrees are stored.
+    diff: sparse dict (n, r, c) -> the nonzero coefficient dict, over the
+    algebra basis, of d^n from the c-th summand of degree n to the r-th
+    summand of degree n + 1; an absent key is a zero entry, and a copied
+    empty one is dropped.  Coefficients are ints where integral and
+    Fractions otherwise; copied entries are brought to that form, so
+    complexes built from integral data compute on ints.  A complex is never
+    changed once built, so its key and line index are cached.
     """
 
-    __slots__ = ("algebra", "summands", "diff", "_key")
+    __slots__ = ("algebra", "summands", "diff", "_key", "_index")
 
     def __init__(self, algebra, summands, diff, validate=True, copy=True):
         self.algebra = algebra
-        self._key = None
-        self.summands = {
-            n: tuple(v) for n, v in sorted(summands.items()) if v
-        }
-        self.diff = {}
-        for n, rows in diff.items():
-            if n not in self.summands or (n + 1) not in self.summands:
-                for row in rows:
-                    for e in row:
-                        if e:
-                            raise ShapeMismatch(
-                                "differential between absent degrees"
-                            )
-                continue
-            if copy:
-                self.diff[n] = tuple(
-                    tuple({b: intify(x) for b, x in e.items()} for e in row)
-                    for row in rows
-                )
-            else:
-                # caller hands over freshly built entry dicts
-                self.diff[n] = tuple(tuple(row) for row in rows)
-        for n, t in self.summands.items():
-            if (n + 1) in self.summands and n not in self.diff:
-                self.diff[n] = tuple(
-                    tuple({} for _ in t) for _ in self.summands[n + 1]
-                )
+        self._key = self._index = None
+        self.summands = {n: tuple(v) for n, v in sorted(summands.items()) if v}
+        if copy:
+            diff = {key: {b: intify(x) for b, x in e.items() if x} for key, e in diff.items()}
+            diff = {key: e for key, e in diff.items() if e}
+        # else the caller hands over freshly built, nonempty entry dicts
+        self.diff = diff
         if validate:
             self._validate()
 
@@ -110,26 +95,32 @@ class Complex:
         vertices = range(len(A.quiver.vertices))
         if any(v not in vertices for t in self.summands.values() for v in t):
             raise ShapeMismatch("a summand sits at an unknown vertex")
-        for n, rows in self.diff.items():
-            cols = self.summands[n]
-            tgts = self.summands[n + 1]
-            if len(rows) != len(tgts) or any(len(r) != len(cols) for r in rows):
-                raise ShapeMismatch(f"differential at degree {n} has wrong shape")
-            for r, row in enumerate(rows):
-                for c, e in enumerate(row):
-                    for b in e:
-                        if (
-                            A.basis_target(b) != cols[c]
-                            or A.basis_source(b) != tgts[r]
-                        ):
-                            raise ShapeMismatch(
-                                f"entry ({r},{c}) at degree {n} leaves its corner"
-                            )
-        for n in self.diff:
-            if (n + 1) in self.diff:
-                prod = _mat_compose(A, self.diff[n], self.diff[n + 1])
-                if any(any(e for e in row) for row in prod):
-                    raise ShapeMismatch("differential does not square to zero")
+        for (n, r, c), e in self.diff.items():
+            cols, tgts = self.summands_at(n), self.summands_at(n + 1)
+            if not (0 <= r < len(tgts) and 0 <= c < len(cols)):
+                raise ShapeMismatch(f"differential entry {(n, r, c)} lies outside the summands")
+            for b in e:
+                if A.basis_target(b) != cols[c] or A.basis_source(b) != tgts[r]:
+                    raise ShapeMismatch(f"entry ({r},{c}) at degree {n} leaves its corner")
+        # d^(n+1) d^n, one product per pair of entries meeting at a summand
+        columns = self._lines()[0]
+        square = {}
+        for (n, m, c), e in self.diff.items():
+            for r, e2 in columns.get(n + 1, {}).get(m, ()):
+                vec_add_scaled(square.setdefault((n, r, c), {}), A.mul_dicts(e, e2), 1)
+        if any(square.values()):
+            raise ShapeMismatch("differential does not square to zero")
+
+    def _lines(self):
+        """(columns, rows) of the differential by degree: n -> c -> [(r,
+        entry)] and n -> r -> [(c, entry)], each list in ascending order."""
+        if self._index is None:
+            columns, rows = {}, {}
+            for (n, r, c), e in sorted(self.diff.items()):
+                columns.setdefault(n, {}).setdefault(c, []).append((r, e))
+                rows.setdefault(n, {}).setdefault(r, []).append((c, e))
+            self._index = columns, rows
+        return self._index
 
     # -- shape queries ------------------------------------------------------
 
@@ -148,15 +139,6 @@ class Complex:
     def summands_at(self, n):
         return self.summands.get(n, ())
 
-    def diff_at(self, n):
-        """Differential C^n -> C^{n+1} as a row-major matrix of dicts."""
-        if n in self.diff:
-            return self.diff[n]
-        return tuple(
-            tuple({} for _ in self.summands_at(n))
-            for _ in self.summands_at(n + 1)
-        )
-
     # -- constructions ------------------------------------------------------
 
     def shift(self, k):
@@ -164,8 +146,8 @@ class Complex:
         summands = {n - k: v for n, v in self.summands.items()}
         sign = -1 if k % 2 else 1
         diff = {
-            n - k: [[{b: sign * x for b, x in e.items()} for e in row] for row in rows]
-            for n, rows in self.diff.items()
+            (n - k, r, c): {b: sign * x for b, x in e.items()}
+            for (n, r, c), e in self.diff.items()
         }
         return Complex(self.algebra, summands, diff, validate=False, copy=False)
 
@@ -174,10 +156,7 @@ class Complex:
         if self._key is None:
             self._key = (
                 tuple(self.summands.items()),
-                tuple(
-                    (n, tuple(tuple(tuple(sorted(e.items())) for e in row) for row in rows))
-                    for n, rows in sorted(self.diff.items())
-                ),
+                tuple((key, tuple(sorted(e.items()))) for key, e in sorted(self.diff.items())),
             )
         return self._key
 
@@ -193,30 +172,10 @@ class Complex:
         return "Complex(" + " ".join(parts) + ")"
 
 
-def _mat_compose(algebra, first, second):
-    """Matrices of a composite map: `first` applied first, then `second`."""
-    if not first or not second:
-        return tuple(tuple({} for _ in (first[0] if first else ())) for _ in second)
-    ncols = len(first[0])
-    nmid = len(first)
-    out = []
-    for r in range(len(second)):
-        row = []
-        for c in range(ncols):
-            acc = {}
-            for m in range(nmid):
-                e1 = first[m][c]
-                e2 = second[r][m]
-                if e1 and e2:
-                    vec_add_scaled(acc, algebra.mul_dicts(e1, e2), 1)
-            row.append({b: x for b, x in acc.items() if x})
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _compose(algebra, f, g):
     """The graded map "f then g": (n, r, c) is the sum over m of f(n, m, c)
-    times g(n, r, m), products taken as in _mat_compose."""
+    times g(n, r, m), each product f(n, m, c) * g(n, r, m) in the algebra,
+    as for the entries of a differential."""
     by_source = {}
     for (n, r, m, b), y in g.items():
         by_source.setdefault((n, m), []).append((r, b, y))
@@ -247,7 +206,7 @@ def two_term(algebra, minus, zero, entries):
     """
     mv = tuple(_vertex_of(algebra, t) for t in minus)
     zv = tuple(_vertex_of(algebra, t) for t in zero)
-    rows = []
+    diff = {}
     entries = list(entries)
     if len(entries) != len(zv) and not (len(zv) == 0 and entries in ([], [[]])):
         raise ShapeMismatch("entry matrix has wrong number of rows")
@@ -255,22 +214,19 @@ def two_term(algebra, minus, zero, entries):
         row = list(entries[r])
         if len(row) != len(mv):
             raise ShapeMismatch("entry matrix has wrong number of columns")
-        out = []
         for c, e in enumerate(row):
             if isinstance(e, AlgebraElement):
                 if e.target != mv[c] or e.source != zv[r]:
                     raise ShapeMismatch(
                         f"entry ({r},{c}) lives in the wrong corner"
                     )
-                out.append(dict(e.coeffs))
-            elif e == 0:
-                out.append({})
+                diff[(-1, r, c)] = e.coeffs
             elif isinstance(e, dict):
-                out.append(dict(e))
-            else:
+                diff[(-1, r, c)] = e
+            elif e != 0:
                 raise ShapeMismatch(f"bad entry {e!r}")
-        rows.append(out)
-    return Complex(algebra, {-1: mv, 0: zv}, {-1: rows})
+    # the constructor copies the entries and drops the zero ones
+    return Complex(algebra, {-1: mv, 0: zv}, diff)
 
 
 def stalk(algebra, vertices, degree=0):
@@ -294,32 +250,15 @@ def direct_sum(parts):
     parts = [p for p in parts if not p.is_zero()]
     if not parts:
         raise ValueError("direct_sum needs at least one nonzero part")
-    A = parts[0].algebra
-    degs = sorted({n for p in parts for n in p.summands})
-    summands = {n: [] for n in degs}
-    offsets = []  # per part: {deg: start index}
+    summands, diff = {}, {}
     for p in parts:
-        off = {}
-        for n in degs:
-            off[n] = len(summands[n])
-            summands[n].extend(p.summands_at(n))
-        offsets.append(off)
-    diff = {}
-    for n in degs:
-        if (n + 1) not in summands:
-            continue
-        rows = [
-            [{} for _ in summands[n]] for _ in summands[n + 1]
-        ]
-        for p, off in zip(parts, offsets):
-            mat = p.diff_at(n)
-            for r, row in enumerate(mat):
-                for c, e in enumerate(row):
-                    if e:
-                        rows[off[n + 1] + r][off[n] + c] = dict(e)
-        if any(any(e for e in row) for row in rows):
-            diff[n] = rows
-    return Complex(A, summands, diff, validate=False, copy=False)
+        # each part's summands follow those of the parts before it
+        off = {n: len(summands.setdefault(n, [])) for n in p.summands}
+        for (n, r, c), e in p.diff.items():
+            diff[(n, r + off[n + 1], c + off[n])] = dict(e)
+        for n, t in p.summands.items():
+            summands[n].extend(t)
+    return Complex(parts[0].algebra, summands, diff, validate=False, copy=False)
 
 
 def g_vector(P):
@@ -377,36 +316,34 @@ def _delta(algebra, X, Y, k):
     The product of a variable with a differential entry depends on the
     variable's row summand (d_Y) or column summand (d_X), not on both, so
     it is computed once per (n, r, r2, b) or (n, c, c2, b) and shared.
-    The images of one variable never overlap: the d_Y terms land in degree
-    n, the d_X terms in degree n - 1.
+    d_Y is read by column and d_X by row, from the line index each complex
+    keeps.  The images of one variable never overlap: the d_Y terms land
+    in degree n, the d_X terms in degree n - 1.
     """
     var_list = _map_vars(algebra, X, Y, k)
     sign = 1 if k % 2 else -1
+    y_columns, x_rows = Y._lines()[0], X._lines()[1]
     by_row = {}  # (n, r, b) -> [(r2, {b} * d_Y entry (r2, r))]
     by_col = {}  # (n, c, b) -> [(c2, d_X entry (c, c2) * {b})]
     images = []
     for n, r, c, b in var_list:
         vec = {}
-        dY = Y.diff.get(n + k)
-        if dY:
+        column = y_columns.get(n + k)
+        if column and r in column:
             terms = by_row.get((n, r, b))
             if terms is None:
                 terms = by_row[(n, r, b)] = [
-                    (r2, algebra.mul_dicts({b: 1}, row[r]))
-                    for r2, row in enumerate(dY)
-                    if row[r]
+                    (r2, algebra.mul_dicts({b: 1}, e)) for r2, e in column[r]
                 ]
             for r2, prod in terms:
                 for pb, x in prod.items():
                     vec[(n, r2, c, pb)] = x
-        dX = X.diff.get(n - 1)
-        if dX:
+        row = x_rows.get(n - 1)
+        if row and c in row:
             terms = by_col.get((n, c, b))
             if terms is None:
                 terms = by_col[(n, c, b)] = [
-                    (c2, algebra.mul_dicts(e, {b: 1}))
-                    for c2, e in enumerate(dX[c])
-                    if e
+                    (c2, algebra.mul_dicts(e, {b: 1})) for c2, e in row[c]
                 ]
             for c2, prod in terms:
                 for pb, x in prod.items():
@@ -496,12 +433,10 @@ def _unit_entries(algebra, summands, diff):
     """(n, r, c) of each differential entry between two summands at one
     vertex with a nonzero trivial-path coefficient, in ascending order."""
     idem = algebra.idempotent_index
-    for n in sorted(diff):
-        cols, tgts = summands[n], summands[n + 1]
-        for r, row in enumerate(diff[n]):
-            for c, e in enumerate(row):
-                if cols[c] == tgts[r] and e.get(idem(cols[c])):
-                    yield n, r, c
+    for n, r, c in sorted(diff):
+        v = summands[n][c]
+        if summands[n + 1][r] == v and diff[(n, r, c)].get(idem(v)):
+            yield n, r, c
 
 
 def _require_reduced(algebra, P):
@@ -514,73 +449,67 @@ def reduce_complex(algebra, P):
     """Homotopy-equivalent complex with radical differential: repeatedly
     eliminate entries with invertible trivial-path coefficient.
 
-    Eliminated summands are tombstoned rather than deleted so candidate
-    positions stay valid; new candidates created by a correction are pushed
-    as they appear, so the matrix is never rescanned."""
+    Eliminated summands are marked dead rather than deleted, so candidate
+    positions stay valid, and the survivors are renumbered once at the end.
+    The entries of each row and column are indexed as they change, and new
+    candidates created by a correction are pushed as they appear, so the
+    differential is never rescanned.  Corrections run row by row, then
+    column by column, in ascending order."""
     P = _as_complex(algebra, P)
-    summands = {n: list(t) for n, t in P.summands.items()}
-    diff = {
-        n: [[dict(e) for e in row] for row in P.diff_at(n)]
-        for n in P.summands
-        if (n + 1) in P.summands
-    }
-    alive = {n: [True] * len(t) for n, t in summands.items()}
+    diff = {key: dict(e) for key, e in P.diff.items()}
+    rows, columns = {}, {}  # (n, r) -> {c}, (n, c) -> {r}: the keys of diff
+    for n, r, c in diff:
+        rows.setdefault((n, r), set()).add(c)
+        columns.setdefault((n, c), set()).add(r)
+    dead = set()  # (degree, index) of each eliminated summand
     idem = algebra.idempotent_index
 
     # popped from the end: lowest degree, row and column first
-    candidates = list(_unit_entries(algebra, summands, diff))[::-1]
+    candidates = list(_unit_entries(algebra, P.summands, diff))[::-1]
     while candidates:
         n, r0, c0 = candidates.pop()
-        if not (alive[n][c0] and alive[n + 1][r0]):
+        if (n, c0) in dead or (n + 1, r0) in dead:
             continue
-        v = summands[n][c0]
-        u = diff[n][r0][c0]
+        v = P.summands[n][c0]
+        u = diff.get((n, r0, c0), {})
         if not u.get(idem(v)):
             continue  # correction killed the unit part since the push
         uinv = algebra.invert_corner(u, v)
-        rows = diff[n]
-        cols = summands[n]
-        tgts = summands[n + 1]
-        col_alive = alive[n]
-        row_alive = alive[n + 1]
-        for r in range(len(rows)):
-            if r == r0 or not row_alive[r]:
-                continue
-            beta = rows[r][c0]
-            if not beta:
-                continue
-            for c in range(len(rows[r])):
-                if c == c0 or not col_alive[c]:
-                    continue
-                gamma = rows[r0][c]
-                if not gamma:
-                    continue
-                corr = algebra.mul_dicts(algebra.mul_dicts(gamma, uinv), beta)
-                cell = rows[r][c]
-                vec_add_scaled(cell, corr, -1)
-                for b in [b for b, x in cell.items() if not x]:
-                    del cell[b]
-                if cols[c] == tgts[r] and cell.get(idem(cols[c])):
-                    candidates.append((n, r, c))
-        col_alive[c0] = False
-        row_alive[r0] = False
-    out_summands = {}
-    out_diff = {}
-    for n, t in summands.items():
-        kept = [v for i, v in enumerate(t) if alive[n][i]]
-        if kept:
-            out_summands[n] = kept
-    for n, rows in diff.items():
-        if n not in out_summands or (n + 1) not in out_summands:
-            continue
-        out_diff[n] = [
-            [e for c, e in enumerate(row) if alive[n][c]]
-            for r, row in enumerate(rows)
-            if alive[n + 1][r]
+        gammas = [
+            (c, diff[(n, r0, c)]) for c in sorted(rows[(n, r0)]) if c != c0 and (n, c) not in dead
         ]
+        for r in sorted(columns[(n, c0)]):
+            if r == r0 or (n + 1, r) in dead:
+                continue
+            beta = diff[(n, r, c0)]
+            for c, gamma in gammas:
+                corr = algebra.mul_dicts(algebra.mul_dicts(gamma, uinv), beta)
+                cell = diff.setdefault((n, r, c), {})
+                vec_add_scaled(cell, corr, -1)  # drops the coefficients that vanish
+                if not cell:
+                    del diff[(n, r, c)]
+                    rows[(n, r)].discard(c)
+                    columns[(n, c)].discard(r)
+                    continue
+                rows[(n, r)].add(c)
+                columns[(n, c)].add(r)
+                w = P.summands[n][c]
+                if w == P.summands[n + 1][r] and cell.get(idem(w)):
+                    candidates.append((n, r, c))
+        dead.update({(n, c0), (n + 1, r0)})
+    summands, index = {}, {}  # index: (degree, old index) -> new index of a survivor
+    for n, t in P.summands.items():
+        alive = [i for i in range(len(t)) if (n, i) not in dead]
+        summands[n] = [t[i] for i in alive]
+        index.update({(n, i): j for j, i in enumerate(alive)})
+    out = {
+        (n, index[(n + 1, r)], index[(n, c)]): e
+        for (n, r, c), e in diff.items()
+        if (n, c) in index and (n + 1, r) in index
+    }
     # inputs are valid complexes and the elimination preserves that, so the
     # square-zero recheck is skipped
-    return Complex(algebra, out_summands, out_diff, validate=False, copy=False)
+    return Complex(algebra, summands, out, validate=False, copy=False)
 
 
 def cone(algebra, f, X, E):
@@ -593,26 +522,16 @@ def cone(algebra, f, X, E):
     X, E = _as_complex(algebra, X), _as_complex(algebra, E)
     degs = sorted({n - 1 for n in X.summands} | set(E.summands))
     summands = {n: X.summands_at(n + 1) + E.summands_at(n) for n in degs}
-    diff = {}
-    for n in degs:
-        if (n + 1) not in summands:
-            continue
-        rows = [[{} for _ in summands[n]] for _ in summands[n + 1]]
-        for r, row in enumerate(X.diff_at(n + 1)):
-            for c, e in enumerate(row):
-                if e:
-                    rows[r][c] = {b: -x for b, x in e.items()}
-        xs, xt = len(X.summands_at(n + 1)), len(X.summands_at(n + 2))
-        for r, row in enumerate(E.diff_at(n)):
-            for c, e in enumerate(row):
-                if e:
-                    rows[xt + r][xs + c] = dict(e)
-        diff[n] = rows
+    # X^(n+1) comes first in C^n, so only the entries of E and f move
+    xs = {n: len(X.summands_at(n + 1)) for n in degs}
+    diff = {(n - 1, r, c): {b: -x for b, x in e.items()} for (n, r, c), e in X.diff.items()}
+    for (n, r, c), e in E.diff.items():
+        diff[(n, xs[n + 1] + r, xs[n] + c)] = dict(e)
     for (n, r, c, b), x in f.items():
         if not (0 <= r < len(E.summands_at(n)) and 0 <= c < len(X.summands_at(n))):
             raise ShapeMismatch(f"map entry {(n, r, c, b)} lies outside X^{n} x E^{n}")
         if x:
-            diff[n - 1][len(X.summands_at(n + 1)) + r][c][b] = x
+            diff.setdefault((n - 1, xs[n] + r, c), {})[b] = x
     return Complex(algebra, summands, diff, copy=False)
 
 
@@ -899,19 +818,17 @@ def _split_part(P, e):
             gens[n] = chosen
     summands = {n: tuple(v for v, _ in g) for n, g in gens.items()}
     diff = {}
+    d_columns = P._lines()[0]
     for n, g in gens.items():
         if (n + 1) not in gens:
             continue
-        dmat = P.diff_at(n)
         g1 = gens[n + 1]
-        rows_out = [[{} for _ in g] for _ in g1]
         for ci, (vc, wc) in enumerate(g):
             image = {}
             for m, xm in wc.items():
-                for r, row in enumerate(dmat):
-                    if row[m]:
-                        for b, x in algebra.mul_dicts(xm, row[m]).items():
-                            image[(r, b)] = image.get((r, b), 0) + x
+                for r, d in d_columns.get(n, {}).get(m, ()):
+                    for b, x in algebra.mul_dicts(xm, d).items():
+                        image[(r, b)] = image.get((r, b), 0) + x
             image = {key: x for key, x in image.items() if x}
             cols = []
             meta = []
@@ -929,8 +846,7 @@ def _split_part(P, e):
             for i, (k, b) in enumerate(meta):
                 x = coeffs.get(i)
                 if x:
-                    rows_out[k][ci][b] = x
-        diff[n] = rows_out
+                    diff.setdefault((n, k, ci), {})[b] = x
     return Complex(algebra, summands, diff)
 
 

@@ -51,7 +51,7 @@ N4 = build_algebra(
 
 def coefficients(P):
     """Every coefficient of every differential entry of a complex."""
-    return [x for rows in P.diff.values() for row in rows for e in row for x in e.values()]
+    return [x for e in P.diff.values() for x in e.values()]
 
 
 def assert_exact(P):

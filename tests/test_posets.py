@@ -479,6 +479,23 @@ class TestSerialization:
         with pytest.raises(ParseError):
             FinitePoset.from_json('{"covers": []}')
 
+    @pytest.mark.parametrize(
+        "covers",
+        [[["a", "b", "c"]], ["ab"], [["a"]], [["a", 1]], [("a", "b")], "ab", {"a": "b"}],
+        ids=["three-ids", "string", "one-id", "int-id", "tuple", "covers-string", "covers-dict"],
+    )
+    def test_cover_that_is_not_a_list_of_two_ids_raises_parse_error(self, covers):
+        data = {"elements": [{"id": x} for x in "abc"], "covers": covers}
+        with pytest.raises(ParseError):
+            FinitePoset.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "element", [{"id": 1}, {"id": None}, {"id": "a", "label": 2}], ids=["int", "null", "int-label"]
+    )
+    def test_id_or_label_that_is_not_a_string_raises_parse_error(self, element):
+        with pytest.raises(ParseError):
+            FinitePoset.from_json_dict({"elements": [element], "covers": []})
+
     def test_dot_output(self):
         dot = chain(2).to_dot()
         assert dot.startswith("digraph poset {")

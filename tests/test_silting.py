@@ -24,7 +24,7 @@ from torslat.errors import (
     ShapeMismatch,
 )
 from torslat.fixtures import corpus
-from torslat.linalg import Echelon, express_in_span, solve
+from torslat.linalg import Echelon, express_in_span, solve, vec_add_scaled
 from torslat.posets import build_poset, lattice_ops
 from torslat.silting import (
     Complex,
@@ -35,7 +35,6 @@ from torslat.silting import (
     _euler_pairing,
     _hom_dim,
     _map_vars,
-    _mat_compose,
     bongartz_complete,
     check_presilting_family,
     check_silting_module,
@@ -206,7 +205,7 @@ class TestConstruction:
         X = s1_presentation()
         Y = X.shift(1).shift(1)
         # double shift restores the signs
-        assert Y.diff_at(-3) == X.diff_at(-1)
+        assert diff_at(Y, -3) == diff_at(X, -1)
 
     def test_direct_sum_size(self):
         X = s1_presentation()
@@ -239,6 +238,42 @@ class TestConstruction:
         P = parse_complex(A2, "P = [] -> [e2] ; d = [[]]")
         assert P.degrees() == (0,)
         assert g_vector(P) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "key",
+        [(-1, -1, 0), (-1, 0, -1), (-1, 1, 0), (-1, 0, 1), (0, 0, 0), (-2, 0, 0)],
+        ids=["row-minus-one", "column-minus-one", "row-past-end", "column-past-end",
+             "no-target-degree", "no-source-degree"],
+    )
+    def test_entry_outside_the_summands_rejected(self, key):
+        # the entry a fits the corner of the one summand in each degree, so
+        # an index -1 would wrap onto it and pass unnoticed
+        a = A2.arrow_element("a")
+        with pytest.raises(ShapeMismatch):
+            Complex(A2, {-1: (1,), 0: (0,)}, {key: a.coeffs})
+
+    def test_entry_in_the_wrong_corner_rejected(self):
+        a = A2.arrow_element("a")
+        with pytest.raises(ShapeMismatch):
+            Complex(A2, {-1: (0,), 0: (1,)}, {(-1, 0, 0): a.coeffs})
+
+    def test_three_terms_that_do_not_square_to_zero_rejected(self):
+        # e3 -> e2 -> e1 by b, then a: the path through 2 is not zero in A3
+        a, b = A3.arrow_element("a"), A3.arrow_element("b")
+        summands = {-2: (2,), -1: (1,), 0: (0,)}
+        with pytest.raises(ShapeMismatch):
+            Complex(A3, summands, {(-2, 0, 0): b.coeffs, (-1, 0, 0): a.coeffs})
+        assert Complex(A3, summands, {(-2, 0, 0): b.coeffs}).size() == 3
+
+    def test_empty_entries_are_dropped(self):
+        X = s1_presentation()
+        zeros = {b: 0 for b in A2.arrow_element("a").coeffs}
+        for entry in ({}, zeros):
+            P = Complex(A2, X.summands, {(-1, 0, 0): entry})
+            assert P.diff == {}
+            assert P.key() == two_term(A2, ["2"], ["1"], [[0]]).key()
+        padded = Complex(A2, {-1: (1, 0), 0: (0,)}, {**X.diff, (-1, 0, 1): {}})
+        assert padded.diff == X.diff
 
 
 class TestGVectorsAndCohomology:
@@ -339,7 +374,7 @@ def h0_by_cokernel_rank(algebra, P):
         for b in algebra.basis_by_source(vc):
             pos[(c, b)] = len(pos)
             dims[algebra.basis_target(b)] += 1
-    mat = P.diff_at(-1)
+    mat = diff_at(P, -1)
     echs = [Echelon() for _ in range(nv)]
     for c, vc in enumerate(P.summands_at(-1)):
         for p in algebra.basis_by_source(vc):
@@ -361,6 +396,33 @@ def h0_by_stalks(algebra, P):
         _hom_dim(algebra, stalk(algebra, [v], 0), P, 0)
         for v in range(len(algebra.quiver.vertices))
     )
+
+
+def diff_at(P, n):
+    """The differential d^n of P as a matrix: rows over the summands of
+    degree n + 1, columns over those of degree n, a zero entry as {}."""
+    return tuple(
+        tuple(P.diff.get((n, r, c), {}) for c in range(len(P.summands_at(n))))
+        for r in range(len(P.summands_at(n + 1)))
+    )
+
+
+def _mat_compose(algebra, first, second):
+    """Reference product of two matrices of entries: `first` applied first,
+    then `second`, so (r, c) is the sum over m of first[m][c] * second[r][m]."""
+    if not first or not second:
+        return tuple(tuple({} for _ in (first[0] if first else ())) for _ in second)
+    out = []
+    for r in range(len(second)):
+        row = []
+        for c in range(len(first[0])):
+            acc = {}
+            for m in range(len(first)):
+                if first[m][c] and second[r][m]:
+                    vec_add_scaled(acc, algebra.mul_dicts(first[m][c], second[r][m]), 1)
+            row.append({b: x for b, x in acc.items() if x})
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def nonzero_entries(mat):
@@ -448,8 +510,8 @@ class TestHomComplex:
             for n in X.summands:
                 if (n + 1) not in Y.summands:
                     continue
-                left = _mat_compose(BG, X.diff_at(n), f.get(n + 1, ()))
-                right = _mat_compose(BG, f.get(n, ()), Y.diff_at(n))
+                left = _mat_compose(BG, diff_at(X, n), f.get(n + 1, ()))
+                right = _mat_compose(BG, f.get(n, ()), diff_at(Y, n))
                 assert nonzero_entries(left) == nonzero_entries(right)
 
     @given(bg_pairs(), bg_two_term(), st.data())
@@ -552,6 +614,27 @@ class TestCone:
             cone(A2, f, X, X)
 
 
+def assert_well_formed(C):
+    """C holds no empty entry, and its summands and entries pass the
+    constructor's validation."""
+    assert all(C.diff.values()), C.diff
+    Complex(C.algebra, C.summands, C.diff)
+
+
+@given(bg_pairs())
+@settings(max_examples=40, deadline=None)
+def test_engine_complexes_are_well_formed(pair):
+    X, Y = pair
+    made = [X, Y, X.shift(1), Y.shift(-2)]
+    if not (X.is_zero() and Y.is_zero()):
+        made.append(direct_sum([X, Y]))
+    made += [cone(BG, f, X, Y) for f in hom_k_basis(BG, X, Y)]
+    reduced = [reduce_complex(BG, C) for C in made]
+    parts = [p for C in reduced for p in decompose(BG, C)]
+    for C in made + reduced + parts:
+        assert_well_formed(C)
+
+
 class TestReduce:
     def test_contractible_vanishes(self):
         assert reduce_complex(A2, contractible()).is_zero()
@@ -629,7 +712,7 @@ def disguised_sums(draw):
             for r in range(len(t))
         ]
 
-    d = S.diff_at(-1)
+    d = diff_at(S, -1)
     if -1 in S.summands and 0 in S.summands:
         d = _mat_compose(algebra, d, unipotent(x)) if n == 0 else _mat_compose(
             algebra, unipotent(-x), d

@@ -223,7 +223,13 @@ def test_cycles_carry_the_line_that_closes_them(text, line, directive):
 
 @pytest.mark.parametrize(
     "body, message",
-    [("{not json", "bad JSON"), ('{"elements": [{"id": "x"}], "covers": [["x", "y"]]}', "'y'")],
+    [
+        ("{not json", "bad JSON"),
+        ('{"elements": [{"id": "x"}], "covers": [["x", "y"]]}', "'y'"),
+        # a cover of three ids, and one written as a string
+        ('{"elements": [{"id": "x"}, {"id": "y"}], "covers": [["x", "y", "x"]]}', "cover"),
+        ('{"elements": [{"id": "x"}, {"id": "y"}], "covers": ["xy"]}', "cover"),
+    ],
 )
 def test_fiber_file_errors_carry_the_directive_line(tmp_path, body, message):
     (tmp_path / "bad.json").write_text(body)
