@@ -39,7 +39,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .linalg import modp_echelon, modp_nullspace, modp_rank
-from .posets import build_poset, closed_sets
+from .posets import _closure_order, closed_sets
 
 
 def _zero_mat(rows, cols):
@@ -1103,31 +1103,11 @@ def _brute_closed_subsets(algebra, field, dim_bound, config, with_subs):
         masks = closed_sets(n, closure, config)
     except SizeCapExceeded as exc:
         raise SearchSpaceExceeded(f"{exc} of {n} classes") from exc
-    listed = set(masks)
-    if closure(0) not in listed:
-        raise CertificationFailed("the closure of the empty set is not listed")
-
-    def ident(mask):
-        return "{" + ",".join(f"M{i}" for i in range(n) if mask >> i & 1) + "}"
-
-    ids = [ident(mask) for mask in masks]
-    covers = []  # (smaller, larger)
-    for t in masks:
+    ids = ["{" + ",".join(f"M{i}" for i in range(n) if t >> i & 1) + "}" for t in masks]
+    for t, name in zip(masks, ids):
         if not closed(t):
-            raise CertificationFailed(f"listed set {ident(t)} is not closed")
-        steps = {closure(t | 1 << x) for x in range(n) if not t >> x & 1}
-        if not steps <= listed:
-            raise CertificationFailed("a closed set is missing from the listing")
-        covers.extend(
-            (ident(t), ident(s))
-            for s in sorted(steps)
-            if not any(u != s and not u & ~s for u in steps)
-        )
-    poset = build_poset(list(zip(ids, ids)), covers)
-    up = tuple(sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks)
-    if poset.up != up or sorted(poset.covers) != sorted((b, a) for a, b in covers):
-        raise CertificationFailed("the listed covers do not generate inclusion")
-    return poset
+            raise CertificationFailed(f"listed set {name} is not closed")
+    return _closure_order(n, masks, closure, ids)
 
 
 def brute_torsion_classes(algebra, field=None, dim_bound=None, config=DEFAULTS):
@@ -1148,11 +1128,9 @@ def brute_torsion_classes(algebra, field=None, dim_bound=None, config=DEFAULTS):
     for among the blocks that vanish on the pivots of the coboundaries.
     The two-member truncation is validated by the cross-check suite.  The
     subsets are listed by posets.closed_sets and each is checked against
-    the requirement tables.  The closures of each listed T plus one class
-    must be listed too, which makes the listing complete: every closed set
-    is reached from the closure of the empty set by such steps.  The
-    minimal steps are T's covers; the order built from them must be
-    inclusion.
+    the requirement tables; posets._closure_order then builds the order
+    from the closures of each listed T plus one class, which must be
+    listed too, and certifies it against inclusion.
     """
     return _brute_closed_subsets(algebra, field, dim_bound, config, False)
 

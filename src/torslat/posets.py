@@ -12,6 +12,11 @@ graph*, 1972), so the covers are read off the pairs given and nothing
 else is compared.  The order is stored as one bitmask per element (up[i]
 = everything >= i, down[i] = everything <= i), so relation queries and
 closure checks are word operations.
+
+Orders of closed sets under inclusion (the subset lattices here, the
+oracle's torsion classes and Serre subcategories) come from closure
+steps, the closures of a set plus one element, in _closure_order, which
+certifies each against inclusion.
 """
 
 from __future__ import annotations
@@ -252,16 +257,16 @@ def antichain(n, prefix="a"):
 
 
 class SubsetLattice:
-    """A family of subsets of a base poset's elements, ordered by inclusion.
+    """The closed sets (bitmasks over base element indices) of a closure
+    operator on a base poset's elements, ordered by inclusion.  The order
+    is only materialized into a FinitePoset on demand (the family itself
+    may be enumerated far beyond what an explicit n x n order table can
+    hold)."""
 
-    Subsets are bitmasks over base element indices.  The order is only
-    materialized into a FinitePoset on demand (the family itself may be
-    enumerated far beyond what an explicit n x n order table can hold).
-    """
-
-    def __init__(self, base, masks):
+    def __init__(self, base, masks, closure):
         self.base = base
         self.masks = list(masks)
+        self.closure = closure
         self._poset = None
 
     def __len__(self):
@@ -274,38 +279,45 @@ class SubsetLattice:
         return "{" + ",".join(self.members(mask)) + "}"
 
     def poset(self):
-        """Materialize the inclusion order from its one-element steps.
+        """The inclusion order from closure steps, certified at every size,
+        in the order of masks; SizeCapExceeded past MATERIALIZE_LIMIT sets."""
+        if self._poset is None:
+            n = len(self.masks)
+            if n > MATERIALIZE_LIMIT:
+                raise SizeCapExceeded(
+                    f"refusing to materialize inclusion order on {n} subsets"
+                )
+            ids = [self.mask_id(m) for m in self.masks]
+            self._poset = _closure_order(len(self.base), self.masks, self.closure, ids)
+        return self._poset
 
-        Between two nested down-sets (up-sets, subsets) lies a chain of
-        members each one element bigger than the last, so the steps
-        generate inclusion.  Up to 256 members every up-mask is checked
-        against inclusion; CertificationFailed if one differs.
-        """
-        if self._poset is not None:
-            return self._poset
-        n = len(self.masks)
-        if n > MATERIALIZE_LIMIT:
-            raise SizeCapExceeded(
-                f"refusing to materialize inclusion order on {n} subsets"
-            )
-        masks = sorted(self.masks, key=lambda m: (bin(m).count("1"), m))
-        pos = {m: i for i, m in enumerate(masks)}
-        ids = [self.mask_id(m) for m in masks]
-        steps = [
-            (ids[i], ids[pos[m & ~(1 << b)]])
-            for i, m in enumerate(masks)
-            for b in _bits(m)
-            if (m & ~(1 << b)) in pos
-        ]
-        poset = FinitePoset(list(zip(ids, ids)), steps)
-        if n <= 256:
-            for i, mi in enumerate(masks):
-                if poset.up[i] != sum(1 << j for j, mj in enumerate(masks) if not mi & ~mj):
-                    raise CertificationFailed(
-                        f"one-element steps do not generate inclusion above {ids[i]}"
-                    )
-        self._poset = poset
-        return poset
+
+def _closure_order(n, masks, closure, ids):
+    """The inclusion order on masks, closed sets of closure on n-bit masks,
+    with ids[i] naming masks[i]; elements keep the order given.
+
+    The covers of t are the minimal sets among closure(t + x), x outside
+    t: a closed set above t holds some such x, so it holds closure(t + x).
+    CertificationFailed unless closure(0) and every step are listed, which
+    makes the listing complete (every closed set is reached from closure(0)
+    by steps), and the order built from the covers is inclusion, which
+    refuses a listed set that is not closed but holds closure(0).
+    """
+    listed = dict(zip(masks, ids))
+    if closure(0) not in listed:
+        raise CertificationFailed("the closure of the empty set is not listed")
+    covers = []  # (smaller, larger)
+    for t, name in zip(masks, ids):
+        steps = {closure(t | 1 << x) for x in range(n) if not t >> x & 1}
+        if not steps <= listed.keys():
+            raise CertificationFailed(f"a closed set above {name} is not listed")
+        minimal = (s for s in steps if not any(u != s and not u & ~s for u in steps))
+        covers.extend((name, listed[s]) for s in minimal)
+    poset = build_poset(list(zip(ids, ids)), covers)
+    up = tuple(sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks)
+    if poset.up != up:
+        raise CertificationFailed("the closure steps do not generate inclusion")
+    return poset
 
 
 def closed_sets(n, closure, config=DEFAULTS):
@@ -333,11 +345,10 @@ def closed_sets(n, closure, config=DEFAULTS):
     return out
 
 
-def _closed_subsets(poset, closed_up, config):
-    """The subsets closed upward (closed_up) or downward, listed by
-    closed_sets with the one-pass closure "OR of the cones of the members";
-    masks sorted by (popcount, value)."""
-    cones = poset.up if closed_up else poset.down
+def _closed_subsets(poset, cones, config):
+    """The lattice of the subsets closed under taking cones (poset.down or
+    poset.up) of members: closed_sets lists them with the one-pass closure
+    "OR of the cones of the members", sorted by (popcount, value)."""
 
     def closure(mask):
         out = mask
@@ -347,19 +358,19 @@ def _closed_subsets(poset, closed_up, config):
 
     masks = closed_sets(len(poset), closure, config)
     masks.sort(key=lambda m: (bin(m).count("1"), m))
-    return masks
+    return SubsetLattice(poset, masks, closure)
 
 
 def down_sets(poset, config=DEFAULTS):
     """The lattice of down-closed subsets (includes the empty and full sets)."""
-    return SubsetLattice(poset, _closed_subsets(poset, False, config))
+    return _closed_subsets(poset, poset.down, config)
 
 
 def specialization_closed(poset, config=DEFAULTS):
     """The lattice of up-closed subsets: reading the poset as a spectrum
     (q <= p iff q is contained in p), these are the specialization-closed
     subsets."""
-    return SubsetLattice(poset, _closed_subsets(poset, True, config))
+    return _closed_subsets(poset, poset.up, config)
 
 
 def all_subsets(poset, config=DEFAULTS):
@@ -367,7 +378,7 @@ def all_subsets(poset, config=DEFAULTS):
     if 2 ** n > config.subset_cap:
         raise SizeCapExceeded(f"2^{n} subsets exceed the subset cap")
     masks = sorted(range(2 ** n), key=lambda m: (bin(m).count("1"), m))
-    return SubsetLattice(poset, masks)
+    return SubsetLattice(poset, masks, lambda mask: mask)
 
 
 # ---------------------------------------------------------------------------

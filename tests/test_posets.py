@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from torslat.config import Config
 from torslat.errors import (
+    CertificationFailed,
     CycleDetected,
     DuplicateId,
     NotALattice,
@@ -15,6 +16,7 @@ from torslat.errors import (
 )
 from torslat.posets import (
     FinitePoset,
+    SubsetLattice,
     all_subsets,
     antichain,
     build_poset,
@@ -51,6 +53,23 @@ def pentagon():
         ["o", "x", "y", "z", "t"],
         [("o", "x"), ("x", "y"), ("y", "t"), ("o", "z"), ("z", "t")],
     )
+
+
+def one_element_step_order(lattice):
+    """The inclusion order on a lattice's masks from its one-element steps,
+    masks sorted by (popcount, value): between two nested down-sets
+    (up-sets, subsets) lies a chain of members each one element bigger than
+    the last, so the steps generate inclusion.  The reference for
+    SubsetLattice.poset."""
+    masks = sorted(lattice.masks, key=lambda m: (bin(m).count("1"), m))
+    ids = {m: lattice.mask_id(m) for m in masks}
+    steps = [
+        (ids[m], ids[m & ~(1 << b)])
+        for m in masks
+        for b in range(len(lattice.base))
+        if m >> b & 1 and m & ~(1 << b) in ids
+    ]
+    return FinitePoset([(ids[m], ids[m]) for m in masks], steps)
 
 
 @st.composite
@@ -295,6 +314,11 @@ class TestSubsetLattices:
                 if all(not cones[i] & ~m for i in range(n) if m >> i & 1)
             ]
             assert lattice.masks == sorted(swept, key=lambda m: (bin(m).count("1"), m))
+        for lattice in (down_sets(p), specialization_closed(p), all_subsets(p)):
+            got, ref = lattice.poset(), one_element_step_order(lattice)
+            assert (got.ids, got.labels, got.up, got.covers) == (
+                ref.ids, ref.labels, ref.up, ref.covers
+            )
 
     def test_long_chain_beyond_a_sweep(self):
         # 2^25 subsets exceed the cap; the 26 down-sets do not
@@ -309,7 +333,7 @@ class TestSubsetLattices:
             big.poset()
 
     def test_inclusion_order_beyond_the_checked_size(self):
-        # 512 down-sets: more than SubsetLattice.poset compares with inclusion
+        # 512 down-sets, each compared with inclusion by SubsetLattice.poset too
         ds = down_sets(antichain(9))
         lat = ds.poset()
         assert len(lat) == 512
@@ -322,6 +346,19 @@ class TestSubsetLattices:
             for n in ds.masks
             if n & ~m == 0 and bin(m ^ n).count("1") == 1
         }
+
+    @pytest.mark.parametrize("fault", ["drop", "add"])
+    def test_faulty_family_is_refused_at_any_size(self, fault):
+        if fault == "drop":  # 512 down-sets of an antichain, one left out
+            ds = down_sets(antichain(9))
+            masks = ds.masks[:200] + ds.masks[201:]
+        else:  # 512 down-sets of antichain(7) + chain(3), and {c1}
+            ids = [f"a{i}" for i in range(7)] + ["c0", "c1", "c2"]
+            ds = down_sets(build_poset(ids, [("c0", "c1"), ("c1", "c2")]))
+            masks = ds.masks + [1 << ids.index("c1")]
+        assert len(ds) == 512
+        with pytest.raises(CertificationFailed):
+            SubsetLattice(ds.base, masks, ds.closure).poset()
 
     def test_boolean_lattice_covers(self):
         lat = all_subsets(antichain(2)).poset()
