@@ -13,9 +13,10 @@ It carries both the large banded chain-map systems of the silting engine
 and the small systems of the brute-force oracle over F_2 and F_3.  The
 front ends each hide a format: ``Echelon``, ``nullspace``, ``solve`` and
 ``express_in_span`` take rows with Fractions and scale them to integers
-(``int_rows``), and the ``modp_*`` functions take and return the
-oracle's dense lists.  They stay separate entry points, not aliases,
-because the benchmark (``perfbench/``) traces each of them by name.
+(``int_rows``), and the ``modp_*`` functions take the oracle's rows,
+dense lists or sparse dicts, and return dense lists.  They stay separate
+entry points, not aliases, because the benchmark (``perfbench/``) traces
+each of them by name.
 
 ``det`` multiplies the pivot entries of ``Echelon`` normal forms.  Sparse
 vectors are dicts column -> nonzero coefficient.  Everything is
@@ -346,22 +347,28 @@ def det(rows):
 
 
 # ---------------------------------------------------------------------------
-# F_p on dense rows: lists of ints, reduced mod p on the way in
+# F_p on the oracle's rows: dense lists of ints of length ncols, or sparse
+# dicts col -> int; either is reduced mod p on the way in
 
 
 def _modp_kernel(rows, ncols, p):
-    """The kernel over F_p holding the dense rows, each of length ncols."""
+    """The kernel over F_p holding the rows, dense or sparse."""
     ech = IntEchelon(p)
     for r in rows:
         if len(ech.pivots) == ncols:
             break  # the rows already span F_p^ncols
-        if any(r):
-            ech.insert(dict(enumerate(r)))
+        if type(r) is not dict:
+            if not any(r):
+                continue
+            r = dict(enumerate(r))
+        elif not r:
+            continue
+        ech.insert(r)
     return ech
 
 
 def modp_echelon(rows, ncols, p):
-    """RREF over F_p of rows of length ncols: (pivot_cols, rref_rows).
+    """RREF over F_p of rows on ncols columns: (pivot_cols, rref_rows).
 
     The pivot columns ascend.  The RREF row of pivot c has 1 at c and
     -v_f[c] at each free column f, where v_f is the nullspace vector of f.
@@ -399,7 +406,8 @@ def modp_rank(rows, ncols, p):
 
 def modp_solve(rows, rhs, ncols, p):
     """One solution of rows . x = rhs over F_p (free vars 0), or None; the
-    right-hand side is column ncols, eliminated as in solve()."""
+    rows are dense, and the right-hand side is column ncols, eliminated as
+    in solve()."""
     ech = _modp_kernel([list(r) + [-b] for r, b in zip(rows, rhs)], ncols + 1, p)
     if ncols in ech.pivots:
         return None  # 0 = 1 row

@@ -20,6 +20,11 @@ algebra shapes is accepted, so the exhaustive searches stay honest.
 Matrices are tuples of row tuples with entries reduced mod p; the matrix of
 an arrow has one row per target-vertex dimension and one column per
 source-vertex dimension, matching left modules over the path algebra.
+The builders inside this module make these nested tuples of ints
+themselves and hand them to Representation uncopied (copy=False).  The
+Hom differential is the exception to dense matrices: its rows are sparse
+dicts, variable -> nonzero coefficient, which the modp_* front ends
+eliminate as they are.
 A subspace of F_p^d has one form throughout: (pivot columns, rows), each
 row 1 at its own pivot and 0 at the other pivots.  RREFs have it, and so
 do nullspace vectors pivoted at their free columns, so kernels are used
@@ -87,7 +92,7 @@ def _is_int(x):
 
 def _vertex_index(algebra, vertex):
     q = algebra.quiver
-    if isinstance(vertex, int):
+    if _is_int(vertex):
         if not 0 <= vertex < len(q.vertices):
             raise ValueError(f"vertex index {vertex} out of range")
         return vertex
@@ -109,12 +114,11 @@ class Representation:
         self.algebra = algebra
         self.p = p
         if copy:
-            self.dims = tuple(int(d) for d in dims)
-            self.mats = tuple(
-                tuple(tuple(int(e) for e in r) for r in m) for m in mats
-            )
+            # a copy, not a conversion: _check refuses what is not an int
+            self.dims = tuple(dims)
+            self.mats = tuple(tuple(tuple(r) for r in m) for m in mats)
         else:
-            # caller hands over canonical nested tuples
+            # caller hands over canonical nested tuples of ints
             self.dims = dims
             self.mats = mats
         if validate:
@@ -122,8 +126,10 @@ class Representation:
 
     def _check(self):
         q = self.algebra.quiver
-        if self.p not in (2, 3):
-            raise ValueError("supported fields are F_2 and F_3")
+        if not _is_int(self.p) or self.p not in (2, 3):
+            raise ValueError("supported fields are F_2 and F_3, given as the int 2 or 3")
+        if not all(map(_is_int, self.dims)):
+            raise ValueError("dimensions must be ints")
         if len(self.dims) != len(q.vertices) or any(d < 0 for d in self.dims):
             raise ShapeMismatch("dimension vector does not match the quiver")
         if len(self.mats) != len(q.arrows):
@@ -134,8 +140,8 @@ class Representation:
             if len(m) != rows or any(len(r) != cols for r in m):
                 name = q.arrows[a][0]
                 raise ShapeMismatch(f"matrix for arrow {name!r} has the wrong shape")
-            if any(not 0 <= e < self.p for r in m for e in r):
-                raise ValueError("matrix entries must be reduced mod p")
+            if any(not _is_int(e) or not 0 <= e < self.p for r in m for e in r):
+                raise ValueError("matrix entries must be ints reduced mod p")
         if not _relations_vanish(self):
             raise ValueError("the relations do not vanish on this representation")
 
@@ -268,7 +274,7 @@ def direct_sum_rep(algebra, reps):
                 for j, e in enumerate(row):
                     m[off[t] + i][off[s] + j] = e
         mats.append(tuple(tuple(row) for row in m))
-    return Representation(algebra, p, dims, mats, validate=False)
+    return Representation(algebra, p, dims, tuple(mats), validate=False, copy=False)
 
 
 def _same_setting(algebra, m, n):
@@ -285,9 +291,12 @@ def _same_setting(algebra, m, n):
 def _hom_delta(p, q, m, n):
     """The differential delta(h)_a = n_a h_s - h_t m_a on the maps h: m -> n,
     as (vertex offsets, rows).  Entry (i, k) of h_v is the variable
-    offs[v] + i * m_v + k, and the rows are the entries of the blocks
-    delta(h)_a, arrow by arrow, each row-major.  Its kernel is Hom(m, n);
-    with m = y and n = x its columns span the coboundaries of Ext^1(y, x).
+    offs[v] + i * m_v + k.  There is one row per entry of the blocks
+    delta(h)_a, arrow by arrow, each row-major, so a row's index is its
+    position in the block.  A row is sparse: a dict from variable to
+    nonzero coefficient mod p, and {} where no variable reaches.  Its
+    kernel is Hom(m, n); with m = y and n = x its columns span the
+    coboundaries of Ext^1(y, x).
     """
     offs = [0]
     for v in range(len(m.dims)):
@@ -295,33 +304,52 @@ def _hom_delta(p, q, m, n):
     rows = []
     for a in range(len(q.arrows)):
         s, t = q.arrow_source(a), q.arrow_target(a)
-        ma, na = m.mats[a], n.mats[a]
-        for i in range(n.dims[t]):
-            for j in range(m.dims[s]):
-                row = [0] * offs[-1]
-                for l in range(n.dims[s]):
-                    if na[i][l]:
-                        row[offs[s] + l * m.dims[s] + j] += na[i][l]
-                for k in range(m.dims[t]):
-                    if ma[k][j]:
-                        row[offs[t] + i * m.dims[t] + k] -= ma[k][j]
-                rows.append([e % p for e in row])
+        ms, mt = m.dims[s], m.dims[t]
+        ma = m.mats[a]
+        for i, na_row in enumerate(n.mats[a]):
+            start = offs[t] + i * mt
+            for j in range(ms):
+                # entry (i, j) of delta(h)_a: n_a[i][l] times entry (l, j)
+                # of h_s, less m_a[k][j] times entry (i, k) of h_t
+                row = {}
+                for l, e in enumerate(na_row):
+                    if e:
+                        row[offs[s] + l * ms + j] = e
+                for k, m_row in enumerate(ma):
+                    e = m_row[j]
+                    if e:
+                        # on a loop both terms can reach one variable
+                        e = (row.get(start + k, 0) - e) % p
+                        if e:
+                            row[start + k] = e
+                        else:
+                            del row[start + k]
+                rows.append(row)
     return offs, rows
+
+
+def _hom_kernel(algebra, m, n):
+    """(offs, vectors): Hom(m, n) as the modp_nullspace basis of
+    _hom_delta, flat vectors over its variables."""
+    offs, rows = _hom_delta(m.p, algebra.quiver, m, n)
+    return offs, modp_nullspace(rows, offs[-1], m.p)
+
+
+def _hom_block(vec, offs, m, n, v):
+    """The matrix at vertex v of the map m -> n with flat vector vec."""
+    start, cols = offs[v], m.dims[v]
+    return tuple(
+        tuple(vec[start + i * cols : start + (i + 1) * cols]) for i in range(n.dims[v])
+    )
 
 
 def hom_rep_basis(algebra, m, n):
     """Basis of the intertwiner space m -> n: tuples of per-vertex matrices."""
     _same_setting(algebra, m, n)
-    offs, rows = _hom_delta(m.p, algebra.quiver, m, n)
+    offs, vecs = _hom_kernel(algebra, m, n)
     return [
-        tuple(
-            tuple(
-                tuple(vec[offs[v] + i * m.dims[v] + j] for j in range(m.dims[v]))
-                for i in range(n.dims[v])
-            )
-            for v in range(len(m.dims))
-        )
-        for vec in modp_nullspace(rows, offs[-1], m.p)
+        tuple(_hom_block(vec, offs, m, n, v) for v in range(len(m.dims)))
+        for vec in vecs
     ]
 
 
@@ -348,8 +376,13 @@ def _cocycles(algebra, x, y):
     offs = [0]  # where each arrow's block starts in the flat vector
     for a in range(len(q.arrows)):
         offs.append(offs[-1] + x.dims[q.arrow_target(a)] * y.dims[q.arrow_source(a)])
-    _, delta = _hom_delta(p, q, y, x)
-    pivots = set(modp_echelon(zip(*delta), offs[-1], p)[0])
+    hom_offs, delta = _hom_delta(p, q, y, x)
+    # delta's columns as sparse rows over the positions in the block
+    cols = [{} for _ in range(hom_offs[-1])]
+    for pos, row in enumerate(delta):
+        for k, e in row.items():
+            cols[k][pos] = e
+    pivots = set(modp_echelon(cols, offs[-1], p)[0])
     free = [k for k in range(offs[-1]) if k not in pivots]
     # the (1, 2) block of a product of the middle term's matrices has one
     # c factor per term: x's path before it, y's path after
@@ -426,17 +459,22 @@ def _splits_off(algebra, c, r):
     the bases writes 1 as a combination of the g_i o f_j, so one of them
     lies outside rad End(c) and is a unit.  A non-unit of the local ring
     End(c) is nilpotent, hence singular at every vertex where c is nonzero,
-    so one such vertex, the first, tells units apart.
+    so one such vertex, the first, tells units apart.  Only the blocks of
+    the basis maps at that vertex are built for the scan, and the whole
+    map only for the g returned.
     """
     p = c.p
-    fs = hom_rep_basis(algebra, c, r)
+    f_offs, fs = _hom_kernel(algebra, c, r)
     if not fs:
         return None
     v, d = next((v, d) for v, d in enumerate(c.dims) if d)
-    for g in hom_rep_basis(algebra, r, c):
-        for f in fs:
-            if modp_rank(_mat_mul(p, g[v], f[v], d, r.dims[v], d), d, p) == d:
-                return g
+    f_blocks = [_hom_block(f, f_offs, c, r, v) for f in fs]
+    g_offs, gs = _hom_kernel(algebra, r, c)
+    for g in gs:
+        g_block = _hom_block(g, g_offs, r, c, v)
+        for f_block in f_blocks:
+            if modp_rank(_mat_mul(p, g_block, f_block, d, r.dims[v], d), d, p) == d:
+                return tuple(_hom_block(g, g_offs, r, c, u) for u in range(len(c.dims)))
     return None
 
 
@@ -480,7 +518,7 @@ def _subrep_on_rows(algebra, rep, bases):
         mats.append(
             tuple(tuple(col[i] for col in cols) for i in range(dims[t]))
         )
-    return Representation(algebra, p, dims, mats, validate=False)
+    return Representation(algebra, p, dims, tuple(mats), validate=False, copy=False)
 
 
 def _kernel_subrep(algebra, rep, hom_mats):
@@ -508,32 +546,43 @@ def _decompose(algebra, rep, classes, memo):
     kernel and cokernel dimensions are the sums of those on c and on r,
     and a class can split off only if no entry of its arrow-rank profile
     exceeds rep's.  The filter never drops a class that splits, so the
-    scan meets the same first class as without it.  The classes' profiles
-    are computed once per memo, which holds them beside the results.
+    scan meets the same first class as without it.  By the same additivity
+    the rest left when class c splits off has rep's profile less c's, so
+    only the module first given has its ranks computed.  The classes'
+    profiles are computed once per memo, which holds them beside the
+    results: one for each module met on the way down.
     """
-    key = rep.key()
-    if key in memo:
-        return memo[key]
-    if rep.is_zero():
-        memo[key] = ()
-        return ()
     profiles = memo.get("profiles")
     if profiles is None:
         profiles = memo["profiles"] = [_arrow_ranks(c) for c in classes]
-    own = _arrow_ranks(rep)
-    out = None
-    for idx, c in enumerate(classes):
-        if any(cv > rv for cv, rv in zip(profiles[idx], own)):
-            continue
-        g = _splits_off(algebra, c, rep)
-        if g is None:
-            continue
-        rest = _kernel_subrep(algebra, rep, g)
-        sub = _decompose(algebra, rest, classes, memo)
-        if sub is not None:
-            out = tuple(sorted((idx,) + sub))
-        break
-    memo[key] = out
+    peeled = []  # (key, class split off) for each module on the way down
+    own = None
+    while True:
+        key = rep.key()
+        if key in memo:
+            out = memo[key]
+            break
+        if rep.is_zero():
+            out = memo[key] = ()
+            break
+        if own is None:
+            own = _arrow_ranks(rep)
+        for idx, c in enumerate(classes):
+            if any(cv > rv for cv, rv in zip(profiles[idx], own)):
+                continue
+            g = _splits_off(algebra, c, rep)
+            if g is not None:
+                break
+        else:
+            out = memo[key] = None
+            break
+        peeled.append((key, idx))
+        rep = _kernel_subrep(algebra, rep, g)
+        own = tuple(rv - cv for rv, cv in zip(own, profiles[idx]))
+    for key, idx in reversed(peeled):
+        if out is not None:
+            out = tuple(sorted((idx,) + out))
+        memo[key] = out
     return out
 
 
@@ -959,7 +1008,7 @@ def _quotient_rep(algebra, rep, choice):
             _, rest = _reduce(p, choice[t], [row[c] for row in rep.mats[a]])
             cols.append([rest[k] for k in comp[t]])
         mats.append(tuple(tuple(col[i] for col in cols) for i in range(dims[t])))
-    return Representation(algebra, p, dims, mats, validate=False)
+    return Representation(algebra, p, dims, tuple(mats), validate=False, copy=False)
 
 
 def _extensions(algebra, x, y, config):
@@ -991,7 +1040,7 @@ def _extensions(algebra, x, y, config):
             for i in range(y.dims[t]):
                 m.append((0,) * x.dims[s] + tuple(y.mats[a][i]))
             mats.append(tuple(m))
-        yield Representation(algebra, p, dims, mats, validate=False)
+        yield Representation(algebra, p, dims, tuple(mats), validate=False, copy=False)
 
 
 def _splits(x_dims, choice):

@@ -156,6 +156,29 @@ def test_modp_echelon_is_the_reference_rref(case):
 
 
 @given(
+    st.sampled_from(("F2", "F3")).flatmap(
+        lambda name: st.tuples(st.just(FIELDS[name][0]), systems(FIELDS[name][1]))
+    ),
+    st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_sparse_rows_give_what_dense_rows_give(case, data):
+    # F3's entries include 4 and -1, so rows of either form come unreduced
+    p, (rows, ncols) = case
+    forms = data.draw(st.lists(
+        st.sampled_from(("dense", "sparse", "zeros kept")), min_size=len(rows), max_size=len(rows),
+    ))
+    mixed = [
+        r if form == "dense" else {c: x for c, x in enumerate(r) if x or form == "zeros kept"}
+        for r, form in zip(rows, forms)
+    ]
+    for front_end in (modp_echelon, modp_nullspace, modp_rank):
+        dense = front_end(rows, ncols, p)
+        assert front_end([sparse(r) for r in rows], ncols, p) == dense
+        assert front_end(mixed, ncols, p) == dense
+
+
+@given(
     st.sampled_from((2, 3)).flatmap(lambda p: st.tuples(st.just(p), systems(range(p), max_cols=4))),
     st.data(),
 )

@@ -31,7 +31,7 @@ from torslat.fixtures import (
     algebra_kronecker,
     corpus,
 )
-from torslat.linalg import modp_rank, modp_solve
+from torslat.linalg import modp_echelon, modp_nullspace, modp_rank, modp_solve
 from torslat.oracle import (
     Representation,
     brute_serre,
@@ -117,6 +117,28 @@ class TestRepresentation:
     def test_unsupported_field(self):
         with pytest.raises(ValueError):
             simple_rep(A2, "1", field=5)
+
+    @pytest.mark.parametrize("p, dims, entry", [
+        (2, (1, 1), 1.7),
+        (2, (1, 1), "1"),
+        (2, (1, 1), True),
+        (2, (1.9, 1), 1),
+        (2, ("1", 1), 1),
+        (2, (True, 1), 1),
+        (2.0, (1, 1), 1),
+    ], ids=["float entry", "str entry", "bool entry", "float dim", "str dim", "bool dim",
+            "float field"])
+    def test_non_int_input_refused_not_converted(self, p, dims, entry):
+        assert Representation(A2, 2, (1, 1), [[[1]]]).mats == (((1,),),)
+        with pytest.raises(ValueError, match="int"):
+            Representation(A2, p, dims, [[[entry]]])
+
+    def test_bool_vertex_refused(self):
+        assert simple_rep(A2, 1).dims == (0, 1)
+        with pytest.raises(ValueError):
+            simple_rep(A2, True)
+        with pytest.raises(ValueError):
+            projective_rep(A2, False)
 
     def test_direct_sum_dims(self):
         both = direct_sum_rep(A2, [simple_rep(A2, "1"), projective_rep(A2, "1")])
@@ -1048,6 +1070,191 @@ for make, bound in [(algebra_beta_gamma.__wrapped__, None), (d4, (1, 1, 2, 1))]:
     counts.append(runs)
 print(json.dumps(counts))
 """
+
+
+def _dense_hom_delta(p, q, m, n):
+    """The Hom differential with every row a dense list: the reference for
+    the sparse rows of oracle._hom_delta."""
+    offs = [0]
+    for v in range(len(m.dims)):
+        offs.append(offs[-1] + n.dims[v] * m.dims[v])
+    rows = []
+    for a in range(len(q.arrows)):
+        s, t = q.arrow_source(a), q.arrow_target(a)
+        ma, na = m.mats[a], n.mats[a]
+        for i in range(n.dims[t]):
+            for j in range(m.dims[s]):
+                row = [0] * offs[-1]
+                for l in range(n.dims[s]):
+                    row[offs[s] + l * m.dims[s] + j] += na[i][l]
+                for k in range(m.dims[t]):
+                    row[offs[t] + i * m.dims[t] + k] -= ma[k][j]
+                rows.append([e % p for e in row])
+    return offs, rows
+
+
+def _dense_hom_basis(algebra, m, n):
+    offs, rows = _dense_hom_delta(m.p, algebra.quiver, m, n)
+    return [
+        tuple(
+            tuple(
+                tuple(vec[offs[v] + i * m.dims[v] + j] for j in range(m.dims[v]))
+                for i in range(n.dims[v])
+            )
+            for v in range(len(m.dims))
+        )
+        for vec in modp_nullspace(rows, offs[-1], m.p)
+    ]
+
+
+def _dense_cocycles(algebra, x, y):
+    """oracle._cocycles on the dense differential, its columns by zip."""
+    p, q = x.p, algebra.quiver
+    offs = [0]
+    for a in range(len(q.arrows)):
+        offs.append(offs[-1] + x.dims[q.arrow_target(a)] * y.dims[q.arrow_source(a)])
+    _, delta = _dense_hom_delta(p, q, y, x)
+    pivots = set(modp_echelon(zip(*delta), offs[-1], p)[0])
+    free = [k for k in range(offs[-1]) if k not in pivots]
+    every = {a: offs[a] for a in range(len(q.arrows))}
+    rows = [
+        [row[k] for k in free]
+        for rel in algebra.relation_terms
+        for row in oracle._relation_rows(p, q, rel, x, y, every, offs[-1])
+    ]
+    return offs, free, rows
+
+
+def _assert_dense_parity(alg, x, y):
+    q = alg.quiver
+    _, dense = _dense_hom_delta(x.p, q, x, y)
+    _, rows = oracle._hom_delta(x.p, q, x, y)
+    # one row per block entry, the empty ones kept as {}
+    assert rows == [{c: e for c, e in enumerate(row) if e} for row in dense]
+    assert hom_rep_basis(alg, x, y) == _dense_hom_basis(alg, x, y)
+    offs, free, relations = _dense_cocycles(alg, x, y)
+    assert oracle._cocycles(alg, x, y) == (offs, free, relations)
+    assert ext_dim(alg, y, x) == len(free) - modp_rank(relations, len(free), x.p)
+
+
+def _full_reshape_splits_off(algebra, c, r):
+    """The split scan on whole Hom basis maps: the reference for the scan
+    that builds only the blocks at the first vertex of c."""
+    fs = hom_rep_basis(algebra, c, r)
+    if not fs:
+        return None
+    v, d = next((v, d) for v, d in enumerate(c.dims) if d)
+    for g in hom_rep_basis(algebra, r, c):
+        for f in fs:
+            if modp_rank(oracle._mat_mul(c.p, g[v], f[v], d, r.dims[v], d), d, c.p) == d:
+                return g
+    return None
+
+
+def _record(monkeypatch, name, log):
+    """Wrap oracle.<name> so that each call appends (args, result) to log;
+    a generator's results are logged one by one as they are drawn."""
+    real = getattr(oracle, name)
+
+    def logged(*args):
+        out = real(*args)
+        if name == "_extensions":
+            return (log.append((args, mid)) or mid for mid in out)
+        log.append((args, out))
+        return out
+
+    monkeypatch.setattr(oracle, name, logged)
+
+
+class TestSparseHomPath:
+    @reference_cases
+    def test_same_homs_and_cocycles_as_the_dense_rows(self, make, field, bound):
+        alg = make()
+        classes = enumerate_indecomposables(alg, field=field, dim_bound=bound)
+        for x in classes:
+            for y in classes:
+                _assert_dense_parity(alg, x, y)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_loop_where_both_terms_meet(self, p):
+        # on a loop the two terms of delta(h) can reach one variable, and
+        # on every representation of dimension at most 2 the rows agree
+        reps = [
+            rep
+            for d in (1, 2) for mat in oracle._all_matrices(p, d, d)
+            if oracle._relations_vanish(rep := Representation(DUAL, p, (d,), (mat,), validate=False))
+        ]
+        assert len(reps) == 1 + p ** 2  # the nilpotent matrices
+        for x in reps:
+            for y in reps:
+                _assert_dense_parity(DUAL, x, y)
+        # e = [[1, 1], [-1, -1]]: entry (0, 0) of e h - h e is
+        # h_10 + h_01 once the two h_00 terms cancel
+        e = ((1, 1), (p - 1, p - 1))
+        m = Representation(DUAL, p, (2,), (e,))
+        assert oracle._hom_delta(p, DUAL.quiver, m, m)[1][0] == {2: 1, 1: 1}
+
+    @reference_cases
+    def test_splits_rests_and_builders_on_the_sweeps(self, monkeypatch, make, field, bound):
+        alg = make()
+        classes = enumerate_indecomposables(alg, field=field, dim_bound=bound)
+        splits, built = [], []
+        _record(monkeypatch, "_splits_off", splits)
+        builders = ["_quotient_rep", "_subrep_on_rows", "_extensions", "direct_sum_rep"]
+        for name in builders:
+            _record(monkeypatch, name, built)
+        oracle._closure_requirements(alg, classes, DEFAULTS, {})
+        assert splits and built
+        peeled = 0
+        for (_, c, r), g in splits:
+            # the same retraction as the scan on whole maps
+            assert g == _full_reshape_splits_off(alg, c, r)
+            if g is not None:
+                # the rest's profile is rep's less the class's
+                rest = oracle._kernel_subrep(alg, r, g)
+                ranks = oracle._arrow_ranks
+                assert ranks(rest) == tuple(a - b for a, b in zip(ranks(r), ranks(c)))
+                peeled += 1
+        assert peeled
+        for _, rep in built:
+            # canonical nested tuples of ints, as a validated copy makes them
+            copied = Representation(alg, rep.p, rep.dims, rep.mats)
+            assert hash(rep.key()) == hash(copied.key()) and rep.key() == copied.key()
+
+    # inputs whose sweeps leave rests that are neither zero nor known yet
+    @pytest.mark.parametrize("make, field, bound", [
+        (_preprojective_a3, 2, (1, 2, 1)),
+        (lambda: _no_relations(4, [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")]), 2, (1, 1, 2, 1)),
+        (_square, 3, 1),
+    ], ids=["preprojective A3", "D4", "square over F_3"])
+    def test_no_ranks_taken_of_a_rest(self, monkeypatch, make, field, bound):
+        # a rest left by a split gets its profile by subtraction: once made,
+        # its arrow ranks are never computed
+        alg = make()
+        classes = enumerate_indecomposables(alg, field=field, dim_bound=bound)
+        memo = {"profiles": [oracle._arrow_ranks(c) for c in classes]}
+        events = []
+        real_ranks, real_kernel = oracle._arrow_ranks, oracle._kernel_subrep
+
+        def ranks(rep):
+            events.append(("ranks", rep.key()))
+            return real_ranks(rep)
+
+        def kernel(*args):
+            rest = real_kernel(*args)
+            events.append(("rest", rest.key()))
+            return rest
+
+        monkeypatch.setattr(oracle, "_arrow_ranks", ranks)
+        monkeypatch.setattr(oracle, "_kernel_subrep", kernel)
+        oracle._closure_requirements(alg, classes, DEFAULTS, memo)
+        rests = set()
+        for kind, key in events:
+            if kind == "rest":
+                rests.add(key)
+            else:
+                assert key not in rests
+        assert rests and any(kind == "ranks" for kind, _ in events)
 
 
 BRICK_COUNTS = {
