@@ -8,12 +8,14 @@ conditions, listed by NextClosure.  The searches are exhaustive and capped
 everywhere; relations affine in a matrix are solved for, not filtered.
 They skip only what provably adds nothing: matrix assignments
 that cannot be the first of their class, subspace tuples with an unstable
-part, cocycles cohomologous to one already taken, classes whose arrow
-ranks do not fit in a module being split, and combinations of Hom basis
-maps when testing whether an indecomposable class splits off.  The
-last rests on locality: the endomorphism ring of an indecomposable is
-local and its non-units form a subspace, so if some g o f is the
-identity, the composite of one pair of basis maps is already invertible.
+part, cocycles cohomologous to one already taken, the decomposition of
+the split middle term x (+) y (its parts are x and y, by Krull-Schmidt),
+classes whose arrow ranks do not fit in a module being split, and
+combinations of Hom basis maps when testing whether an indecomposable
+class splits off.  The last rests on locality: the endomorphism ring of
+an indecomposable is local and its non-units form a subspace, so if some
+g o f is the identity, the composite of one pair of basis maps is
+already invertible.
 Without an explicit dimension bound only a short table of certified
 algebra shapes is accepted, so the exhaustive searches stay honest.
 
@@ -648,7 +650,10 @@ def _resolve_bound(algebra, dim_bound):
     return bound
 
 
-def _search_size(p, bounds, q):
+def _search_size(p, bounds, q, cap):
+    """The number of raw representations within bounds, p^(d_t d_s) per
+    arrow summed over the nonzero dimension vectors: exact up to cap, and
+    counted no further once it passes cap."""
     total = 0
     for dims in product(*(range(b + 1) for b in bounds)):
         if not any(dims):
@@ -657,6 +662,8 @@ def _search_size(p, bounds, q):
         for a in range(len(q.arrows)):
             cell *= p ** (dims[q.arrow_target(a)] * dims[q.arrow_source(a)])
         total += cell
+        if total > cap:
+            break
     return total
 
 
@@ -825,10 +832,9 @@ def enumerate_indecomposables(algebra, field=None, dim_bound=None, config=DEFAUL
     p = _field_of(algebra, field)
     q = algebra.quiver
     bounds = _resolve_bound(algebra, dim_bound)
-    size = _search_size(p, bounds, q)
-    if size > config.oracle_search_cap:
+    if _search_size(p, bounds, q, config.oracle_search_cap) > config.oracle_search_cap:
         raise SearchSpaceExceeded(
-            f"{size} raw representations exceed the cap of {config.oracle_search_cap}"
+            f"more than the cap of {config.oracle_search_cap} raw representations to search"
         )
     cache = getattr(algebra, "_oracle_cache", None)
     if cache is None:
@@ -959,37 +965,86 @@ def _stable_tuples(algebra, rep):
     vectors' images, computed once, and the images lie in a target
     subspace exactly when that mask is inside the target's vector-set mask
     (_vector_masks).
+
+    The tests are kept in rows of compatibility masks, one bit per
+    subspace.  Given the subspace chosen at one end of an arrow, its key, a
+    row is the mask of the subspaces at the other end that fit with it: a
+    forward arrow (source index below the target's) is keyed by the choice
+    at its source, a backward arrow by the choice at its target, and a loop
+    has one self mask of the subspaces it maps into themselves.  Rows are
+    filled in lazily, when the walk first reaches an arrow's later end with
+    their key chosen, and only at the subspaces still open there after the
+    arrows before it; a later visit tests only the subspaces not tested
+    yet.  So each subspace is tested at most once per arrow and key, and
+    only where the walk that checks every candidate in turn would test it
+    too.  At each vertex the walk takes the set bits of the AND of the
+    rows in ascending order: it visits only partial tuples that pass every
+    arrow, in the order of the full sweep.
     """
     p = rep.p
     q = algebra.quiver
     nv = len(rep.dims)
     per_vertex = [_subspaces(p, d) for d in rep.dims]
     vsets = [_vector_masks(p, d) for d in rep.dims]
-    due = [[] for _ in range(nv)]  # arrows whose later end is the vertex
+    # per arrow at its later end, in arrow order: the key vertex (None for
+    # a loop) and, per key, the subspaces tested so far and those that fit
+    due = [[] for _ in range(nv)]
     for a in range(len(q.arrows)):
         s, t = q.arrow_source(a), q.arrow_target(a)
         images = [
             _code_mask(p, (_mat_vec(p, rep.mats[a], u) for u in rows))
             for _, rows in per_vertex[s]
         ]
-        due[max(s, t)].append((images, s, t))
+        keys = 1 if s == t else len(per_vertex[min(s, t)])
+        due[max(s, t)].append((None if s == t else min(s, t), [0] * keys, [0] * keys, images, s, t))
+
+    chosen = [0] * nv
+
+    def allowed(v):
+        mask = (1 << len(per_vertex[v])) - 1
+        for w, tested, passed, images, s, t in due[v]:
+            key = 0 if w is None else chosen[w]
+            todo = mask & ~tested[key]
+            if todo:
+                tested[key] |= todo
+                if s < t:  # the targets that hold the key's images
+                    img = images[key]
+                    fit = sum(
+                        1 << k for k, vset in enumerate(vsets[t])
+                        if todo >> k & 1 and not img & ~vset
+                    )
+                elif s > t:  # the sources whose images the key holds
+                    vset = vsets[t][key]
+                    fit = sum(
+                        1 << k for k, img in enumerate(images)
+                        if todo >> k & 1 and not img & ~vset
+                    )
+                else:  # the subspaces a loop maps into themselves
+                    fit = sum(
+                        1 << k for k, (img, vset) in enumerate(zip(images, vsets[t]))
+                        if todo >> k & 1 and not img & ~vset
+                    )
+                passed[key] |= fit
+            mask &= passed[key]
+        return mask
+
     out = []
-    nxt = [0] * nv  # next subspace to try at each vertex; nxt - 1 is chosen
+    left = [0] * nv  # the subspaces still to try at each vertex, as bits
+    left[0] = allowed(0)
     v = 0
     while v >= 0:
-        if nxt[v] == len(per_vertex[v]):
-            nxt[v] = 0
+        bits = left[v]
+        if not bits:
             v -= 1
             continue
-        nxt[v] += 1
-        if any(
-            images[nxt[s] - 1] & ~vsets[t][nxt[t] - 1] for images, s, t in due[v]
-        ):
-            continue
+        low = bits & -bits
+        left[v] = bits ^ low
+        chosen[v] = low.bit_length() - 1
         if v == nv - 1:
-            out.append(tuple(subs[k - 1] for subs, k in zip(per_vertex, nxt)))
+            out.append(tuple(subs[k] for subs, k in zip(per_vertex, chosen)))
         else:
             v += 1
+            left[v] = allowed(v)
     return out
 
 
@@ -1043,6 +1098,19 @@ def _extensions(algebra, x, y, config):
         yield Representation(algebra, p, dims, tuple(mats), validate=False, copy=False)
 
 
+def _is_split_middle(algebra, x, y, mid):
+    """Whether mid is x (+) y laid out block diagonally, x's coordinates
+    first, as _extensions lays out its middle terms."""
+    q = algebra.quiver
+    if mid is None or mid.dims != tuple(a + b for a, b in zip(x.dims, y.dims)):
+        return False
+    for a, m in enumerate(mid.mats):
+        xs, ys = x.dims[q.arrow_source(a)], y.dims[q.arrow_source(a)]
+        if m != tuple(r + (0,) * ys for r in x.mats[a]) + tuple((0,) * xs + r for r in y.mats[a]):
+            return False
+    return True
+
+
 def _splits(x_dims, choice):
     """Whether a subspace tuple U of x (+) y, x's coordinates first as
     direct_sum_rep lays them out, is the sum of its meets with x and y.
@@ -1075,6 +1143,12 @@ def _closure_requirements(algebra, classes, config, memo):
     tuples that do not split; a pair with disjoint supports has none and
     is skipped.  A split quotient or subobject outside the classes still
     raises, since its unknown part comes from a member's own sweep.
+
+    The extensions of y by x add at least x and y: the zero cocycle, which
+    _extensions yields first, gives the split x (+) y, whose parts are
+    classes i and j by Krull-Schmidt.  That middle term is only checked to
+    be the block-diagonal sum, not decomposed; the middle terms of the
+    nonzero cocycles are.
     """
     n = len(classes)
 
@@ -1108,9 +1182,14 @@ def _closure_requirements(algebra, classes, config, memo):
                     continue
                 tors[i][j] |= parts_mask(_quotient_rep(algebra, two, choice))
                 subs[i][j] |= parts_mask(_subrep_on_rows(algebra, two, choice))
-    for i in range(n):
-        for j in range(n):
-            for mid in _extensions(algebra, classes[i], classes[j], config):
+    for i, x in enumerate(classes):
+        for j, y in enumerate(classes):
+            mids = _extensions(algebra, x, y, config)
+            # the zero cocycle comes first; its x (+) y has parts i and j
+            if not _is_split_middle(algebra, x, y, next(mids, None)):
+                raise CertificationFailed("the first middle term is not the split one")
+            tors[i][j] |= 1 << i | 1 << j
+            for mid in mids:
                 tors[i][j] |= parts_mask(mid)
     serre = [[t | s for t, s in zip(*rows)] for rows in zip(tors, subs)]
     return tors, serre
@@ -1174,7 +1253,9 @@ def brute_torsion_classes(algebra, field=None, dim_bound=None, config=DEFAULTS):
     split, and a pair with disjoint supports, all of whose tuples split,
     is skipped; the tables equal those of the sweep over every tuple.
     The extensions come from one middle term per class of Ext^1, solved
-    for among the blocks that vanish on the pivots of the coboundaries.
+    for among the blocks that vanish on the pivots of the coboundaries;
+    the split one, x (+) y, is not decomposed, since its parts are x and
+    y by Krull-Schmidt.
     The two-member truncation is validated by the cross-check suite.  The
     subsets are listed by posets.closed_sets and each is checked against
     the requirement tables; posets._closure_order then builds the order

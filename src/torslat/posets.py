@@ -242,14 +242,21 @@ def point(ident="pt"):
     return build_poset([ident], [])
 
 
+def _element_count(n):
+    # bool is an int subclass, but True is no number of elements
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"the number of elements must be an int >= 0, not {n!r}")
+    return n
+
+
 def chain(n, prefix="c"):
     """Chain c0 < c1 < ... < c{n-1}."""
-    ids = [f"{prefix}{i}" for i in range(n)]
+    ids = [f"{prefix}{i}" for i in range(_element_count(n))]
     return build_poset(ids, [(ids[i], ids[i + 1]) for i in range(n - 1)])
 
 
 def antichain(n, prefix="a"):
-    return build_poset([f"{prefix}{i}" for i in range(n)], [])
+    return build_poset([f"{prefix}{i}" for i in range(_element_count(n))], [])
 
 
 # ---------------------------------------------------------------------------

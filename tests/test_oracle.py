@@ -6,9 +6,11 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +316,19 @@ class TestEnumerate:
             enumerate_indecomposables(KRON, dim_bound=4)
         with pytest.raises(SearchSpaceExceeded):
             enumerate_indecomposables(A2, config=Config(oracle_search_cap=100))
+
+    def test_refusal_stops_counting_at_the_cap(self):
+        # about 10^1445 raw representations: counting stops at the cap, so
+        # the refusal is quick and names the cap, not the count
+        start = time.perf_counter()
+        refusal = f"more than the cap of {DEFAULTS.oracle_search_cap} "
+        with pytest.raises(SearchSpaceExceeded, match=refusal):
+            enumerate_indecomposables(_linear(4), dim_bound=40)
+        assert time.perf_counter() - start < 1
+        cap = Config(oracle_search_cap=100)
+        assert oracle._search_size(2, (1, 1), A2.quiver, cap.oracle_search_cap) == 4
+        with pytest.raises(SearchSpaceExceeded, match="more than the cap of 100 "):
+            enumerate_indecomposables(A2, dim_bound=(3, 3), config=cap)
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -741,6 +756,44 @@ def _swept_stable_tuples(algebra, rep):
     return [choice for choice in product(*per_vertex) if stable(choice)]
 
 
+def _triangle():
+    return _no_relations(3, [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+
+
+def _every_rep(algebra, p, dims):
+    """Every assignment of matrices of these dimensions over F_p, the
+    relations not imposed: the stable tuples do not read them."""
+    q = algebra.quiver
+    per_arrow = [
+        oracle._all_matrices(p, dims[q.arrow_target(a)], dims[q.arrow_source(a)])
+        for a in range(len(q.arrows))
+    ]
+    for mats in product(*per_arrow):
+        yield Representation(algebra, p, dims, mats, validate=False, copy=False)
+
+
+@st.composite
+def small_quiver_reps(draw):
+    """A quiver on up to three vertices with up to four arrows, loops,
+    parallel and opposite arrows allowed, and matrices over F_2 or F_3 on
+    dimensions up to 2.  Only the quiver is read, so it carries no
+    algebra."""
+    n = draw(st.integers(1, 3))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arrows = draw(st.lists(ends, max_size=4))
+    quiver = Quiver(
+        [str(v) for v in range(n)], [(f"x{a}", str(s), str(t)) for a, (s, t) in enumerate(arrows)]
+    )
+    p = draw(st.sampled_from([2, 3]))
+    dims = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    mats = tuple(
+        tuple(tuple(draw(st.integers(0, p - 1)) for _ in range(dims[s])) for _ in range(dims[t]))
+        for s, t in arrows
+    )
+    only_quiver = SimpleNamespace(quiver=quiver)
+    return only_quiver, Representation(only_quiver, p, dims, mats, validate=False, copy=False)
+
+
 def _all_cocycle_extensions(algebra, x, y, config):
     """Middle terms for every connecting block on which the relations
     vanish, cohomologous blocks included: the reference for the sweep that
@@ -777,10 +830,7 @@ REFERENCE_CASES = [(name, make, None, bound) for name, make, bound in SWEEP_CASE
 # the underlying graph of 1 -> 2 -> 3, 1 -> 3 is an odd cycle, so over F_3
 # the sign of the coboundary moves its pivots; the closure tables of this
 # representation-infinite quiver raise, so only the Ext count runs on it
-EXT_CASES = REFERENCE_CASES + [
-    ("triangle over F_3", lambda: _no_relations(
-        3, [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")]), 3, 1),
-]
+EXT_CASES = REFERENCE_CASES + [("triangle over F_3", _triangle, 3, 1)]
 
 
 def _cases(cases):
@@ -802,6 +852,49 @@ class TestClosureSweeps:
             for y in classes[i:]:
                 two = direct_sum_rep(alg, [x, y])
                 assert oracle._stable_tuples(alg, two) == _swept_stable_tuples(alg, two)
+
+    @reference_cases
+    def test_own_stable_tuples_match_the_product_sweep(self, make, field, bound):
+        alg = make()
+        for x in enumerate_indecomposables(alg, field=field, dim_bound=bound):
+            assert oracle._stable_tuples(alg, x) == _swept_stable_tuples(alg, x)
+
+    @pytest.mark.parametrize("make, p, dims", [
+        (algebra_kronecker, 2, (2, 2)),
+        (_triangle, 2, (1, 2, 1)),
+        (_triangle, 3, (1, 1, 2)),
+        (algebra_dual_numbers, 3, (2,)),
+        (algebra_dual_numbers, 2, (3,)),
+        (algebra_beta_gamma, 3, (2, 1)),
+        (algebra_beta_gamma, 3, (1, 2)),
+    ], ids=[
+        "Kronecker", "triangle", "triangle over F_3", "dual numbers over F_3",
+        "dual numbers", "beta-gamma (2, 1)", "beta-gamma (1, 2)",
+    ])
+    def test_stable_tuples_on_every_representation(self, make, p, dims):
+        # parallel arrows, a vertex keyed by two others, a loop, and an
+        # arrow whose source index is above its target's
+        alg = make()
+        for rep in _every_rep(alg, p, dims):
+            assert oracle._stable_tuples(alg, rep) == _swept_stable_tuples(alg, rep)
+
+    @pytest.mark.parametrize("make, dims, mats", [
+        (algebra_a2, (5, 2), [((1, 0, 1, 1, 0), (0, 1, 1, 0, 0))]),
+        (algebra_a2, (2, 5), [((1, 0), (0, 1), (1, 1), (0, 0), (1, 0))]),
+        (algebra_a2, (5, 1), [((0, 0, 0, 0, 0),)]),
+        (algebra_dual_numbers, (5,), [tuple(
+            tuple(int(j == i + 1) for j in range(5)) for i in range(5))]),
+    ], ids=["A2 (5, 2)", "A2 (2, 5)", "A2 (5, 1) zero", "dual numbers (5,) shift"])
+    def test_stable_tuples_at_dimension_five(self, make, dims, mats):
+        alg = make()
+        rep = Representation(alg, 2, dims, mats, validate=False)
+        assert oracle._stable_tuples(alg, rep) == _swept_stable_tuples(alg, rep)
+
+    @given(small_quiver_reps())
+    @settings(max_examples=100, deadline=None)
+    def test_stable_tuples_on_random_representations(self, drawn):
+        alg, rep = drawn
+        assert oracle._stable_tuples(alg, rep) == _swept_stable_tuples(alg, rep)
 
     @_cases(EXT_CASES)
     def test_one_middle_term_per_ext_class(self, make, field, bound):
@@ -887,6 +980,15 @@ def _pair_tuples(alg, classes):
                 yield x, y, choice
 
 
+# fresh algebras: the fixtures are shared, and so are their cached tables
+fresh_cases = pytest.mark.parametrize("make, field, bound", [
+    (algebra_beta_gamma.__wrapped__, None, None),
+    (algebra_beta_gamma.__wrapped__, 3, (2, 1)),
+    (lambda: _linear(4), None, 1),
+    (_preprojective_a3, 2, (1, 2, 1)),
+], ids=["beta-gamma", "beta-gamma over F_3", "A4 linear", "preprojective A3"])
+
+
 class TestSplitPruning:
     @reference_cases
     def test_tables_match_the_all_tuple_loop(self, make, field, bound):
@@ -908,13 +1010,7 @@ class TestSplitPruning:
         # x (+) x always has the diagonal, which does not split
         assert seen[True] and seen[False]
 
-    # fresh algebras: the fixtures are shared, and so are their cached tables
-    @pytest.mark.parametrize("make, field, bound", [
-        (algebra_beta_gamma.__wrapped__, None, None),
-        (algebra_beta_gamma.__wrapped__, 3, (2, 1)),
-        (lambda: _linear(4), None, 1),
-        (_preprojective_a3, 2, (1, 2, 1)),
-    ], ids=["beta-gamma", "beta-gamma over F_3", "A4 linear", "preprojective A3"])
+    @fresh_cases
     def test_one_quotient_per_own_and_non_split_tuple(self, monkeypatch, make, field, bound):
         alg = make()
         classes = enumerate_indecomposables(alg, field=field, dim_bound=bound)
@@ -934,6 +1030,51 @@ class TestSplitPruning:
         monkeypatch.setattr(oracle, "_quotient_rep", counted)
         brute_torsion_classes(alg, field=field, dim_bound=bound)
         assert non_split and len(calls) == own + non_split
+
+    @fresh_cases
+    def test_split_middle_terms_are_not_decomposed(self, monkeypatch, make, field, bound):
+        # the zero cocycle's x (+) y has parts i and j by Krull-Schmidt, so
+        # of the p^ext middle terms of each ordered pair one goes undecomposed
+        alg = make()
+        classes = enumerate_indecomposables(alg, field=field, dim_bound=bound)
+        p = classes[0].p
+        expected = sum(p ** ext_dim(alg, y, x) - 1 for x in classes for y in classes)
+        reference = _all_tuple_requirements(alg, classes, DEFAULTS)
+        middles, decomposed = {}, []
+        real_extensions, real_decompose = oracle._extensions, oracle._decompose
+
+        def recorded(*args):
+            for mid in real_extensions(*args):
+                middles[id(mid)] = mid  # held, so no id is reused
+                yield mid
+
+        def counted(algebra, rep, *rest):
+            if id(rep) in middles:
+                decomposed.append(rep)
+            return real_decompose(algebra, rep, *rest)
+
+        monkeypatch.setattr(oracle, "_extensions", recorded)
+        monkeypatch.setattr(oracle, "_decompose", counted)
+        tables = oracle._closure_requirements(alg, classes, DEFAULTS, {})
+        assert expected and len(decomposed) == expected
+        assert len(middles) == expected + len(classes) ** 2
+        assert tables == reference
+
+    @pytest.mark.parametrize("fault", ["zero cocycle dropped", "zero cocycle last"])
+    def test_the_skipped_middle_term_is_certified(self, monkeypatch, fault):
+        alg = _preprojective_a3()
+        classes = enumerate_indecomposables(alg, dim_bound=(1, 2, 1))
+        real = oracle._extensions
+
+        def faulty(algebra, x, y, config):
+            mids = list(real(algebra, x, y, config))
+            if fault == "zero cocycle dropped":
+                return iter(mids[1:])
+            return iter(mids[1:] + mids[:1])
+
+        monkeypatch.setattr(oracle, "_extensions", faulty)
+        with pytest.raises(CertificationFailed, match="split"):
+            oracle._closure_requirements(alg, classes, DEFAULTS, {})
 
     def test_disjoint_supports_make_no_pair_sweep(self, monkeypatch):
         alg = _linear(4)

@@ -1,6 +1,7 @@
 """Poset construction, subset lattices, hom posets, serialization."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -405,6 +406,18 @@ class TestConstructions:
 
     def test_no_isomorphism_between_chain_and_antichain(self):
         assert poset_isomorphism(chain(3), antichain(3)) is None
+
+    @pytest.mark.parametrize("make", [chain, antichain])
+    @pytest.mark.parametrize("n", [-1, True, False, 2.0, "3", None])
+    def test_bad_sizes_refused(self, make, n):
+        # checked, not coerced: -1 would give the empty poset and True a
+        # one-element chain
+        with pytest.raises(ValueError, match=re.escape(repr(n))):
+            make(n)
+
+    @pytest.mark.parametrize("make", [chain, antichain])
+    def test_empty_is_allowed(self, make):
+        assert len(make(0)) == 0
 
     def test_isomorphism_respects_order_not_names(self):
         p = build_poset(["u", "v"], [("u", "v")])
