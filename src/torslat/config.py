@@ -15,7 +15,8 @@ class Config:
     # up-sets, torsion classes, Serre subcategories) once more than this
     # many are listed; all_subsets counts every subset
     subset_cap: int = 2 ** 20
-    # posets / spectra: monotone maps and compatible tuples
+    # posets / spectra / oracle: monotone maps, compatible tuples and the
+    # arrow-stable subspace tuples of one representation
     map_cap: int = 10 ** 6
     # silting: enumerate_2silt object count
     silting_cap: int = 10 ** 4

@@ -95,6 +95,10 @@ class IntEchelon:
     __slots__ = ("pivots", "char")
 
     def __init__(self, char=0):
+        # 2.0 == 2 and False == 0 would pass the membership test; an exact
+        # type test is the cheapest, and this runs for every system solved
+        if type(char) is not int:
+            raise ValueError(f"the characteristic must be an int, not {char!r}")
         if char not in _FIELDS:
             if char < 2 or any(char % d == 0 for d in range(2, math.isqrt(char) + 1)):
                 raise ValueError(f"characteristic {char} is neither 0 nor a prime")

@@ -36,6 +36,7 @@ as they come; _reduce serves membership, coordinates and quotients.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 
 from .config import DEFAULTS
 from .errors import (
@@ -46,7 +47,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .linalg import modp_echelon, modp_nullspace, modp_rank
-from .posets import _closure_order, closed_sets
+from .posets import _backtrack, _closure_order, closed_sets
 
 
 def _zero_mat(rows, cols):
@@ -653,7 +654,12 @@ def _resolve_bound(algebra, dim_bound):
 def _search_size(p, bounds, q, cap):
     """The number of raw representations within bounds, p^(d_t d_s) per
     arrow summed over the nonzero dimension vectors: exact up to cap, and
-    counted no further once it passes cap."""
+    counted no further once it passes cap.  Each of the prod(b + 1) - 1
+    nonzero vectors adds at least one, so past cap that count is returned
+    before any vector is walked."""
+    nonzero = prod(b + 1 for b in bounds) - 1
+    if nonzero > cap:
+        return nonzero
     total = 0
     for dims in product(*(range(b + 1) for b in bounds)):
         if not any(dims):
@@ -952,100 +958,49 @@ def _vector_masks(p, d):
     return tuple(out)
 
 
-def _stable_tuples(algebra, rep):
-    """Arrow-stable per-vertex subspace tuples of rep.
+def _fit_mask(pairs):
+    """The bitmask of the k whose k-th (image codes, vector set) pair has
+    every image code in the vector set."""
+    return sum(1 << k for k, (img, vset) in enumerate(pairs) if not img & ~vset)
 
-    The subspace is chosen vertex by vertex in index order, each vertex
-    running through _subspaces in its order, so the tuples come out in the
-    order of the full product sweep.  An arrow is checked as soon as both
-    of its ends are chosen; its condition involves only those two
-    subspaces, so a partial tuple that fails it is cut with every
-    completion, none of which is stable.  Containment is a bitmask test:
-    per arrow, each source subspace gets the mask of the codes of its basis
-    vectors' images, computed once, and the images lie in a target
-    subspace exactly when that mask is inside the target's vector-set mask
-    (_vector_masks).
 
-    The tests are kept in rows of compatibility masks, one bit per
-    subspace.  Given the subspace chosen at one end of an arrow, its key, a
-    row is the mask of the subspaces at the other end that fit with it: a
-    forward arrow (source index below the target's) is keyed by the choice
-    at its source, a backward arrow by the choice at its target, and a loop
-    has one self mask of the subspaces it maps into themselves.  Rows are
-    filled in lazily, when the walk first reaches an arrow's later end with
-    their key chosen, and only at the subspaces still open there after the
-    arrows before it; a later visit tests only the subspaces not tested
-    yet.  So each subspace is tested at most once per arrow and key, and
-    only where the walk that checks every candidate in turn would test it
-    too.  At each vertex the walk takes the set bits of the AND of the
-    rows in ascending order: it visits only partial tuples that pass every
-    arrow, in the order of the full sweep.
+def _stable_tuples(algebra, rep, config=DEFAULTS):
+    """Arrow-stable per-vertex subspace tuples of rep, in the order of the
+    full product sweep over _subspaces, listed by posets._backtrack over
+    the vertices in index order.
+
+    Containment is a bitmask test: per arrow, each source subspace gets
+    the mask of the codes of its basis vectors' images, and the images lie
+    in a target subspace exactly when that mask is inside the target's
+    vector-set mask (_vector_masks).  A loop narrows its vertex's
+    candidates to the subspaces it maps into themselves.  Any other arrow
+    is a constraint at its later end: per subspace at its earlier end, the
+    mask of the subspaces at the later end that fit with it.
+    SizeCapExceeded past config.map_cap tuples.
     """
     p = rep.p
     q = algebra.quiver
     nv = len(rep.dims)
     per_vertex = [_subspaces(p, d) for d in rep.dims]
     vsets = [_vector_masks(p, d) for d in rep.dims]
-    # per arrow at its later end, in arrow order: the key vertex (None for
-    # a loop) and, per key, the subspaces tested so far and those that fit
-    due = [[] for _ in range(nv)]
+    bases = [(1 << len(subs)) - 1 for subs in per_vertex]
+    constraints = [[] for _ in range(nv)]
     for a in range(len(q.arrows)):
         s, t = q.arrow_source(a), q.arrow_target(a)
         images = [
             _code_mask(p, (_mat_vec(p, rep.mats[a], u) for u in rows))
             for _, rows in per_vertex[s]
         ]
-        keys = 1 if s == t else len(per_vertex[min(s, t)])
-        due[max(s, t)].append((None if s == t else min(s, t), [0] * keys, [0] * keys, images, s, t))
-
-    chosen = [0] * nv
-
-    def allowed(v):
-        mask = (1 << len(per_vertex[v])) - 1
-        for w, tested, passed, images, s, t in due[v]:
-            key = 0 if w is None else chosen[w]
-            todo = mask & ~tested[key]
-            if todo:
-                tested[key] |= todo
-                if s < t:  # the targets that hold the key's images
-                    img = images[key]
-                    fit = sum(
-                        1 << k for k, vset in enumerate(vsets[t])
-                        if todo >> k & 1 and not img & ~vset
-                    )
-                elif s > t:  # the sources whose images the key holds
-                    vset = vsets[t][key]
-                    fit = sum(
-                        1 << k for k, img in enumerate(images)
-                        if todo >> k & 1 and not img & ~vset
-                    )
-                else:  # the subspaces a loop maps into themselves
-                    fit = sum(
-                        1 << k for k, (img, vset) in enumerate(zip(images, vsets[t]))
-                        if todo >> k & 1 and not img & ~vset
-                    )
-                passed[key] |= fit
-            mask &= passed[key]
-        return mask
-
-    out = []
-    left = [0] * nv  # the subspaces still to try at each vertex, as bits
-    left[0] = allowed(0)
-    v = 0
-    while v >= 0:
-        bits = left[v]
-        if not bits:
-            v -= 1
-            continue
-        low = bits & -bits
-        left[v] = bits ^ low
-        chosen[v] = low.bit_length() - 1
-        if v == nv - 1:
-            out.append(tuple(subs[k] for subs, k in zip(per_vertex, chosen)))
-        else:
-            v += 1
-            left[v] = allowed(v)
-    return out
+        if s == t:
+            bases[s] &= _fit_mask(zip(images, vsets[t]))
+        elif s < t:  # per source subspace, the targets that hold its images
+            rows = [_fit_mask((img, vset) for vset in vsets[t]) for img in images]
+            constraints[t].append((s, rows))
+        else:  # per target subspace, the sources whose images it holds
+            rows = [_fit_mask((img, vset) for img in images) for vset in vsets[t]]
+            constraints[s].append((t, rows))
+    found = _backtrack(range(nv), bases, constraints, config.map_cap, "stable subspace tuple")
+    return [tuple(subs[k] for subs, k in zip(per_vertex, t)) for t in found]
 
 
 def _quotient_rep(algebra, rep, choice):
@@ -1166,7 +1121,7 @@ def _closure_requirements(algebra, classes, config, memo):
 
     own_q, own_s = [0] * n, [0] * n
     for i, x in enumerate(classes):
-        for choice in _stable_tuples(algebra, x):
+        for choice in _stable_tuples(algebra, x, config):
             own_q[i] |= parts_mask(_quotient_rep(algebra, x, choice))
             own_s[i] |= parts_mask(_subrep_on_rows(algebra, x, choice))
     tors = [[own_q[i] | own_q[j] if i <= j else 0 for j in range(n)] for i in range(n)]
@@ -1177,7 +1132,7 @@ def _closure_requirements(algebra, classes, config, memo):
             if not any(a and b for a, b in zip(x.dims, y.dims)):
                 continue
             two = direct_sum_rep(algebra, [x, y])
-            for choice in _stable_tuples(algebra, two):
+            for choice in _stable_tuples(algebra, two, config):
                 if _splits(x.dims, choice):
                     continue
                 tors[i][j] |= parts_mask(_quotient_rep(algebra, two, choice))
@@ -1243,15 +1198,16 @@ def brute_torsion_classes(algebra, field=None, dim_bound=None, config=DEFAULTS):
     two-member sums and under extensions, ordered by inclusion.
 
     The requirement tables take the quotients of a two-member sum x (+) y
-    from arrow-stable subspace tuples, chosen vertex by vertex with each
-    arrow checked once both of its ends are chosen, by a bitmask test of
-    its images' codes against the target's vector set.  A tuple that is the
-    sum of its meets A with x and B with y gives x/A (+) y/B, whose parts
-    are those of a quotient of x and of one of y (Krull-Schmidt), and
-    every pair (A, B) gives such a tuple.  So each class's own quotients
-    are taken once, a pair's sweep builds only its tuples that do not
-    split, and a pair with disjoint supports, all of whose tuples split,
-    is skipped; the tables equal those of the sweep over every tuple.
+    from arrow-stable subspace tuples, which posets._backtrack lists from
+    one compatibility mask per arrow and subspace at its earlier end, each
+    a bitmask test of image codes against vector sets (_stable_tuples).
+    A tuple that is the sum of its meets A with x and B with y gives
+    x/A (+) y/B, whose parts are those of a quotient of x and of one of y
+    (Krull-Schmidt), and every pair (A, B) gives such a tuple.  So each
+    class's own quotients are taken once, a pair's sweep builds only its
+    tuples that do not split, and a pair with disjoint supports, all of
+    whose tuples split, is skipped; the tables equal those of the sweep
+    over every tuple.
     The extensions come from one middle term per class of Ext^1, solved
     for among the blocks that vanish on the pivots of the coboundaries;
     the split one, x (+) y, is not decomposed, since its parts are x and
@@ -1259,8 +1215,9 @@ def brute_torsion_classes(algebra, field=None, dim_bound=None, config=DEFAULTS):
     The two-member truncation is validated by the cross-check suite.  The
     subsets are listed by posets.closed_sets and each is checked against
     the requirement tables; posets._closure_order then builds the order
-    from the closures of each listed T plus one class, which must be
-    listed too, and certifies it against inclusion.
+    generated by the closures of each listed T plus one class, which must
+    be listed too (FinitePoset keeps the covers among them), and
+    certifies it against inclusion.
     """
     return _brute_closed_subsets(algebra, field, dim_bound, config, False)
 

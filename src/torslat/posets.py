@@ -303,24 +303,24 @@ def _closure_order(n, masks, closure, ids):
     """The inclusion order on masks, closed sets of closure on n-bit masks,
     with ids[i] naming masks[i]; elements keep the order given.
 
-    The covers of t are the minimal sets among closure(t + x), x outside
-    t: a closed set above t holds some such x, so it holds closure(t + x).
-    CertificationFailed unless closure(0) and every step are listed, which
-    makes the listing complete (every closed set is reached from closure(0)
-    by steps), and the order built from the covers is inclusion, which
-    refuses a listed set that is not closed but holds closure(0).
+    The order is the one generated by the steps t < closure(t + x), x
+    outside t (FinitePoset keeps their covers): a closed set above t holds
+    some such x, so it holds closure(t + x).  CertificationFailed unless
+    closure(0) and every step are listed, which makes the listing complete
+    (every closed set is reached from closure(0) by steps), and the order
+    generated is inclusion, which refuses a listed set that is not closed
+    but holds closure(0).
     """
     listed = dict(zip(masks, ids))
     if closure(0) not in listed:
         raise CertificationFailed("the closure of the empty set is not listed")
-    covers = []  # (smaller, larger)
+    pairs = []  # (smaller, larger)
     for t, name in zip(masks, ids):
         steps = {closure(t | 1 << x) for x in range(n) if not t >> x & 1}
         if not steps <= listed.keys():
             raise CertificationFailed(f"a closed set above {name} is not listed")
-        minimal = (s for s in steps if not any(u != s and not u & ~s for u in steps))
-        covers.extend((name, listed[s]) for s in minimal)
-    poset = build_poset(list(zip(ids, ids)), covers)
+        pairs.extend((name, listed[s]) for s in steps)
+    poset = build_poset(list(zip(ids, ids)), pairs)
     up = tuple(sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks)
     if poset.up != up:
         raise CertificationFailed("the closure steps do not generate inclusion")
@@ -472,13 +472,13 @@ def product(posets, config=DEFAULTS):
     return _componentwise(posets, tuples)
 
 
-def _backtrack(order, sizes, constraints, cap, what):
-    """The tuples t with t[i] < sizes[i] that meet every constraint,
-    sorted.  Position pos of order assigns t[order[pos]]; each (q, masks)
-    in constraints[pos], q < pos, allows only the bits of masks[v], v the
-    value assigned at q.  Depth first, with an explicit stack of the
-    candidate masks still untried, so no recursion limit bounds the
-    length.  SizeCapExceeded past cap tuples."""
+def _backtrack(order, bases, constraints, cap, what):
+    """The tuples t with each t[i] a bit of bases[i] that meet every
+    constraint, sorted.  Position pos of order assigns t[order[pos]]; each
+    (q, masks) in constraints[pos], q < pos, allows only the bits of
+    masks[v], v the value assigned at q.  Depth first, with an explicit
+    stack of the candidate masks still untried, so no recursion limit
+    bounds the length.  SizeCapExceeded past cap tuples."""
     n = len(order)
     if not n:
         return [()]
@@ -486,7 +486,7 @@ def _backtrack(order, sizes, constraints, cap, what):
     untried = [0] * n
 
     def candidates(pos):
-        m = (1 << sizes[order[pos]]) - 1
+        m = bases[order[pos]]
         for q, masks in constraints[pos]:
             m &= masks[value[q]]
         return m
@@ -529,7 +529,8 @@ def hom_poset(x, y, config=DEFAULTS):
     constraints = [[] for _ in ext]
     for a, b in x.covers:
         constraints[pos_of[x.index[a]]].append((pos_of[x.index[b]], y.up))
-    maps = _backtrack(ext, [len(y)] * len(x), constraints, config.map_cap, "monotone map")
+    full = [(1 << len(y)) - 1] * len(x)
+    maps = _backtrack(ext, full, constraints, config.map_cap, "monotone map")
     return _componentwise([y] * len(x), maps)
 
 

@@ -22,7 +22,7 @@ import re
 from collections import namedtuple
 
 from .config import DEFAULTS
-from .errors import CertificationFailed, CycleDetected, ModelInvalid, ParseError
+from .errors import CertificationFailed, CycleDetected, DuplicateId, ModelInvalid, ParseError
 from .linalg import det
 from .posets import (
     FinitePoset,
@@ -332,9 +332,8 @@ def enumerate_compatible(model, config=DEFAULTS):
                 table = tables[spec.ids[j], spec.ids[i]]
                 entry.append((qpos, [f.down[f.index[table[x]]] for x in fib[j].ids]))
         constraints.append(entry)
-    tuples = _backtrack(
-        ext, [len(f) for f in fib], constraints, config.map_cap, "compatible tuple"
-    )
+    full = [(1 << len(f)) - 1 for f in fib]
+    tuples = _backtrack(ext, full, constraints, config.map_cap, "compatible tuple")
     return _componentwise(fib, tuples)
 
 
@@ -549,7 +548,7 @@ def parse_spectrum(text, base_dir="."):
                     fibers[p] = FinitePoset.from_json(fh.read())
             except OSError as exc:
                 raise ParseError(f"cannot read {path!r}: {exc}", line=lineno)
-            except ParseError as exc:
+            except (ParseError, DuplicateId, CycleDetected) as exc:
                 raise ParseError(f"fiber file {path!r}: {exc}", line=lineno) from exc
         elif head == "mode":
             m = _MODE_RE.match(line)

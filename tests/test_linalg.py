@@ -203,10 +203,14 @@ def test_solve_finds_a_solution_exactly_when_one_exists(case, data):
         assert q is None or all(dot(sparse(r), q) == b for r, b in zip(rows, rhs))
 
 
-@pytest.mark.parametrize("char", [1, 4, 6, 9, -3])
+@pytest.mark.parametrize("char", [1, 4, 6, 9, -3, 2.0, 3.0, "3", None, True, False])
 def test_a_characteristic_neither_zero_nor_prime_is_refused(char):
+    # after an F_2 call 2 is a known field, and 2.0 == 2, False == 0
+    assert modp_rank([[1]], 1, 2) == 1
     with pytest.raises(ValueError):
         IntEchelon(char)
+    with pytest.raises(ValueError):
+        modp_nullspace([[1, 1]], 2, char)
 
 
 def test_composite_modulus_is_refused_by_every_front_end():

@@ -24,6 +24,7 @@ from torslat.errors import (
     NotRepFiniteWithinBound,
     SearchSpaceExceeded,
     ShapeMismatch,
+    SizeCapExceeded,
 )
 from torslat.fixtures import (
     algebra_a2,
@@ -31,6 +32,7 @@ from torslat.fixtures import (
     algebra_beta_gamma,
     algebra_dual_numbers,
     algebra_kronecker,
+    algebra_kxk,
     corpus,
 )
 from torslat.linalg import modp_echelon, modp_nullspace, modp_rank, modp_solve
@@ -49,6 +51,7 @@ from torslat.oracle import (
 from torslat.posets import build_poset, lattice_ops, poset_isomorphism
 from torslat.silting import tors_lattice
 
+from test_posets import minimal_steps
 from test_silting import golden_algebras
 
 A2 = algebra_a2()
@@ -329,6 +332,13 @@ class TestEnumerate:
         assert oracle._search_size(2, (1, 1), A2.quiver, cap.oracle_search_cap) == 4
         with pytest.raises(SearchSpaceExceeded, match="more than the cap of 100 "):
             enumerate_indecomposables(A2, dim_bound=(3, 3), config=cap)
+        # with no arrow each dimension vector adds one representation, so
+        # only the count of nonzero vectors can refuse at once
+        for bound in (1500, 10 ** 6):
+            start = time.perf_counter()
+            with pytest.raises(SearchSpaceExceeded, match=refusal):
+                enumerate_indecomposables(algebra_kxk(), dim_bound=bound)
+            assert time.perf_counter() - start < 0.05
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -685,6 +695,27 @@ class TestNextClosureListing:
                 swept.ids, swept.labels, swept.up, swept.covers
             )
 
+    @pytest.mark.parametrize(
+        "make, bound",
+        [(algebra_beta_gamma, None), (lambda: golden_algebras()["D4"], (1, 1, 2, 1))],
+        ids=["beta-gamma", "D4"],
+    )
+    def test_covers_are_the_minimal_closure_steps(self, monkeypatch, make, bound):
+        real, seen = oracle._closure_order, []
+
+        def spy(n, masks, closure, ids):
+            poset = real(n, masks, closure, ids)
+            seen.append((poset, minimal_steps(n, masks, closure, ids)))
+            return poset
+
+        monkeypatch.setattr(oracle, "_closure_order", spy)
+        alg = make()
+        brute_torsion_classes(alg, field=2, dim_bound=bound)
+        brute_serre(alg, field=2, dim_bound=bound)
+        assert len(seen) == 2
+        for poset, minimal in seen:
+            assert sorted(poset.covers) == sorted(minimal)
+
     def test_linear_a6_beyond_a_sweep(self):
         # 21 classes: the 2^21 sweep exceeds the subset cap
         alg = _linear(6)
@@ -733,10 +764,11 @@ class TestEngineBeyondCorpus:
         assert poset_isomorphism(tors_lattice(alg), brute)
 
 
-def _swept_stable_tuples(algebra, rep):
+def _swept_stable_tuples(algebra, rep, config=DEFAULTS):
     """Every tuple of per-vertex subspaces in product order, kept when each
     arrow maps the subspace at its source into the one at its target: the
-    reference for the backtracking sweep."""
+    reference for the backtracking sweep, which takes the config for its
+    cap; the reference sweep has none."""
     p = rep.p
     q = algebra.quiver
 
@@ -895,6 +927,14 @@ class TestClosureSweeps:
     def test_stable_tuples_on_random_representations(self, drawn):
         alg, rep = drawn
         assert oracle._stable_tuples(alg, rep) == _swept_stable_tuples(alg, rep)
+
+    def test_stable_tuples_stop_at_the_map_cap(self):
+        two = direct_sum_rep(BG, enumerate_indecomposables(BG)[-2:])
+        listed = oracle._stable_tuples(BG, two)
+        cap = Config(map_cap=len(listed))
+        assert oracle._stable_tuples(BG, two, cap) == listed
+        with pytest.raises(SizeCapExceeded, match="stable subspace tuple count"):
+            oracle._stable_tuples(BG, two, Config(map_cap=len(listed) - 1))
 
     @_cases(EXT_CASES)
     def test_one_middle_term_per_ext_class(self, make, field, bound):

@@ -18,6 +18,7 @@ from torslat.errors import (
 from torslat.posets import (
     FinitePoset,
     SubsetLattice,
+    _backtrack,
     all_subsets,
     antichain,
     build_poset,
@@ -71,6 +72,42 @@ def one_element_step_order(lattice):
         if m >> b & 1 and m & ~(1 << b) in ids
     ]
     return FinitePoset([(ids[m], ids[m]) for m in masks], steps)
+
+
+def minimal_steps(n, masks, closure, ids):
+    """The covers (larger, smaller) of the inclusion order on masks, closed
+    sets of closure named by ids: for each t, the minimal sets among
+    closure(t + x), x outside t."""
+    name = dict(zip(masks, ids))
+    out = set()
+    for t in masks:
+        steps = {closure(t | 1 << x) for x in range(n) if not t >> x & 1}
+        out |= {
+            (name[s], name[t])
+            for s in steps
+            if not any(u != s and not u & ~s for u in steps)
+        }
+    return out
+
+
+@st.composite
+def backtrack_inputs(draw):
+    """An order of up to 4 coordinates with up to 4 values each, a base
+    mask per coordinate and, at each position, constraints by some
+    earlier positions: one mask of allowed values per value there."""
+    n = draw(st.integers(0, 4))
+    sizes = [draw(st.integers(1, 4)) for _ in range(n)]
+    bases = [draw(st.integers(0, (1 << size) - 1)) for size in sizes]
+    order = draw(st.permutations(range(n)))
+
+    def masks(pos, q):
+        allowed = st.integers(0, (1 << sizes[order[pos]]) - 1)
+        return [draw(allowed) for _ in range(sizes[order[q]])]
+
+    constraints = [
+        [(q, masks(pos, q)) for q in range(pos) if draw(st.booleans())] for pos in range(n)
+    ]
+    return sizes, bases, order, constraints
 
 
 @st.composite
@@ -248,6 +285,25 @@ class TestHomPoset:
     def test_empty_source_gives_single_map(self):
         assert len(hom_poset(build_poset([], []), chain(3))) == 1
 
+    @given(backtrack_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_backtrack_is_the_filtered_product(self, drawn):
+        sizes, bases, order, constraints = drawn
+        want = [
+            t
+            for t in itertools.product(*(range(size) for size in sizes))
+            if all(base >> v & 1 for base, v in zip(bases, t))
+            and all(
+                masks[t[order[q]]] >> t[i] & 1
+                for i, entry in zip(order, constraints)
+                for q, masks in entry
+            )
+        ]
+        assert _backtrack(order, bases, constraints, max(len(want), 1), "tuple") == want
+        if len(want) > 1:  # caps are positive
+            with pytest.raises(SizeCapExceeded, match="tuple count exceeds"):
+                _backtrack(order, bases, constraints, len(want) - 1, "tuple")
+
     def test_enumeration_is_not_recursive(self):
         # one search level per element of the source, past the recursion limit
         assert len(hom_poset(chain(1200), chain(2))) == 1201
@@ -360,6 +416,20 @@ class TestSubsetLattices:
         assert len(ds) == 512
         with pytest.raises(CertificationFailed):
             SubsetLattice(ds.base, masks, ds.closure).poset()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: all_subsets(antichain(4)),
+            lambda: down_sets(product([chain(2), chain(3)])),
+        ],
+        ids=["all subsets of antichain(4)", "down-sets of 2x3"],
+    )
+    def test_covers_are_the_minimal_closure_steps(self, make):
+        lattice = make()
+        ids = [lattice.mask_id(m) for m in lattice.masks]
+        minimal = minimal_steps(len(lattice.base), lattice.masks, lattice.closure, ids)
+        assert sorted(lattice.poset().covers) == sorted(minimal)
 
     def test_boolean_lattice_covers(self):
         lat = all_subsets(antichain(2)).poset()

@@ -229,6 +229,8 @@ def test_cycles_carry_the_line_that_closes_them(text, line, directive):
         # a cover of three ids, and one written as a string
         ('{"elements": [{"id": "x"}, {"id": "y"}], "covers": [["x", "y", "x"]]}', "cover"),
         ('{"elements": [{"id": "x"}, {"id": "y"}], "covers": ["xy"]}', "cover"),
+        ('{"elements": [{"id": "x"}, {"id": "x"}], "covers": []}', "duplicate element id 'x'"),
+        ('{"elements": [{"id": "x"}, {"id": "y"}], "covers": [["x", "y"], ["y", "x"]]}', "cycle"),
     ],
 )
 def test_fiber_file_errors_carry_the_directive_line(tmp_path, body, message):
