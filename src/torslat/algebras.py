@@ -25,7 +25,7 @@ from .errors import (
     NotFiniteDimensional,
     ParseError,
 )
-from .linalg import Echelon, exact_div, intify, vec_add_scaled
+from .linalg import Echelon, det, exact_div, intify, vec_add_scaled
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.']+\Z")
 _RATIONAL_RE = re.compile(r"\d+(/\d+)?\Z")
@@ -541,6 +541,32 @@ def hom_projectives(algebra, i, j):
 
 def cartan_matrix(algebra):
     return algebra.cartan_matrix()
+
+
+def _tits_matrix(quiver):
+    """2I - (A + A^T), A the arrow-count matrix: twice the Tits form
+    q(x) = sum_v x_v^2 - sum over arrows s -> t of x_s x_t, so that row v
+    pairs a vector with the simple root e_v."""
+    n = len(quiver.vertices)
+    form = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _, s, t in quiver.arrows:
+        form[s][t] -= 1
+        form[t][s] -= 1
+    return form
+
+
+def tits_form_positive_definite(quiver):
+    """Whether the Tits form of the quiver is positive definite, by
+    Sylvester's criterion.  A loop makes the form vanish on its vertex, and
+    double arrows or a cycle of the underlying graph make it semidefinite at
+    best, so a positive definite form leaves a forest; the trees it allows
+    are exactly the simply laced Dynkin trees A, D and E (Gabriel).  A
+    disjoint union has a block diagonal form, positive definite exactly
+    when each block is, and the criterion reads the whole matrix in any
+    vertex order, so it decides each component: the arrowless quivers
+    pass."""
+    form = _tits_matrix(quiver)
+    return all(det([row[:k] for row in form[:k]]) > 0 for k in range(1, len(form) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ class splits off.  The last rests on locality: the endomorphism ring of
 an indecomposable is local and its non-units form a subspace, so if some
 g o f is the identity, the composite of one pair of basis maps is
 already invertible.
-Without an explicit dimension bound only a short table of certified
-algebra shapes is accepted, so the exhaustive searches stay honest.
+Without an explicit dimension bound only quotients of Dynkin path
+algebras and Nakayama algebras are accepted, whose bounds theory
+certifies, so the exhaustive searches stay honest.
 
 Matrices are tuples of row tuples with entries reduced mod p; the matrix of
 an arrow has one row per target-vertex dimension and one column per
@@ -38,6 +39,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 
+from .algebras import _tits_matrix, tits_form_positive_definite
 from .config import DEFAULTS
 from .errors import (
     CertificationFailed,
@@ -594,47 +596,79 @@ def _decompose(algebra, rep, classes, memo):
 
 
 _CORPUS_BOUND_NOTE = (
-    "no certified dimension bound for this algebra shape; "
-    "pass an explicit dim_bound to override"
+    "no certified dimension bound: the quiver is not a forest of simply "
+    "laced Dynkin trees, and the algebra is not Nakayama with every "
+    "relation a path whose coefficient is a unit mod p; pass an explicit "
+    "dim_bound to override"
 )
 
 
-def _certified_bound(algebra):
-    """Per-vertex cap guaranteed to reach every indecomposable, for the few
-    algebra shapes the cross-check corpus uses.  None for anything else."""
+def _root_bound(quiver):
+    """Largest coefficient of each vertex over the positive roots of a
+    quiver whose Tits form is positive definite.  The roots are listed up
+    from the simple roots by the reflections s_i(x) = x - (x, e_i) e_i that
+    raise the height: every positive root b other than a simple one has
+    (b, e_i) > 0 for some i, since (b, b) = 2, and s_i b is then a positive
+    root below it."""
+    form = _tits_matrix(quiver)
+    n = len(form)
+    roots = {tuple(int(i == v) for i in range(n)) for v in range(n)}
+    todo = list(roots)
+    while todo:
+        root = todo.pop()
+        for i, row in enumerate(form):
+            pairing = sum(f * x for f, x in zip(row, root))
+            if pairing < 0:
+                image = root[:i] + (root[i] - pairing,) + root[i + 1 :]
+                if image not in roots:
+                    roots.add(image)
+                    todo.append(image)
+    return tuple(max(root[v] for root in roots) for v in range(n))
+
+
+def _nakayama_bound(algebra, p):
+    """Largest dimension at each vertex over the indecomposable projectives
+    of a Nakayama algebra, or None unless every vertex has at most one
+    arrow in and one out and every relation survives mod p as its path.
+    Parallel paths of one length coincide in such a quiver, so each
+    relation is one path c w; with c a unit mod p the F_p algebra kills the
+    same paths as the rational one and has its Cartan matrix."""
     q = algebra.quiver
     n = len(q.vertices)
-    shape = sorted(
-        (q.arrow_source(a), q.arrow_target(a)) for a in range(len(q.arrows))
-    )
-    rels = algebra.relation_terms
-    quadratic = all(
-        len(arrows) == 2 for rel in rels for _, arrows in rel
-    )
-    if not shape:
-        # semisimple: products of copies of the base field
-        return (3,) * n
-    if n == 1 and shape == [(0, 0)] and len(rels) == 1 and quadratic:
-        # dual numbers: one loop squaring to zero
-        return (3,)
-    if n == 2 and shape == [(0, 1)] and not rels:
-        return (3, 3)
-    if n == 2 and shape == [(0, 1), (1, 0)] and len(rels) == 1 and quadratic:
-        # one composite of the two opposite arrows killed
-        return (3, 3)
-    if n == 3 and not rels and len(shape) == 2:
-        (s, t), (u, w) = shape
-        if len({s, t, u, w}) == 3 and (t == u or w == s):
-            # a directed path, so interval modules only; keeps the subset
-            # machinery cheap
-            return (1, 1, 1)
-    return None
+    ends = [s for _, s, _ in q.arrows], [t for _, _, t in q.arrows]
+    if any(len(set(side)) < len(side) for side in ends):
+        return None
+    if any(_coeff_mod(coeff, p) == 0 for rel in algebra.relation_terms for coeff, _ in rel):
+        return None
+    projectives = [algebra.projective_dim_vector(u) for u in range(n)]
+    return tuple(max(dims[v] for dims in projectives) for v in range(n))
 
 
-def _resolve_bound(algebra, dim_bound):
+def _certified_bound(algebra, field=None):
+    """Per-vertex cap that reaches every indecomposable over F_p, or None.
+
+    Two rules, decided on the algebra over F_p:
+    - Dynkin: a positive definite Tits form leaves a forest of simply
+      laced Dynkin trees Q.  Every kQ/I-module is a kQ-module, so its
+      indecomposables have positive roots of Q as dimension vectors
+      (Gabriel, Unzerlegbare Darstellungen I, 1972); relations are not
+      read.
+    - Nakayama: at most one arrow in and one out at each vertex, each
+      relation a path with a unit coefficient.  Every indecomposable is
+      uniserial, a quotient of an indecomposable projective
+      (Auslander-Reiten-Smalo, Representation theory of Artin algebras,
+      IV.2), so the projectives' dimension vectors bound it.
+    """
+    q = algebra.quiver
+    if tits_form_positive_definite(q):
+        return _root_bound(q)
+    return _nakayama_bound(algebra, _field_of(algebra, field))
+
+
+def _resolve_bound(algebra, p, dim_bound):
     n = len(algebra.quiver.vertices)
     if dim_bound is None:
-        bound = _certified_bound(algebra)
+        bound = _certified_bound(algebra, p)
         if bound is None:
             raise NotRepFiniteWithinBound(_CORPUS_BOUND_NOTE)
         return bound
@@ -832,12 +866,13 @@ def enumerate_indecomposables(algebra, field=None, dim_bound=None, config=DEFAUL
     acted on by conjugation, and rank does not determine a conjugacy class,
     so a loop keeps every matrix.
 
-    Without dim_bound the bound comes from a short table of certified
-    shapes; anything else raises NotRepFiniteWithinBound rather than guess.
+    Without dim_bound the bound comes from _certified_bound: the positive
+    roots of a Dynkin quiver, or the projectives of a Nakayama algebra.
+    Anything else raises NotRepFiniteWithinBound rather than guess.
     """
     p = _field_of(algebra, field)
     q = algebra.quiver
-    bounds = _resolve_bound(algebra, dim_bound)
+    bounds = _resolve_bound(algebra, p, dim_bound)
     if _search_size(p, bounds, q, config.oracle_search_cap) > config.oracle_search_cap:
         raise SearchSpaceExceeded(
             f"more than the cap of {config.oracle_search_cap} raw representations to search"
@@ -1155,7 +1190,8 @@ def _brute_closed_subsets(algebra, field, dim_bound, config, with_subs):
     n = len(classes)
     # torsion classes and Serre subcategories share the requirements; the
     # config is in the key because its cocycle cap can make them raise
-    p, bounds = _field_of(algebra, field), _resolve_bound(algebra, dim_bound)
+    p = _field_of(algebra, field)
+    bounds = _resolve_bound(algebra, p, dim_bound)
     key = ("closure", p, bounds, config)
     cache = algebra._oracle_cache
     if key not in cache:

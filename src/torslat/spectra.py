@@ -21,9 +21,9 @@ import os
 import re
 from collections import namedtuple
 
+from .algebras import tits_form_positive_definite
 from .config import DEFAULTS
 from .errors import CertificationFailed, CycleDetected, DuplicateId, ModelInvalid, ParseError
-from .linalg import det
 from .posets import (
     FinitePoset,
     _backtrack,
@@ -422,19 +422,12 @@ def classify_local_fibers(spec, config=DEFAULTS):
 
 def _is_dynkin(algebra):
     """Simply laced Dynkin check: no relations, n - 1 arrows and a positive
-    definite Tits form.  A positive definite form rules out loops, double
-    arrows and cycles, so the quiver is a tree, and the trees it allows are
-    exactly A, D and E."""
+    definite Tits form.  A positive definite form leaves a forest of A, D
+    and E trees, and a forest on n vertices with n - 1 edges is one tree."""
     q = algebra.quiver
-    n = len(q.vertices)
-    if algebra.relation_terms or len(q.arrows) != n - 1:
+    if algebra.relation_terms or len(q.arrows) != len(q.vertices) - 1:
         return False
-    # 2I - (A + A^T), A the arrow-count matrix: twice the Tits form
-    form = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _, s, t in q.arrows:
-        form[s][t] -= 1
-        form[t][s] -= 1
-    return all(det([row[:k] for row in form[:k]]) > 0 for k in range(1, n + 1))
+    return tits_form_positive_definite(q)
 
 
 def cambrian_classification(algebra, spec, config=DEFAULTS):

@@ -12,6 +12,7 @@ from torslat.algebras import (
     cartan_matrix,
     hom_projectives,
     parse_algebra,
+    tits_form_positive_definite,
 )
 from torslat.config import Config
 from torslat.errors import (
@@ -250,10 +251,15 @@ class TestMultiplication:
         assert left == right
 
 
-def path_algebra(n, edges, relations=()):
+def quiver(n, edges):
     """Vertices 1..n and one arrow x<k> per (source, target) edge."""
-    arrows = [(f"x{k}", str(a), str(b)) for k, (a, b) in enumerate(edges)]
-    return build_algebra(Quiver([str(v) for v in range(1, n + 1)], arrows), relations)
+    return Quiver([str(v) for v in range(1, n + 1)], [
+        (f"x{k}", str(a), str(b)) for k, (a, b) in enumerate(edges)
+    ])
+
+
+def path_algebra(n, edges, relations=()):
+    return build_algebra(quiver(n, edges), relations)
 
 
 def linear(n):
@@ -341,6 +347,39 @@ class TestAssociativityCheck:
             self.corrupted(leak)._check_associativity()
         with pytest.raises(CertificationFailed):
             associative_on_all_triples(self.corrupted(leak))
+
+
+class TestTitsForm:
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (1, []),
+            (2, []),
+            (3, [(1, 2)]),
+            (5, [(1, 2), (3, 4), (4, 5)]),
+            (7, [(1, 2), (3, 4), (4, 5), (6, 5), (5, 7)]),
+            (8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)]),
+        ],
+        ids=["A1", "kxk", "A2+A1", "A2+A3", "A2+D4", "E8"],
+    )
+    def test_dynkin_forests_accepted(self, n, edges):
+        assert tits_form_positive_definite(quiver(n, edges))
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (1, [(1, 1)]),
+            (2, [(1, 2), (1, 2)]),
+            (2, [(1, 2), (2, 1)]),
+            (3, [(1, 2), (2, 3), (1, 3)]),
+            (6, [(1, 2), (3, 4), (3, 5), (3, 6), (6, 3)]),
+            (7, [(1, 2), (3, 5), (4, 5), (5, 6), (5, 7)]),
+        ],
+        ids=["loop", "Kronecker", "2-cycle", "triangle", "A2+2-cycle", "A2+D4~"],
+    )
+    def test_other_quivers_refused(self, n, edges):
+        # one component that is not Dynkin is enough
+        assert not tits_form_positive_definite(quiver(n, edges))
 
 
 class TestHomProjectives:

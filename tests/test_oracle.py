@@ -306,9 +306,15 @@ class TestEnumerate:
         [("a", "2", "1"), ("b", "2", "3")],
         [("a", "1", "2"), ("b", "3", "2")],
     ], ids=["V", "Lambda"])
-    def test_undirected_a3_needs_explicit_bound(self, arrows):
-        with pytest.raises(NotRepFiniteWithinBound):
-            enumerate_indecomposables(_no_relations(3, arrows))
+    def test_undirected_a3_certified_by_its_roots(self, arrows):
+        # every orientation of A3 is Dynkin, so its positive roots bound it
+        alg = _no_relations(3, arrows)
+        assert oracle._certified_bound(alg) == (1, 1, 1)
+        for brute in (brute_torsion_classes, brute_serre):
+            certified, given = brute(alg), brute(alg, dim_bound=1)
+            assert (certified.ids, certified.labels, certified.up, certified.covers) == (
+                given.ids, given.labels, given.up, given.covers
+            )
 
     def test_kronecker_small_bound(self):
         classes = enumerate_indecomposables(KRON, dim_bound=(1, 1))
@@ -317,8 +323,10 @@ class TestEnumerate:
     def test_search_cap(self):
         with pytest.raises(SearchSpaceExceeded):
             enumerate_indecomposables(KRON, dim_bound=4)
+        # A2's certified (1, 1) searches 4 representations, so the Config
+        # cap is checked on an explicit bound
         with pytest.raises(SearchSpaceExceeded):
-            enumerate_indecomposables(A2, config=Config(oracle_search_cap=100))
+            enumerate_indecomposables(A2, dim_bound=3, config=Config(oracle_search_cap=100))
 
     def test_refusal_stops_counting_at_the_cap(self):
         # about 10^1445 raw representations: counting stops at the cap, so
@@ -1744,3 +1752,161 @@ class TestGoldenOracle:
         for tag, poset in (("tors", tors), ("serre", brute_serre(alg, dim_bound=bound))):
             assert list(poset.ids) == want[tag]["ids"]
             assert sorted(list(c) for c in poset.covers) == want[tag]["covers"]
+
+
+def _presented(vertices, arrows, relations):
+    return build_algebra(Quiver(vertices, arrows), relations)
+
+
+def _names(n):
+    return [str(v) for v in range(1, n + 1)]
+
+
+_CYCLE = [("b", "1", "2"), ("g", "2", "1")]
+_LOOP = [("e", "1", "1")]
+_N3_ARROWS = [("a1", "1", "2"), ("a2", "2", "3"), ("a3", "3", "1")]
+
+# (name, vertex count, arrows, relations): Dynkin quivers, some with
+# relations, and Nakayama algebras
+BOUND_INPUTS = [
+    ("A1", 1, [], []),
+    ("A2", 2, [("a", "1", "2")], []),
+    ("A2 reversed", 2, [("a", "2", "1")], []),
+    ("A3 1>2>3", 3, [("a", "1", "2"), ("b", "2", "3")], []),
+    ("A3 1>2<3", 3, [("a", "1", "2"), ("b", "3", "2")], []),
+    ("A3 1<2>3", 3, [("a", "2", "1"), ("b", "2", "3")], []),
+    ("A3 1<2<3", 3, [("a", "2", "1"), ("b", "3", "2")], []),
+    ("A2+A1", 3, [("a", "1", "2")], []),
+    ("kxk", 2, [], []),
+    ("D4", 4, [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")], []),
+    ("dual numbers", 1, _LOOP, [[(1, ["e", "e"])]]),
+    ("k[x]/(x^3)", 1, _LOOP, [[(1, ["e", "e", "e"])]]),
+    ("bg", 2, _CYCLE, [[(1, ["b", "g"])]]),
+    ("gb", 2, _CYCLE, [[(1, ["g", "b"])]]),
+    ("A3 with ba killed", 3, [("a", "1", "2"), ("b", "2", "3")], [[(1, ["b", "a"])]]),
+    ("N3", 3, _N3_ARROWS, [[(1, ["a2", "a1"])], [(1, ["a3", "a2"])], [(1, ["a1", "a3"])]]),
+]
+# over F_3, k[x]/(x^3) takes 0.9 s at its bound
+TIGHT_CASES = [
+    (name, n, arrows, relations, p)
+    for name, n, arrows, relations in BOUND_INPUTS
+    for p in (2, 3)
+    if (name, p) != ("k[x]/(x^3)", 3)
+]
+# the box one larger holds more than COMPLETENESS_CAP raw representations,
+# a sweep of seconds or more
+TOO_BIG_ONE_LARGER = {
+    ("D4", 2), ("D4", 3), ("k[x]/(x^3)", 2), ("bg", 3), ("gb", 3), ("N3", 3),
+}
+COMPLETENESS_CAP = 2 ** 15
+
+
+def _bound_cases(cases):
+    return pytest.mark.parametrize(
+        "n, arrows, relations, p", [case[1:] for case in cases],
+        ids=[f"{case[0]} over F_{case[-1]}" for case in cases],
+    )
+
+
+def _star(*arms):
+    """A tree with arms of the given lengths around vertex 1, each arm
+    listed outward, arrows pointing away from the centre."""
+    arrows, n = [], 1
+    for length in arms:
+        prev = 1
+        for _ in range(length):
+            n += 1
+            arrows.append((f"x{n}", str(prev), str(n)))
+            prev = n
+    return _presented(_names(n), arrows, [])
+
+
+class TestCertifiedBound:
+    @_bound_cases(TIGHT_CASES)
+    def test_bound_is_tight(self, n, arrows, relations, p):
+        alg = _presented(_names(n), arrows, relations)
+        classes = enumerate_indecomposables(alg, field=p)
+        reached = tuple(max(c.dims[v] for c in classes) for v in range(n))
+        assert oracle._certified_bound(alg, p) == reached
+
+    @_bound_cases([case for case in TIGHT_CASES if (case[0], case[-1]) not in TOO_BIG_ONE_LARGER])
+    def test_one_larger_box_finds_nothing_new(self, n, arrows, relations, p):
+        alg = _presented(_names(n), arrows, relations)
+        larger = tuple(b + 1 for b in oracle._certified_bound(alg, p))
+        assert oracle._search_size(p, larger, alg.quiver, COMPLETENESS_CAP) <= COMPLETENESS_CAP
+        at_bound = [c.key() for c in enumerate_indecomposables(alg, field=p)]
+        assert at_bound == [c.key() for c in enumerate_indecomposables(alg, field=p, dim_bound=larger)]
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_relisting_permutes_the_bound(self, data):
+        _, n, arrows, relations = data.draw(st.sampled_from(BOUND_INPUTS))
+        p = data.draw(st.sampled_from([2, 3]))
+        order = data.draw(st.permutations(_names(n)))
+        listed = data.draw(st.permutations(arrows))
+        bound = oracle._certified_bound(_presented(_names(n), arrows, relations), p)
+        relisted = oracle._certified_bound(_presented(order, listed, relations), p)
+        assert relisted == tuple(bound[int(v) - 1] for v in order)
+
+    @pytest.mark.parametrize(
+        "arms, highest",
+        [
+            ((2, 2), (1, 1, 1, 1, 1)),
+            ((1, 1, 1), (2, 1, 1, 1)),
+            ((1, 1, 2), (2, 1, 1, 2, 1)),
+            ((1, 2, 2), (3, 2, 2, 1, 2, 1)),
+            ((1, 2, 3), (4, 2, 3, 2, 3, 2, 1)),
+            ((1, 2, 4), (6, 3, 4, 2, 5, 4, 3, 2)),
+        ],
+        ids=["A5", "D4", "D5", "E6", "E7", "E8"],
+    )
+    def test_roots_reach_the_highest_root(self, arms, highest):
+        # the highest root (Bourbaki's tables) bounds every positive root;
+        # tightness alone cannot see a bound too small, and D4's box one
+        # larger is too big to sweep
+        assert oracle._certified_bound(_star(*arms)) == highest
+
+    @pytest.mark.parametrize(
+        "make", [algebra_kronecker, _square, _preprojective_a3, _triangle],
+        ids=["Kronecker", "square", "preprojective A3", "triangle"],
+    )
+    def test_off_both_rules_refused(self, make):
+        alg = make()
+        for p in (2, 3):
+            assert oracle._certified_bound(alg, p) is None
+            with pytest.raises(NotRepFiniteWithinBound):
+                enumerate_indecomposables(alg, field=p)
+
+    @pytest.mark.parametrize(
+        "arrows, relations, unit, bound",
+        [
+            (_LOOP, [[(2, ["e", "e"])]], algebra_dual_numbers, (2,)),
+            (_CYCLE, [[(2, ["b", "g"])]], algebra_beta_gamma, (2, 1)),
+        ],
+        ids=["2ee", "2bg"],
+    )
+    def test_relation_vanishing_mod_p_is_refused(self, arrows, relations, unit, bound):
+        # over F_2 the relation is 0, which leaves k[x] and the 2-cycle
+        # without relations, both representation infinite
+        alg = _presented(_names(len(bound)), arrows, relations)
+        assert oracle._certified_bound(alg, 2) is None
+        for call in (enumerate_indecomposables, brute_torsion_classes, brute_serre):
+            with pytest.raises(NotRepFiniteWithinBound):
+                call(alg, field=2)
+        # over F_3, 2 is a unit: the algebra of the unit presentation
+        assert oracle._certified_bound(alg, 3) == bound
+        assert [c.key() for c in enumerate_indecomposables(alg, field=3)] == [
+            c.key() for c in enumerate_indecomposables(unit(), field=3)
+        ]
+
+    def test_corpus_bounds(self):
+        # oracle-crosscheck runs the corpus with no dim_bound, so a rule
+        # that stops covering one of these moves the benchmark
+        assert {name: oracle._certified_bound(alg) for name, alg in corpus()} == {
+            "a1": (1,),
+            "a2": (1, 1),
+            "a3": (1, 1, 1),
+            "kxk": (1, 1),
+            "dual-numbers": (2,),
+            "beta-gamma": (2, 1),
+        }
