@@ -24,6 +24,7 @@ from .errors import (
     NotAdmissible,
     NotFiniteDimensional,
     ParseError,
+    ShapeMismatch,
 )
 from .linalg import Echelon, det, exact_div, intify, vec_add_scaled
 
@@ -529,13 +530,23 @@ def build_algebra(quiver, relations, config=DEFAULTS):
     return PathAlgebra(quiver, relations, config)
 
 
+def _vertex_of(algebra, token):
+    """The index of a vertex given by its name or its index; a bool, an
+    index out of range or an unknown name raises ShapeMismatch."""
+    q = algebra.quiver
+    if isinstance(token, str) and token in q.vertex_index:
+        return q.vertex_index[token]
+    # bool is an int subclass, but True names no vertex
+    if isinstance(token, int) and not isinstance(token, bool) and 0 <= token < len(q.vertices):
+        return token
+    raise ShapeMismatch(f"unknown vertex {token!r}")
+
+
 def hom_projectives(algebra, i, j):
     """Basis of Hom(A e_i, A e_j) as elements of e_i A e_j; a basis map acts
-    by right multiplication, and composition is algebra multiplication."""
-    if isinstance(i, str):
-        i = algebra.quiver.vertex_index[i]
-    if isinstance(j, str):
-        j = algebra.quiver.vertex_index[j]
+    by right multiplication, and composition is algebra multiplication.
+    The vertices are names or indices."""
+    i, j = _vertex_of(algebra, i), _vertex_of(algebra, j)
     return [algebra.basis_element(b) for b in algebra.corner_indices(i, j)]
 
 

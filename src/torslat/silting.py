@@ -32,7 +32,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebras import AlgebraElement, _signed_terms
+from .algebras import AlgebraElement, _signed_terms, _vertex_of
 from .config import DEFAULTS
 from .errors import (
     CapExceeded,
@@ -187,14 +187,6 @@ def _compose(algebra, f, g):
                 key = (n, r, c, p)
                 out[key] = out.get(key, 0) + x * y * z
     return {key: x for key, x in out.items() if x}
-
-
-def _vertex_of(algebra, token):
-    if token in algebra.quiver.vertex_index:
-        return algebra.quiver.vertex_index[token]
-    if isinstance(token, int) and 0 <= token < len(algebra.quiver.vertices):
-        return token
-    raise ShapeMismatch(f"unknown vertex {token!r}")
 
 
 def two_term(algebra, minus, zero, entries):
@@ -576,37 +568,30 @@ def _rational_roots(poly):
     return sorted(roots)
 
 
-class _TopAlgebra:
-    """The tops of the chain endomorphisms of a reduced complex, with the
-    operations needed for idempotent hunting: a minimal polynomial, its
-    rational roots and one solve per split (_split_on).
+def _top(algebra, f):
+    """The trivial-path entries of a graded map f."""
+    return {key: x for key, x in f.items() if algebra.basis_length(key[3]) == 0}
 
-    An element is a sparse dict (n, r, c) -> trivial-path coefficient of
-    the (r, c) entry in degree n.  basis is a list of linearly independent
-    tops spanning the algebra and unit is the identity.  All of them are
-    int dicts: the basis may be the tops times one positive integer, which
-    changes no idempotent found (see _split_on).  Fractions appear only
-    where a solve returns them, in the minimal polynomial and the c of
+
+class _ChainEndomorphisms:
+    """Chain endomorphisms of a reduced complex as graded maps, multiplied
+    by _compose, with the operations needed for idempotent hunting: a
+    minimal polynomial, its rational roots and one solve per split
+    (_split_on).
+
+    basis is a list of chain maps whose tops are linearly independent and
+    span the algebra of tops, and unit is the identity.  All of them are
+    int dicts: the basis may be chain maps times one positive integer,
+    which changes no idempotent found (see _split_on).  Fractions appear
+    only where a solve returns them, in the minimal polynomial and the c of
     _split_on, and an idempotent e is returned as the int dict D e with
     its positive integer D.
     """
 
-    def __init__(self, basis, unit):
+    def __init__(self, algebra, basis, unit):
+        self.algebra = algebra
         self.basis = basis
         self.unit = unit
-
-    @staticmethod
-    def mul(a, b):
-        """a then b, degree by degree: (n, r, c) = sum_m a(n, m, c) b(n, r, m)."""
-        by_source = {}
-        for (n, r, m), y in b.items():
-            by_source.setdefault((n, m), []).append((r, y))
-        out = {}
-        for (n, m, c), x in a.items():
-            for r, y in by_source.get((n, m), ()):
-                key = (n, r, c)
-                out[key] = out.get(key, 0) + x * y
-        return {key: x for key, x in out.items() if x}
 
     def min_poly(self, a):
         """(poly, powers): the monic minimal polynomial of a, lowest
@@ -616,7 +601,7 @@ class _TopAlgebra:
         powers = [self.unit]
         cur = self.unit
         while True:
-            cur = self.mul(cur, a)
+            cur = _compose(self.algebra, cur, a)
             if ech.insert(cur) is None:
                 coeffs = express_in_span(powers, cur)
                 poly = [-coeffs.get(i, 0) for i in range(len(powers))]
@@ -629,9 +614,12 @@ class _TopAlgebra:
 
         Candidates are tried in turn until one splits by _split_on: a
         basis of the centre, then the basis, its pairwise sums and its
-        pairwise products.  Each is formed only when every candidate
-        before it has failed; the products are formed once, for the
-        centre.
+        pairwise products, each formed only when every candidate before it
+        has failed.  A candidate splits as its top does, so the centre is
+        solved on the tops of the basis, and each central top is taken with
+        the same combination of the basis: the candidates, and the splits
+        they give, are those of the algebra of tops.  The span of the basis
+        is no subalgebra, so z b = b z solved over it can give other ones.
         """
         for s in self._candidates():
             found = self._split_on(s)
@@ -640,10 +628,11 @@ class _TopAlgebra:
         return None
 
     def _candidates(self):
-        basis = self.basis
+        algebra, basis = self.algebra, self.basis
         dim = len(basis)
-        prods = [[self.mul(x, y) for y in basis] for x in basis]
-        # center: solve z b_k = b_k z for all k
+        tops = [_top(algebra, x) for x in basis]
+        prods = [[_compose(algebra, x, y) for y in tops] for x in tops]
+        # centre of the tops: solve z t_k = t_k z for all k
         rows = []
         for k in range(dim):
             comm = {}
@@ -669,24 +658,29 @@ class _TopAlgebra:
         for i in range(dim):
             for j in range(dim):
                 if i != j:
-                    yield prods[i][j]
+                    yield _compose(algebra, basis[i], basis[j])
 
     def _split_on(self, s):
         """The Fitting idempotent e of s as (D e, D), or None.
 
         Let lam = a / q (q > 0) be the first rational root of the minimal
         polynomial of s, of degree n, and u = (q s - a)^m, m >= n.  By
-        Fitting's lemma Q[s] is the product of the generalised lam-part,
-        where u = 0, and the rest, where u is a unit.  So u^2 c = u has a
-        solution c in Q[s], found by one exact solve over the columns
-        u^2 s^i (where Fractions appear), and e = u c is 0 on the generalised
+        Fitting's lemma, which holds in any finite-dimensional algebra,
+        Q[s] is the product of the generalised lam-part, where u = 0, and
+        the rest, where u is a unit.  So u^2 c = u has a solution c in
+        Q[s], found by one exact solve over the columns u^2 s^i (where
+        Fractions appear), and e = u c is 0 on the generalised
         lam-eigenspace and 1 on the rest, whichever c is taken.  u = 0
         exactly when the minimal polynomial is a power of x - lam: then s
         has one eigenvalue and gives no split.  A positive multiple t s has
         the roots t lam in the same order and the same eigenspaces, so it
-        gives the same e.  D is the least positive integer that makes D e
-        an int dict, and D e is checked idempotent as (D e)^2 = D (D e).
+        gives the same e.  Taking tops maps Q[s] onto Q[top s] with a
+        nilpotent kernel, so s splits exactly when its top does, and the top
+        of e is the Fitting idempotent of the top of s.  D is the least
+        positive integer that makes D e an int dict, and D e is checked
+        idempotent as (D e)^2 = D (D e).
         """
+        algebra = self.algebra
         poly, powers = self.min_poly(s)
         roots = _rational_roots(poly)
         if not roots:
@@ -696,18 +690,18 @@ class _TopAlgebra:
         vec_add_scaled(u, self.unit, -lam.numerator)
         m = 1
         while m < len(powers) and u:
-            u, m = self.mul(u, u), 2 * m
+            u, m = _compose(algebra, u, u), 2 * m
         if not u:
             return None
-        u2 = self.mul(u, u)
-        c = express_in_span([self.mul(u2, x) for x in powers], u)
+        u2 = _compose(algebra, u, u)
+        c = express_in_span([_compose(algebra, u2, x) for x in powers], u)
         if c is None:
             raise CertificationFailed("u^2 c = u has no solution in Q[s]")
         c_el = {}
         for i, x in c.items():
             vec_add_scaled(c_el, powers[i], x)
-        d, (e,) = int_scale([self.mul(u, c_el)])
-        if self.mul(e, e) != {key: d * x for key, x in e.items()}:
+        d, (e,) = int_scale([_compose(algebra, u, c_el)])
+        if _compose(algebra, e, e) != {key: d * x for key, x in e.items()}:
             raise CertificationFailed("Fitting idempotent is not idempotent")
         return e, d
 
@@ -720,61 +714,38 @@ def decompose(algebra, P):
     coefficients in each degree.  Taking tops is multiplicative, kills every
     null homotopy (the differential is radical) and has a nilpotent kernel,
     so P splits exactly when the algebra of tops has an idempotent other
-    than 0 and 1.  The search of _TopAlgebra splits Q[s] for candidate
-    tops s at a rational eigenvalue, one solve per split (Fitting's lemma).
-    The idempotent is lifted to a chain map with that top, made exact by
-    Newton iteration and split degreewise.  If no splitting idempotent is
-    found the complex is returned whole.
+    than 0 and 1, and chain maps whose tops form a basis of it are enough
+    to search.  The search of _ChainEndomorphisms splits Q[s] for candidate
+    chain maps s at a rational eigenvalue, one solve per split (Fitting's
+    lemma), and returns an exact idempotent chain map, which is split
+    degreewise.  If no splitting idempotent is found the complex is
+    returned whole.
 
     Coefficients are ints wherever they are integral.  The chain maps come
-    from _chain_maps, scaled to int graded maps, their tops are int dicts,
-    and the search returns D e for an idempotent top e, its Fractions kept
-    inside its solves.  e is divided out once, when D e is written in the
-    tops; the lift of e, its Newton iteration and the split then stay on
-    ints unless a value is not integral, and only such a value is a
-    Fraction.
+    from _chain_maps, scaled to int graded maps, and the search returns D e
+    for an idempotent e, its Fractions kept inside its solves.  e is
+    divided out once, so the split stays on ints unless a value is not
+    integral, and only such a value is a Fraction.
     """
     P = _as_complex(algebra, P)
     _require_reduced(algebra, P)
     if P.is_zero():
         return []
     ech = IntEchelon()
-    tops = []
-    lifts = []
-    for z in int_scale(_chain_maps(algebra, P, P))[1]:
-        top = {(n, r, c): x for (n, r, c, b), x in z.items() if algebra.basis_length(b) == 0}
-        if ech.insert(top) is not None:
-            tops.append(top)
-            lifts.append(z)
-    if len(tops) <= 1:
+    chains = int_scale(_chain_maps(algebra, P, P))[1]
+    basis = [z for z in chains if ech.insert(_top(algebra, z)) is not None]
+    if len(basis) <= 1:
         return [P]
     one = {
         (n, r, r, algebra.idempotent_index(v)): 1
         for n, t in P.summands.items()
         for r, v in enumerate(t)
     }
-    found = _TopAlgebra(tops, {key[:3]: 1 for key in one}).find_idempotent()
+    found = _ChainEndomorphisms(algebra, basis, one).find_idempotent()
     if found is None:
         return [P]
-    e_top, d = found
-    coeffs = express_in_span(tops, e_top)
-    if coeffs is None:
-        raise CertificationFailed("idempotent outside the algebra of tops")
-    e = {}
-    for i, x in coeffs.items():
-        vec_add_scaled(e, lifts[i], x)
+    e, d = found
     e = {key: exact_div(x, d) for key, x in e.items()}
-    # Newton iteration e <- 3 e^2 - 2 e^3 to an exact idempotent in the
-    # genuine endomorphism ring
-    for _ in range(60):
-        sq = _compose(algebra, e, e)
-        if sq == e:
-            break
-        cube = _compose(algebra, sq, e)
-        e = {key: 3 * x for key, x in sq.items()}
-        vec_add_scaled(e, cube, -2)
-    else:
-        raise CertificationFailed("idempotent lifting did not converge")
     one_minus = dict(one)
     vec_add_scaled(one_minus, e, -1)
     left = _split_part(P, e)
@@ -973,6 +944,13 @@ class SiltingObject:
             raise NotSilting("summand g-vectors not distinct")
         if not is_presilting(self.algebra, self.total()):
             raise NotPresilting("object is not presilting")
+        for s in self.summands:
+            if s.size() == 1:
+                continue  # a single projective is reduced and indecomposable
+            if next(_unit_entries(self.algebra, s.summands, s.diff), None) is not None:
+                raise NotSilting("a summand is not reduced")
+            if len(decompose(self.algebra, s)) != 1:
+                raise NotSilting("a summand is decomposable")
 
     def total(self):
         return direct_sum(self.summands)

@@ -21,6 +21,7 @@ from torslat.errors import (
     NotAdmissible,
     NotFiniteDimensional,
     ParseError,
+    ShapeMismatch,
 )
 from torslat.fixtures import corpus
 
@@ -406,6 +407,21 @@ class TestHomProjectives:
         # apply g then f: P3 -> P1 is right multiplication by g*f
         (h,) = hom_projectives(A, "3", "1")
         assert g * f == h
+
+    def test_indices_name_the_same_vertices(self):
+        A = linear(3)
+        assert [repr(f) for f in hom_projectives(A, 1, 0)] == ["x0"]
+        for i, v in enumerate(A.quiver.vertices):
+            for j, w in enumerate(A.quiver.vertices):
+                assert hom_projectives(A, i, j) == hom_projectives(A, v, w)
+
+    @pytest.mark.parametrize("token", [5, -1, True, False, "9", 1.0])
+    def test_unknown_vertex_refused(self, token):
+        # a bool is no index, although bool is an int subclass
+        with pytest.raises(ShapeMismatch):
+            hom_projectives(linear(3), token, 0)
+        with pytest.raises(ShapeMismatch):
+            hom_projectives(linear(3), 0, token)
 
 
 class TestElements:

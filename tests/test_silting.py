@@ -23,13 +23,13 @@ from torslat.errors import (
     ParseError,
     ShapeMismatch,
 )
-from torslat.fixtures import corpus
+from torslat.fixtures import algebra_a1, corpus
 from torslat.linalg import Echelon, express_in_span, solve, vec_add_scaled
 from torslat.posets import build_poset, lattice_ops
 from torslat.silting import (
     Complex,
     SiltingObject,
-    _TopAlgebra,
+    _ChainEndomorphisms,
     _compose,
     _delta,
     _euler_pairing,
@@ -186,6 +186,17 @@ class TestConstruction:
     def test_wrong_column_count_rejected(self):
         with pytest.raises(ShapeMismatch):
             two_term(A2, ["2", "2"], ["1"], [[0]])
+
+    @pytest.mark.parametrize("token", [True, False, 3, -1, "9", "e1"])
+    def test_unknown_vertex_refused(self, token):
+        with pytest.raises(ShapeMismatch):
+            stalk(A3, [token])
+        with pytest.raises(ShapeMismatch):
+            two_term(A3, [token], [], [])
+
+    def test_vertices_by_name_or_index(self):
+        assert stalk(A3, ["1", "3"]) == stalk(A3, [0, 2])
+        assert stalk(A3, ["1", "3"]).summands == {0: (0, 2)}
 
     def test_stalk_degrees(self):
         P = stalk(A2, [0], 0)
@@ -820,28 +831,77 @@ class TestDecompose:
             )
 
 
-def top(rows):
-    """A _TopAlgebra element in degree 0 from a matrix, rows[r][c] the
-    (r, c) entry."""
-    return {(0, r, c): x for r, row in enumerate(rows) for c, x in enumerate(row) if x}
+def graded(rows):
+    """A graded map on a stalk of len(rows) copies of the projective of
+    algebra_a1(), whose chain endomorphisms are M_n(Q), from a matrix:
+    rows[r][c] is the (r, c) entry, keyed (0, r, c, b) for the trivial path
+    b."""
+    b = algebra_a1().idempotent_index(0)
+    return {(0, r, c, b): x for r, row in enumerate(rows) for c, x in enumerate(row) if x}
 
 
-def identity_top(n):
-    return top([[int(r == c) for c in range(n)] for r in range(n)])
+def matrix_endomorphisms(n):
+    A = algebra_a1()
+    return _ChainEndomorphisms(A, [], identity_map(stalk(A, [0] * n)))
 
 
-def fitting_u(tops, s):
+def top_of(algebra, f):
+    """The top of a graded map, keyed (n, r, c) as top_mul multiplies it."""
+    return {key[:3]: x for key, x in f.items() if algebra.basis_length(key[3]) == 0}
+
+
+def top_mul(a, b):
+    """a then b on tops, degree by degree: (n, r, c) = sum_m a(n, m, c)
+    b(n, r, m).  An independent product for the reference below."""
+    by_source = {}
+    for (n, r, m), y in b.items():
+        by_source.setdefault((n, m), []).append((r, y))
+    out = {}
+    for (n, m, c), x in a.items():
+        for r, y in by_source.get((n, m), ()):
+            out[(n, r, c)] = out.get((n, r, c), 0) + x * y
+    return {key: x for key, x in out.items() if x}
+
+
+def fitting_top(t, unit):
+    """The Fitting idempotent of the top t at the first rational root a / q
+    of its minimal polynomial, of degree n, from top_mul alone: u = (q t -
+    a)^n and e = u c for any c in Q[t] with u^2 c = u.  None when the
+    polynomial has no rational root or u = 0 (t has one eigenvalue)."""
+    ech, powers, cur = Echelon(), [unit], unit
+    ech.insert(unit)
+    while ech.insert(cur := top_mul(cur, t)) is not None:
+        powers.append(cur)
+    coeffs = express_in_span(powers, cur)
+    roots = silting_module._rational_roots([-coeffs.get(i, 0) for i in range(len(powers))] + [1])
+    if not roots:
+        return None
+    lam = Fraction(roots[0])
+    base = {key: lam.denominator * x for key, x in t.items()}
+    vec_add_scaled(base, unit, -lam.numerator)
+    u = base
+    for _ in range(len(powers) - 1):
+        u = top_mul(u, base)
+    if not u:
+        return None
+    u2 = top_mul(u, u)
+    c = express_in_span([top_mul(u2, x) for x in powers], u)
+    e = {}
+    for i, x in c.items():
+        vec_add_scaled(e, top_mul(u, powers[i]), x)
+    return e
+
+
+def fitting_u(chains, s):
     """(q s - a)^n for the first rational root a / q of the minimal
     polynomial of s, of degree n, by n - 1 products."""
-    poly, powers = tops.min_poly(s)
+    poly, powers = chains.min_poly(s)
     lam = silting_module._rational_roots(poly)[0]
     t = {key: lam.denominator * x for key, x in s.items()}
-    for key, x in tops.unit.items():
-        t[key] = t.get(key, 0) - lam.numerator * x
-    t = {key: x for key, x in t.items() if x}
+    vec_add_scaled(t, chains.unit, -lam.numerator)
     u = t
     for _ in range(len(powers) - 1):
-        u = tops.mul(u, t)
+        u = _compose(chains.algebra, u, t)
     return u, powers
 
 
@@ -860,8 +920,8 @@ class TestFittingIdempotent:
         ids=["diagonal", "jordan-block", "irrational-rest"],
     )
     def test_hand_built_idempotents(self, rows, expected, d):
-        tops = _TopAlgebra([], identity_top(len(rows)))
-        assert tops._split_on(top(rows)) == (top(expected), d)
+        chains = matrix_endomorphisms(len(rows))
+        assert chains._split_on(graded(rows)) == (graded(expected), d)
 
     @pytest.mark.parametrize(
         "rows",
@@ -869,33 +929,37 @@ class TestFittingIdempotent:
         ids=["single-eigenvalue", "scalar", "no-rational-root"],
     )
     def test_no_split(self, rows):
-        assert _TopAlgebra([], identity_top(len(rows)))._split_on(top(rows)) is None
+        assert matrix_endomorphisms(len(rows))._split_on(graded(rows)) is None
 
     @pytest.mark.parametrize(
         "A", [A3, D4, N4, PI_A3], ids=["A3", "D4", "N4", "preprojective A3"]
     )
     def test_idempotents_found_while_decomposing(self, A, monkeypatch):
         # e in Q[s], u (1 - e) = 0 and e in u Q[s] pin e: it is 1 where u is
-        # a unit and 0 on the generalised eigenspace, where u = 0
-        real = _TopAlgebra._split_on
+        # a unit and 0 on the generalised eigenspace, where u = 0; a
+        # candidate splits exactly when its top does, and the top of e is
+        # the Fitting idempotent of the top of s
+        real = _ChainEndomorphisms._split_on
         seen = []
 
-        def checked(tops, s):
-            found = real(tops, s)
+        def checked(chains, s):
+            found = real(chains, s)
+            want = fitting_top(top_of(A, s), top_of(A, chains.unit))
+            assert (found is None) == (want is None)
             if found is not None:
                 e, d = found
-                u, powers = fitting_u(tops, s)
+                assert top_of(A, e) == {key: d * x for key, x in want.items()}
+                u, powers = fitting_u(chains, s)
                 assert u
                 assert express_in_span(powers, e) is not None
-                one_minus = {key: d * x for key, x in tops.unit.items()}
-                for key, x in e.items():
-                    one_minus[key] = one_minus.get(key, 0) - x
-                assert tops.mul(u, {k: x for k, x in one_minus.items() if x}) == {}
-                assert express_in_span([tops.mul(u, p) for p in powers], e) is not None
+                one_minus = {key: d * x for key, x in chains.unit.items()}
+                vec_add_scaled(one_minus, e, -1)
+                assert _compose(A, u, one_minus) == {}
+                assert express_in_span([_compose(A, u, p) for p in powers], e) is not None
                 seen.append(d)
             return found
 
-        monkeypatch.setattr(_TopAlgebra, "_split_on", checked)
+        monkeypatch.setattr(_ChainEndomorphisms, "_split_on", checked)
         enumerate_2silt(A)
         assert seen
 
@@ -964,6 +1028,17 @@ class TestSiltingObject:
     def test_wrong_summand_count_rejected(self):
         with pytest.raises(NotSilting):
             SiltingObject(A2, [stalk(A2, [0], 0)])
+
+    def test_decomposable_summand_rejected(self):
+        # P1 + P2 is no indecomposable summand, and P2 would occur twice
+        with pytest.raises(NotSilting):
+            SiltingObject(A2, [stalk(A2, ["1", "2"]), stalk(A2, ["2"])])
+
+    def test_summand_that_is_not_reduced_rejected(self):
+        # contractible(), the identity P1 -> P1, is zero in the homotopy
+        # category: presilting, yet no summand
+        with pytest.raises(NotSilting):
+            SiltingObject(A2, [contractible(), stalk(A2, ["2"])])
 
     def test_repeated_g_vector_rejected(self):
         with pytest.raises(NotSilting):
@@ -1348,6 +1423,16 @@ class TestGoldenLattices:
         assert list(got.ids) == want["ids"]
         assert list(got.labels) == want["labels"]
         assert sorted(list(c) for c in got.covers) == want["covers"]
+
+    @pytest.mark.parametrize("name", ["D4", "N4", "PI_A3"])
+    def test_summands_match_their_golden(self, name):
+        # every object id with the Complex.key() of each of its summands,
+        # tuples read back as lists; a Fraction would not serialise
+        with open(GOLDEN / "summands_d4_n4_pi_a3.json") as f:
+            want = json.load(f)[name]
+        result = enumerate_2silt({**golden_algebras(), "PI_A3": PI_A3}[name])
+        got = {i: [s.key() for s in obj.summands] for i, obj in result.objects.items()}
+        assert json.loads(json.dumps(got)) == want
 
 
 def semidistributive(poset):
