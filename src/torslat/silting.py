@@ -208,6 +208,8 @@ def two_term(algebra, minus, zero, entries):
             raise ShapeMismatch("entry matrix has wrong number of columns")
         for c, e in enumerate(row):
             if isinstance(e, AlgebraElement):
+                if e.algebra is not algebra:
+                    raise ShapeMismatch(f"entry ({r},{c}) is an element of another algebra")
                 if e.target != mv[c] or e.source != zv[r]:
                     raise ShapeMismatch(
                         f"entry ({r},{c}) lives in the wrong corner"
@@ -415,6 +417,14 @@ def hom_shift1_dim(algebra, P, Q):
 
 def is_presilting(algebra, P):
     return hom_shift1_dim(algebra, P, P) == 0
+
+
+def _end_dim_one(algebra, P):
+    """Is dim End_K(P) = 1, for a two-term P the caller knows presilting?
+    Then it is the euler pairing plus dim Hom_K(P, P[-1]), and 1 certifies
+    a reduced P indecomposable with no decompose; its g-vector names its
+    class (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm. 5.5)."""
+    return _euler_pairing(algebra, P, P) + _hom_dim(algebra, P, P, -1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +892,7 @@ def _match_multisets(algebra, xs, ys):
     remaining = list(ys)
     for x in xs:
         for i, y in enumerate(remaining):
-            if g_vector(x) == g_vector(y) and complexes_isomorphic(algebra, x, y):
+            if _graded_counts(x) == _graded_counts(y) and complexes_isomorphic(algebra, x, y):
                 del remaining[i]
                 break
         else:
@@ -891,12 +901,11 @@ def _match_multisets(algebra, xs, ys):
 
 
 def is_silting(algebra, P):
-    """Presilting with a full set of non-isomorphic indecomposable summands."""
-    P = _as_complex(algebra, P)
-    if not is_presilting(algebra, P):
-        return False
-    parts = decompose(algebra, reduce_complex(algebra, P))
-    return len(_summand_classes(algebra, parts)) == len(algebra.quiver.vertices)
+    """Presilting, and then summand_g_key holds one distinct g-vector per
+    vertex: presilting summands are isomorphic exactly when their g-vectors
+    agree (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm. 5.5)."""
+    n = len(algebra.quiver.vertices)
+    return is_presilting(algebra, P) and len(set(summand_g_key(algebra, P))) == n
 
 
 # ---------------------------------------------------------------------------
@@ -915,19 +924,21 @@ def _fmt_vecs(vecs, memo=None):
 class SiltingObject:
     """Basic silting object: a tuple of indecomposable reduced two-term
     complexes, canonically keyed by the sorted multiset of summand
-    g-vectors."""
+    g-vectors.  Construction certifies it: n distinct g-vectors and a
+    presilting total come first, so no two summands are isomorphic
+    (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm. 5.5); then a reduced summand
+    is indecomposable by _end_dim_one, else by decompose."""
 
     __slots__ = ("algebra", "summands", "key", "_h0")
 
-    def __init__(self, algebra, summands, validate=True):
+    def __init__(self, algebra, summands):
         summands = tuple(summands)
         # the index breaks ties as a stable sort by g-vector would
         order = sorted((g_vector(s), i) for i, s in enumerate(summands))
         self.algebra, self._h0 = algebra, None
         self.summands = tuple(summands[i] for _, i in order)
         self.key = tuple(g for g, _ in order)
-        if validate:
-            self._validate()
+        self._validate()
 
     @classmethod
     def _keyed(cls, algebra, summands, key):
@@ -949,7 +960,7 @@ class SiltingObject:
                 continue  # a single projective is reduced and indecomposable
             if next(_unit_entries(self.algebra, s.summands, s.diff), None) is not None:
                 raise NotSilting("a summand is not reduced")
-            if len(decompose(self.algebra, s)) != 1:
+            if not _end_dim_one(self.algebra, s) and len(decompose(self.algebra, s)) != 1:
                 raise NotSilting("a summand is decomposable")
 
     def total(self):
@@ -973,11 +984,11 @@ class SiltingObject:
         return f"SiltingObject({self.id_string()})"
 
 
-def silting_lambda(algebra, validate=False):
+def silting_lambda(algebra):
     summands = [
         stalk(algebra, [v], 0) for v in range(len(algebra.quiver.vertices))
     ]
-    return SiltingObject(algebra, summands, validate=validate)
+    return SiltingObject(algebra, summands)
 
 
 def summand_g_key(algebra, P):
@@ -1053,30 +1064,17 @@ def _exchange_cone(algebra, X, classes, direction, memo):
     return C
 
 
-def _summand_classes(algebra, parts, known=()):
-    """The parts, one per isomorphism class, that are isomorphic to no
-    complex in known.  Each part is compared first with known, then with
-    the parts kept before it."""
-    kept = []
-    for p in parts:
-        if not any(complexes_isomorphic(algebra, p, q) for q in (*known, *kept)):
-            kept.append(p)
-    return kept
-
-
 def _new_class_from_cone(algebra, cone_red, keep_classes):
     """The one summand class of a reduced cone not already in keep_classes."""
     if cone_red.is_zero():
         raise CertificationFailed("cone collapsed entirely")
-    # the cone sits inside the mutated object, so its self-homs into the
-    # shift vanish and dim End is the euler pairing plus the backward maps;
-    # dimension one certifies the cone indecomposable without a decompose
-    end = _euler_pairing(algebra, cone_red, cone_red) + _hom_dim(
-        algebra, cone_red, cone_red, -1
-    )
-    if end == 1:
+    # the cone sits inside the mutated object, so it is presilting
+    if _end_dim_one(algebra, cone_red):
         return cone_red
-    fresh = _summand_classes(algebra, decompose(algebra, cone_red), keep_classes)
+    fresh = []
+    for p in decompose(algebra, cone_red):
+        if not any(complexes_isomorphic(algebra, p, q) for q in (*keep_classes, *fresh)):
+            fresh.append(p)
     if len(fresh) != 1:
         raise CertificationFailed(
             f"expected one new summand class, got {len(fresh)}"
@@ -1246,54 +1244,53 @@ def mutate(algebra, P, k, direction, validate=True, memo=None):
     return out
 
 
+def _completion(algebra, P):
+    """(the g-vectors of P's summands and of the shifted projectives added
+    for them, the certified completion); see bongartz_complete."""
+    red = reduce_complex(algebra, P)
+    if not red.is_zero() and not is_presilting(algebra, red):
+        raise NotPresilting("input is not presilting")
+    present = {v for t in red.summands.values() for v in t}
+    h0 = h0_dim_vector(algebra, red)
+    shifted = [stalk(algebra, [v], -1) for v, d in enumerate(h0) if not d and v not in present]
+    classes = {}  # one part per g-vector, the first met
+    for p in (*decompose(algebra, red), *shifted):
+        classes.setdefault(g_vector(p), p)
+    inputs = set(classes)
+    D = _exchange_cone(algebra, lambda_shifted(algebra), list(classes.values()), "right", {})
+    for p in decompose(algebra, D):
+        classes.setdefault(g_vector(p), p)
+    return inputs, SiltingObject(algebra, classes.values())
+
+
 def bongartz_complete(algebra, P):
     """Silting object containing the given presilting complex as summands.
 
     Support-aware: vertices absent from the (reduced) complex whose
     cohomology also vanishes there contribute shifted projectives; the
     remaining slots are filled by the right exchange cone of the shifted
-    free module by those classes.
+    free module by those classes.  After the presilting test, the input's
+    and the cone's parts are kept one per g-vector (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Thm. 5.5), and SiltingObject certifies the result.
     """
-    red = reduce_complex(algebra, P)
-    if not red.is_zero() and not is_presilting(algebra, red):
-        raise NotPresilting("input is not presilting")
-    classes = _summand_classes(algebra, decompose(algebra, red))
-    h0 = h0_dim_vector(algebra, red)
-    present = {v for n in red.summands for v in red.summands[n]}
-    for v in range(len(algebra.quiver.vertices)):
-        if v not in present and h0[v] == 0:
-            classes.append(stalk(algebra, [v], -1))
-    D = _exchange_cone(algebra, lambda_shifted(algebra), classes, "right", {})
-    all_parts = classes + _summand_classes(algebra, decompose(algebra, D), classes)
-    out = SiltingObject(algebra, all_parts)
-    for c in classes:
-        if not any(complexes_isomorphic(algebra, c, s) for s in out.summands):
-            raise CertificationFailed("completion lost an input summand")
-    return out
+    return _completion(algebra, P)[1]
 
 
 def check_silting_module(algebra, presentation):
     """Does the presented module generate a torsion class of silting type?
 
-    True iff the indecomposable summands with nonzero cohomology of the
-    completed object match those of the (reduced) input presentation.
+    True iff the presentation is presilting and no summand that its
+    completion adds has nonzero cohomology.  After the presilting test,
+    the completion names the input's summands by g-vector, as in
+    bongartz_complete (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm. 5.5).
     """
-    red = reduce_complex(algebra, presentation)
-    if not red.is_zero() and not is_presilting(algebra, red):
-        return False
     try:
-        completion = bongartz_complete(algebra, red)
+        inputs, out = _completion(algebra, presentation)
     except NotPresilting:
         return False
-    mine = _summand_classes(
-        algebra, [p for p in decompose(algebra, red) if any(h0_dim_vector(algebra, p))]
+    return not any(
+        g not in inputs and any(h0_dim_vector(algebra, s)) for g, s in zip(out.key, out.summands)
     )
-    theirs = [
-        s for s in completion.summands if any(h0_dim_vector(algebra, s))
-    ]
-    if len(mine) != len(theirs):
-        return False
-    return _match_multisets(algebra, mine, theirs)
 
 
 def check_presilting_family(algebra, indices):
@@ -1363,7 +1360,7 @@ def enumerate_2silt(algebra, config=DEFAULTS):
     the edges are exactly the covers of that closure, with the free module
     on top and its shift at the bottom.
     """
-    start = silting_lambda(algebra, validate=True)
+    start = silting_lambda(algebra)
     objects = {start.key: start}
     edges = set()
     queue = [start]

@@ -374,7 +374,16 @@ def classify_tors(model, config=DEFAULTS):
 
 def classify_tors_hom_form(spec, lattice, config=DEFAULTS):
     """Torsion classes in monotone-map form: Hom_poset(spec, lattice),
-    listed once by hom_poset and certified as in classify_tors."""
+    listed once by hom_poset and certified as in classify_tors.  A lattice
+    without a unique top or bottom element raises ModelInvalid, as validate
+    reports a fiber without one."""
+    problems = [
+        f"lattice has no unique {end} element"
+        for end, found in (("top", lattice.top()), ("bottom", lattice.bottom()))
+        if found is None
+    ]
+    if problems:
+        raise ModelInvalid(problems)
     hom = hom_poset(spec, lattice, config)
     _certify_monotone_maps(spec, [lattice] * len(spec), hom)
     return hom

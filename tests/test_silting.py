@@ -1,6 +1,7 @@
 """Two-term complexes: construction, hom spaces, reduction, decomposition,
 mutation, completion, and the enumeration of the silting order."""
 
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -183,6 +184,17 @@ class TestConstruction:
         with pytest.raises(ShapeMismatch):
             two_term(A2, ["2"], ["1", "1"], [[0]])
 
+    @pytest.mark.parametrize(
+        "minus, zero, element",
+        [([0], [0], A3.idempotent(0)), (["2"], ["1"], A3.arrow_element("a"))],
+        ids=["idempotent", "arrow"],
+    )
+    def test_element_of_another_algebra_rejected(self, minus, zero, element):
+        # the idempotent lies in a corner that A2 has too, and was read as
+        # A2's e1; the arrow's basis index is past A2's basis
+        with pytest.raises(ShapeMismatch, match=r"entry \(0,0\) is an element of another algebra"):
+            two_term(A2, minus, zero, [[element]])
+
     def test_wrong_column_count_rejected(self):
         with pytest.raises(ShapeMismatch):
             two_term(A2, ["2", "2"], ["1"], [[0]])
@@ -358,8 +370,8 @@ class TestHomSpaces:
 
     @pytest.mark.parametrize("A", [BG, A3, N3], ids=["beta-gamma", "A3", "N3"])
     def test_shift1_from_euler_pairing(self, A):
-        # the identity behind the End-dimension shortcut of
-        # _new_class_from_cone:
+        # the identity behind _end_dim_one, the End-dimension shortcut of
+        # SiltingObject and _new_class_from_cone:
         # hom(P, Q[1]) = hom(P, Q) - hom(P, Q[-1]) - <g(P), g(Q)>
         complexes = {}
         for obj in enumerate_2silt(A).objects.values():
@@ -981,6 +993,17 @@ class TestIsomorphism:
         assert not complexes_isomorphic(A2, X, stalk(A2, [0], 0))
         assert not complexes_isomorphic(A2, X, X.shift(1))
 
+    @pytest.mark.parametrize("k", [-2, 1])
+    def test_decomposable_outside_degrees_minus_one_and_zero(self, k):
+        # no basis pair composes to an automorphism of X, so its summands
+        # are matched, outside the degrees where g-vectors are defined; Y
+        # has the same projectives in each degree
+        X = direct_sum([s1_presentation(), stalk(A2, [0], 0)]).shift(k)
+        Y = direct_sum([stalk(A2, [1], -1), stalk(A2, [0], 0), stalk(A2, [0], 0)]).shift(k)
+        assert complexes_isomorphic(A2, X, X)
+        assert not complexes_isomorphic(A2, X, Y)
+        assert not complexes_isomorphic(A2, Y, X)
+
     def test_refuses_a_complex_that_is_not_reduced(self):
         # X + C is homotopy equivalent to X for the contractible C
         X = s1_presentation()
@@ -1011,7 +1034,7 @@ class TestSiltingPredicates:
 
 class TestSiltingObject:
     def test_free_module_object(self):
-        L = silting_lambda(A2, validate=True)
+        L = silting_lambda(A2)
         assert L.key == ((0, 1), (1, 0))
         assert L.id_string() == M_LAMBDA
         assert L.label() == "g=[(0,1),(1,0)];H0=[(0,1),(1,1)]"
@@ -1158,6 +1181,109 @@ class TestCheckSiltingModule:
 
     def test_bare_simple_fails(self):
         assert check_silting_module(A2, s1_presentation()) is False
+
+
+def generic_classes(algebra, parts, known=()):
+    """Reference: the parts, one per isomorphism class, isomorphic to no
+    complex in known, by the generic isomorphism search."""
+    kept = []
+    for p in parts:
+        if not any(complexes_isomorphic(algebra, p, q) for q in (*known, *kept)):
+            kept.append(p)
+    return kept
+
+
+def generic_match(algebra, xs, ys):
+    """Reference: Krull-Schmidt matching of two lists of indecomposables."""
+    if len(xs) != len(ys):
+        return False
+    remaining = list(ys)
+    for x in xs:
+        for i, y in enumerate(remaining):
+            if g_vector(x) == g_vector(y) and complexes_isomorphic(algebra, x, y):
+                del remaining[i]
+                break
+        else:
+            return False
+    return True
+
+
+def generic_bongartz_complete(algebra, P):
+    """Reference completion: summand classes by the generic isomorphism
+    search, not by g-vector."""
+    red = reduce_complex(algebra, P)
+    if not red.is_zero() and not is_presilting(algebra, red):
+        raise NotPresilting("input is not presilting")
+    classes = generic_classes(algebra, decompose(algebra, red))
+    h0 = h0_dim_vector(algebra, red)
+    present = {v for t in red.summands.values() for v in t}
+    for v in range(len(h0)):
+        if v not in present and h0[v] == 0:
+            classes.append(stalk(algebra, [v], -1))
+    D = silting_module._exchange_cone(algebra, lambda_shifted(algebra), classes, "right", {})
+    out = SiltingObject(algebra, classes + generic_classes(algebra, decompose(algebra, D), classes))
+    for c in classes:
+        assert any(complexes_isomorphic(algebra, c, s) for s in out.summands)
+    return out
+
+
+def generic_check_silting_module(algebra, presentation):
+    """Reference: the input's classes with nonzero cohomology match those
+    of its completion."""
+    red = reduce_complex(algebra, presentation)
+    if not red.is_zero() and not is_presilting(algebra, red):
+        return False
+    completion = generic_bongartz_complete(algebra, red)
+    mine = generic_classes(
+        algebra, [p for p in decompose(algebra, red) if any(h0_dim_vector(algebra, p))]
+    )
+    theirs = [s for s in completion.summands if any(h0_dim_vector(algebra, s))]
+    return generic_match(algebra, mine, theirs)
+
+
+def generic_is_silting(algebra, P):
+    """Reference: presilting with n summand classes by the generic search."""
+    if not is_presilting(algebra, P):
+        return False
+    parts = decompose(algebra, reduce_complex(algebra, P))
+    return len(generic_classes(algebra, parts)) == len(algebra.quiver.vertices)
+
+
+class TestSummandsByGVector:
+    @pytest.mark.parametrize(
+        "algebra, sizes",
+        [(A3, (1, 2)), (N3, (1, 2)), (PI_A3, (1,)), (BG, (1, 2))],
+        ids=["A3", "N3", "Pi(A3)", "beta-gamma"],
+    )
+    def test_same_answers_as_the_generic_search(self, algebra, sizes):
+        # presilting summands are isomorphic exactly when their g-vectors
+        # agree (Adachi-Iyama-Reiten, Thm. 5.5), so naming them by g-vector
+        # answers as the isomorphism search does, on every sub-sum of one
+        # or two summands of every silting object
+        for obj in enumerate_2silt(algebra).objects.values():
+            for size in sizes:
+                for part in itertools.combinations(obj.summands, size):
+                    P = direct_sum(part)
+                    got, want = bongartz_complete(algebra, P), generic_bongartz_complete(algebra, P)
+                    assert got.key == want.key
+                    assert [s.key() for s in got.summands] == [s.key() for s in want.summands]
+                    assert check_silting_module(algebra, P) == generic_check_silting_module(algebra, P)
+                    assert is_silting(algebra, P) == generic_is_silting(algebra, P)
+
+    def test_validation_decomposes_no_summand_with_one_dimensional_end(self, monkeypatch):
+        objects = list(enumerate_2silt(D4).objects.values())
+        decomposed = []
+
+        def spy(algebra, P):
+            decomposed.append(P)
+            return decompose(algebra, P)
+
+        monkeypatch.setattr(silting_module, "decompose", spy)
+        for obj in objects:
+            assert SiltingObject(D4, obj.summands).key == obj.key
+        checked = [s for obj in objects for s in obj.summands if s.size() > 1]
+        assert checked and all(hom_k_dim(D4, s, s) == 1 for s in checked)
+        assert decomposed == []
 
 
 class TestPresiltingFamily:

@@ -130,6 +130,22 @@ class TestIdentityMode:
         monkeypatch.setattr(spectra, "enumerate_compatible", refuse)
         assert len(classify_tors_hom_form(V, chain(2))) == 5
 
+    def test_a_lattice_without_both_ends_is_refused(self):
+        # the antichain used to give 2 "torsion classes" here, while
+        # classify_tors refuses the same fiber
+        with pytest.raises(ModelInvalid, match="no unique top"):
+            classify_tors(SpecModel(V, {p: antichain(2) for p in V.ids}, mode="identity"))
+        for lattice, missing in (
+            (antichain(2), ["top", "bottom"]),
+            (V, ["top"]),
+            (opposite(V), ["bottom"]),
+        ):
+            with pytest.raises(ModelInvalid) as refused:
+                classify_tors_hom_form(V, lattice)
+            assert refused.value.violations == [
+                f"lattice has no unique {end} element" for end in missing
+            ]
+
     def test_local_fiber_mismatch_is_refused(self, monkeypatch):
         monkeypatch.setattr(spectra, "poset_isomorphism", lambda p, q: None)
         with pytest.raises(CertificationFailed):
